@@ -25,6 +25,7 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import pd as _pd
 
@@ -51,57 +52,41 @@ def partitions(n: int, max_length: int | None = None):
     """
     if n < 0:
         raise ValueError("partitions of negative integers do not exist")
+    for block in _shape_blocks(n, n if max_length is None else min(max_length, n)):
+        yield from (tuple(filter(None, row)) for row in block.tolist())
 
-    def _gen(remaining: int, largest: int, slots: int):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in _gen(remaining - first, first, slots - 1):
-                yield (first,) + rest
 
-    slots = n if max_length is None else min(max_length, n)
-    yield from _gen(n, n, slots)
+_BLOCK = 1 << 12  # shapes per vectorised block: bounds memory, stays in cache
+
+
+def _shape_blocks(n: int, rows: int, block: int = _BLOCK):
+    """Yield the partitions of n with at most `rows` parts as (k, rows) int arrays.
+
+    Zero-padded, in the order of `partitions`; parents expand depth first in
+    groups of about `block` children (at most block + n + 1).
+    """
+    def grow(shapes, rest, cap):
+        slots = rows - shapes.shape[1]
+        if slots <= 0:
+            if not rest.any():  # rows = 0 leaves only the empty partition of 0
+                yield shapes
+            return
+        hi = np.minimum(rest, cap)
+        counts = hi + 1 + (-rest // slots)  # parts run from hi down to ceil(rest / slots)
+        starts = np.cumsum(counts) - counts
+        bounds = [0, *(np.flatnonzero(np.diff(starts // block)) + 1), len(counts)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            c = counts[a:b]
+            parent = np.repeat(np.arange(a, b), c)
+            part = hi[parent] - (np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c))
+            yield from grow(np.column_stack((shapes[parent], part)), rest[parent] - part, part)
+
+    yield from grow(np.zeros((1, 0), dtype=np.int64), np.array([n]), np.array([n]))
 
 
 # ---------------------------------------------------------------------------
 # Schur / power-sum evaluation
 # ---------------------------------------------------------------------------
-
-def _cluster(values, tol: float):
-    """Group indices whose values lie within tol of each other (union-find).
-
-    Returns a list of (representative_value, multiplicity) in input order of
-    first appearance; representatives are cluster means.
-    """
-    vals = list(values)
-    k = len(vals)
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(vals[i] - vals[j]) < tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        members = groups[root]
-        rep = sum(vals[i] for i in members) / len(members)
-        out.append((rep, len(members)))
-    return out
-
 
 def schur_at_ones(lam, r: int) -> Fraction:
     """s_lambda(1, ..., 1) with r ones: prod_{i<j} (lam_i - i - lam_j + j)/(j - i)."""
@@ -133,22 +118,15 @@ def schur_eval(lam, xs, merge_tol: float = 1e-6) -> complex:
         warnings.warn("Schur polynomial vanishes when l(lam) > #variables", stacklevel=2)
         return 0.0
     exps = [lam[j] + r - j - 1 if j < len(lam) else r - j - 1 for j in range(r)]
-    clusters = _cluster(xs, merge_tol)
+    clusters = _pd._cluster(xs, merge_tol)
     mat = np.zeros((r, r), dtype=complex)
-    row = 0
-    sign = 1.0
-    denom = 1.0 + 0.0j
-    reps = [c[0] for c in clusters]
+    row, sign, denom = 0, 1.0, 1.0 + 0.0j
     for a, (xa, ma) in enumerate(clusters):
         sign *= (-1.0) ** (ma * (ma - 1) // 2)
-        for b in range(a + 1, len(clusters)):
-            denom *= (xa - reps[b]) ** (ma * clusters[b][1])
+        for xb, mb in clusters[a + 1:]:
+            denom *= (xa - xb) ** (ma * mb)
         for d in range(ma):
-            for col, e in enumerate(exps):
-                if d > e:
-                    mat[row, col] = 0.0
-                else:
-                    mat[row, col] = math.comb(e, d) * xa ** (e - d)
+            mat[row] = [math.comb(e, d) * xa ** (e - d) if d <= e else 0.0 for e in exps]
             row += 1
     det = np.linalg.det(mat)
     val = sign * det / denom
@@ -287,6 +265,26 @@ def transposition_ratio(lam) -> Fraction:
 # Interchange expectation and the Schur ratio limit
 # ---------------------------------------------------------------------------
 
+def _schur_exp(hv, n: int, top: int):
+    """Batched s_lambda(e^{h/n}) as a function of l = lambda_j + r - j <= top.
+
+    Newton divided differences of the bialternant rows x_a^{l_j} divide out
+    the Vandermonde exactly: the k-th one of x^l over x_1..x_{k+1} is the
+    complete homogeneous h_{l-k}(x_1..x_{k+1}), so s_lambda = (-1)^{C(r,2)}
+    det[h_{l_j-k}]: equal or close fields need no merging.  The h_m table
+    adds one variable at a time, h_m(.., x) = sum_i x^i h_{m-i}(..).
+    """
+    hv = np.asarray(hv)
+    r, m = len(hv), np.arange(top + 1)
+    table = np.zeros((r, r + top + 1), dtype=complex if hv.dtype.kind == "c" else float)
+    col = (m == 0) * 1.0
+    for k, t in enumerate(hv / n):
+        table[k, r:] = col = np.exp(m * t) * np.cumsum(np.exp(-m * t) * col)
+    offsets = np.arange(r)[:, None] * (r + top) + r  # flat index of h_{l-k} is l + offset_k
+    sign = (-1.0) ** (r * (r - 1) // 2)
+    return lambda l: sign * np.linalg.det(table.ravel().take(l[:, None, :] + offsets))
+
+
 def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> complex:
     """Exact E[prod_i q_h(l_i / n)] under the theta^{#loops} interchange measure.
 
@@ -296,7 +294,11 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
 
         value = sum_lam s_lam(e^{h/n}) w_lam / sum_lam s_lam(1,...,1) w_lam.
 
-    Shape weights are combined in log space before exponentiating.
+    Shapes are summed as arrays in blocks, with a running log-sum-exp.  With
+    l_i = lambda_i + theta - i, log w_lam = sum_{i<j} log(l_i - l_j) -
+    sum_i log l_i! + (beta/n)(content - binom(n, 2)) (log n! cancels) and
+    s_lam(1,...,1) = prod_{i<j} (l_i - l_j)/(j - i).  Shapes grow like
+    n^(theta-1): theta = 3 runs to n ~ 10^4, theta = 4 to n ~ 500.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -305,26 +307,24 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
     hv = list(hvec)
     if len(hv) != theta:
         raise ValueError(f"hvec must have length theta = {theta}")
-    is_complex = any(isinstance(h, complex) for h in hv)
-    args = [np.exp(np.asarray(h) / n) for h in hv]
-    log_w = []
-    s_h = []
-    s_1 = []
-    for lam in partitions(n, theta):
-        d = dimension(lam)
-        r = transposition_ratio(lam) if n >= 2 else Fraction(1)
-        log_w.append(math.log(d) + (beta / n) * math.comb(n, 2) * (float(r) - 1.0))
-        s_h.append(schur_eval(lam, args))
-        s_1.append(float(schur_at_ones(lam, theta)))
-    log_w = np.array(log_w)
-    top = log_w.max()
-    w = np.exp(log_w - top)
-    numer = np.dot(w, np.array(s_h))
-    denom = np.dot(w, np.array(s_1))
+    log_fact = gammaln(np.arange(n + theta) + 1.0)
+    schur = _schur_exp(hv, n, n + theta - 1)
+    iu, ju = np.triu_indices(theta, 1)
+    top, numer, denom = -np.inf, 0.0, 0.0
+    for shapes in _shape_blocks(n, theta, _BLOCK):
+        l = shapes + np.arange(theta - 1, -1, -1)
+        gaps = l[:, iu] - l[:, ju]
+        content = (shapes * (shapes - 1) // 2 - np.arange(theta) * shapes).sum(axis=1)
+        log_w = np.log(gaps).sum(axis=1) - log_fact[l].sum(axis=1)
+        log_w += (beta / n) * (content - math.comb(n, 2))
+        peak = log_w.max()
+        if peak > top:
+            numer, denom, top = numer * np.exp(top - peak), denom * np.exp(top - peak), peak
+        w = np.exp(log_w - top)
+        numer = numer + w @ schur(l)
+        denom = denom + w @ np.prod(gaps / (ju - iu), axis=1)
     value = numer / denom
-    if not is_complex:
-        return float(np.real(value))
-    return complex(value)
+    return complex(value) if any(isinstance(h, complex) for h in hv) else float(np.real(value))
 
 
 @dataclass
@@ -344,6 +344,8 @@ def schur_ratio_limit_check(lambdas, hvec, x=None) -> SchurLimitReport:
     lambdas = [tuple(l) for l in lambdas]
     hv = list(hvec)
     theta = len(hv)
+    if any(len(lam) > theta for lam in lambdas):
+        raise ValueError("shapes may have at most len(hvec) rows")
     if x is None:
         last = lambdas[-1]
         n_last = sum(last)
@@ -356,10 +358,7 @@ def schur_ratio_limit_check(lambdas, hvec, x=None) -> SchurLimitReport:
     target = _pd.r_function(hv, x)
     rows = []
     for lam in lambdas:
-        n = sum(lam)
-        args = [np.exp(np.asarray(h) / n) for h in hv]
-        num = schur_eval(lam, args)
-        den = float(schur_at_ones(lam, theta))
-        ratio = num / den
-        rows.append((n, ratio, abs(ratio - target)))
+        l = np.array([lam + (0,) * (theta - len(lam))]) + np.arange(theta - 1, -1, -1)
+        ratio = complex(_schur_exp(hv, sum(lam), l.max())(l)[0]) / float(schur_at_ones(lam, theta))
+        rows.append((sum(lam), ratio, abs(ratio - target)))
     return SchurLimitReport(rows, target)

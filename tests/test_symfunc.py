@@ -202,3 +202,129 @@ def test_schur_ratio_limit_check_validation():
         sf.schur_ratio_limit_check([(4,)], [1.0, 0.0], x=[0.2, 0.8])
     with pytest.raises(ValueError):
         sf.schur_ratio_limit_check([(4,)], [1.0, 0.0], x=[0.7, 0.7])
+
+
+def test_shape_blocks_split_without_changing_order():
+    whole = np.vstack(list(sf._shape_blocks(30, 4)))
+    small = list(sf._shape_blocks(30, 4, block=7))
+    assert len(small) > 10
+    assert np.array_equal(np.vstack(small), whole)
+    assert [tuple(filter(None, row)) for row in whole.tolist()] == list(sf.partitions(30, 4))
+    # more rows than parts: zero-padded columns
+    assert np.vstack(list(sf._shape_blocks(3, 5))).tolist() == [
+        [3, 0, 0, 0, 0], [2, 1, 0, 0, 0], [1, 1, 1, 0, 0],
+    ]
+
+
+def _interchange_oracle(n, theta, beta, hv):
+    """The character sum one shape at a time, from the exact per-shape functions."""
+    xs = [np.exp(complex(h) / n) for h in hv]
+    log_w, s_h, s_1 = [], [], []
+    for lam in sf.partitions(n, theta):
+        r = sf.transposition_ratio(lam) if n >= 2 else Fraction(1)
+        log_w.append(math.log(sf.dimension(lam)) + beta / n * math.comb(n, 2) * (float(r) - 1))
+        s_h.append(sf.schur_eval(lam, xs))
+        s_1.append(float(sf.schur_at_ones(lam, theta)))
+    w = np.exp(np.array(log_w) - max(log_w))
+    return np.dot(w, s_h) / np.dot(w, s_1)
+
+
+_FIELDS = {
+    "repeated": {2: (0.8, 0.8), 3: (1.0, 0.0, 0.0), 4: (1.0, 0.0, 0.0, 0.0)},
+    "spaced": {2: (1.0, 0.0), 3: (1.0, 0.0, -1.0), 4: (1.0, 0.0, -1.0, -2.0)},
+    "distinct": {2: (0.7, 0.1), 3: (0.7, 0.1, -0.5), 4: (0.7, 0.1, -0.5, -1.2)},
+    "complex": {
+        2: (0.5 + 0.3j, -0.2j),
+        3: (0.5 + 0.3j, -0.2j, 0.1),
+        4: (0.5 + 0.3j, -0.2j, 0.1, -0.8 + 0.1j),
+    },
+}
+
+
+@pytest.mark.parametrize("beta", [0.5, 4.0, 12.0])
+@pytest.mark.parametrize("kind", sorted(_FIELDS))
+@pytest.mark.parametrize("theta", [2, 3, 4])
+def test_interchange_matches_per_shape_oracle(theta, kind, beta, monkeypatch):
+    hv = list(_FIELDS[kind][theta])
+    # the oracle's float bialternant is 1.8e-12 off a 50-digit sum for the
+    # complex theta = 4 fields at n = 24 (checked to 1e-14 below)
+    tol = 1e-11 if (theta, kind) == (4, "complex") else 1e-12
+    for n in (1, 2, 5, 12, 24):
+        want = _interchange_oracle(n, theta, beta, hv)
+        got = sf.interchange_expectation_exact(n, theta, beta, hv)
+        assert isinstance(got, complex) == (kind == "complex")
+        assert abs(got - want) <= tol * abs(want), (n, got, want)
+    # small blocks: the running log-sum-exp rescales as later blocks peak higher
+    monkeypatch.setattr(sf, "_BLOCK", 5)
+    got = sf.interchange_expectation_exact(24, theta, beta, hv)
+    assert abs(got - want) <= tol * abs(want)
+
+
+def _schur_mp(mpmath, lam, hv):
+    """(s_lam(e^{h/n}), s_lam(1, .., 1)) from a bialternant at the working precision."""
+    n, theta = sum(lam), len(hv)
+    xs = [mpmath.exp(mpmath.mpmathify(h) / n) for h in hv]
+    ls = [(lam[j] if j < len(lam) else 0) + theta - 1 - j for j in range(theta)]
+    pairs = [(i, j) for i in range(theta) for j in range(i + 1, theta)]
+    det = mpmath.det(mpmath.matrix([[x**l for l in ls] for x in xs]))
+    s_h = det / mpmath.fprod(xs[i] - xs[j] for i, j in pairs)
+    return s_h, mpmath.fprod(mpmath.mpf(ls[i] - ls[j]) / (j - i) for i, j in pairs)
+
+
+@pytest.mark.parametrize(
+    "lam, hv",
+    [
+        ((7000, 2000, 1000), (1.0, 0.009, 0.0)),
+        ((7000, 2000, 1000), (1.0, 0.011, 0.0)),
+        ((1400, 400, 200), (1.0, 0.0015, 0.0)),
+    ],
+)
+def test_schur_ratio_close_fields_match_high_precision(lam, hv):
+    # fields 1e-3 apart are 1e-7 apart in e^{h/n}; they must not be merged
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s_h, s_1 = _schur_mp(mpmath, lam, hv)
+        want = float(s_h / s_1)
+    (_, ratio, _), = sf.schur_ratio_limit_check([lam], hv).rows
+    assert abs(ratio - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("beta", [0.5, 12.0])
+def test_interchange_complex_fields_match_high_precision(beta):
+    # the per-shape oracle above is only good to ~2e-12 here
+    mpmath = pytest.importorskip("mpmath")
+    n, hv = 24, _FIELDS["complex"][4]
+    with mpmath.workdps(50):
+        numer = denom = 0
+        for lam in sf.partitions(n, len(hv)):
+            content = int(sf.transposition_ratio(lam) * math.comb(n, 2))
+            w = sf.dimension(lam) * mpmath.exp(mpmath.mpf(beta) / n * (content - math.comb(n, 2)))
+            s_h, s_1 = _schur_mp(mpmath, lam, hv)
+            numer += w * s_h
+            denom += w * s_1
+        want = complex(numer / denom)
+    got = sf.interchange_expectation_exact(n, len(hv), beta, hv)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def _interchange_gaps(theta, ns, beta=4.0):
+    from spinloops import asymptotics as asy
+
+    hv = [1.0] + [0.0] * (theta - 1)
+    z = asy.interchange_maximizer(beta, asy.SpinContext(theta - 1)).z_star
+    y = (1.0 - z) / theta
+    limit = float(np.real(pd.r_function(hv, [z + y] + [y] * (theta - 1))))
+    return [sf.interchange_expectation_exact(n, theta, beta, hv) - limit for n in ns]
+
+
+@pytest.mark.parametrize("theta, ns", [(3, (320, 640, 1280, 2560)), (4, (60, 120, 240))])
+def test_interchange_gap_halves_with_n(theta, ns):
+    gaps = _interchange_gaps(theta, ns)
+    for a, b in zip(gaps, gaps[1:]):
+        assert 1.8 <= a / b <= 2.2, gaps
+
+
+@pytest.mark.slow
+def test_interchange_gap_halves_to_n_10000():
+    a, b = _interchange_gaps(3, (5000, 10000))
+    assert 1.8 <= a / b <= 2.2, (a, b)
