@@ -11,9 +11,13 @@ Heisenberg Hamiltonian -(2/n) sum_{i<j} (S_i1 S_j1 + S_i2 S_j2 + Delta S_i3 S_j3
 up to additive constants that cancel in the Gibbs ratio.
 
 Engine 1 (heisenberg_expectation_exact) decomposes the Hilbert space into
-total-spin sectors: multiplicities L_{M,n} come from an exact integer
-convolution, sector degeneracies are d_J = L_J - L_{J+1}, and within a sector
-Sigma1 is the standard tridiagonal ladder matrix.  Engine 2
+total-spin sectors.  The multiplicities L_{M,n} of Sigma3 are computed in log
+space by repeated squaring of the one-site row, so no sector underflows, and
+the degeneracies are d_J = L_J - L_{J+1}; the exact big-integer table
+(multiplicity_table) is kept as the reference the tests compare with.  For
+Delta = 1 each sector contributes a sinh-ratio character; for Delta < 1 the
+diagonal of e^{t Sigma1} in each sector is a Wigner small-d function at
+imaginary angle, summed by a Jacobi three-term recurrence.  Engine 2
 (dense_gibbs_oracle) builds everything as dense Kronecker-product matrices
 and eigendecomposes; it knows nothing about angular momentum sectors.
 
@@ -24,14 +28,12 @@ scales never overflow.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "CapExceededError",
@@ -108,7 +110,7 @@ def multiplicity_table(n: int, two_s: int, cap: int = EXACT_CAP) -> Multiplicity
     Works in the shifted index k = M + S n in {0, ..., two_s * n}, where the
     counts are the coefficients of (1 + z + ... + z^{two_s})^n.  Exact big
     integers; raises CapExceededError when n * two_s exceeds the cap (use
-    log_multiplicity_row for the large-n real-valued mode).
+    log_multiplicity_row for large n).
     """
     if n < 1 or two_s < 1:
         raise ValueError("need n >= 1 and two_s >= 1")
@@ -137,24 +139,31 @@ def multiplicity_table(n: int, two_s: int, cap: int = EXACT_CAP) -> Multiplicity
     return MultiplicityTable(n, two_s, counts)
 
 
+def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log of the convolution of e^a and e^b, by log-adding shifted copies of a."""
+    out = np.full(len(a) + len(b) - 1, -math.inf)
+    for j, bj in enumerate(b):
+        out[j : j + len(a)] = np.logaddexp(out[j : j + len(a)], a + bj)
+    return out
+
+
 def log_multiplicity_row(n: int, two_s: int) -> np.ndarray:
     """log L_{M,n} over the shifted index k = M + S n, as float64.
 
-    Scaled floating convolution; relative accuracy ~ n * eps, sufficient for
-    the large-n Gibbs sums where the exact table would be wastefully slow.
+    Repeated squaring of the one-site row log(1, ..., 1) in log space, so
+    every entry is finite however far below the central peak it lies.
     """
     if n < 1 or two_s < 1:
         raise ValueError("need n >= 1 and two_s >= 1")
-    kernel = np.ones(two_s + 1)
-    row = np.ones(1)
-    log_scale = 0.0
-    for _ in range(n):
-        row = np.convolve(row, kernel)
-        peak = row.max()
-        row /= peak
-        log_scale += math.log(peak)
-    with np.errstate(divide="ignore"):
-        return np.log(row) + log_scale
+    power = np.zeros(two_s + 1)
+    row = None
+    while True:
+        if n & 1:
+            row = power if row is None else _log_convolve(row, power)
+        n >>= 1
+        if not n:
+            return row
+        power = _log_convolve(power, power)
 
 
 def irrep_spectrum(table: MultiplicityTable) -> IrrepSpectrum:
@@ -174,7 +183,11 @@ def irrep_spectrum(table: MultiplicityTable) -> IrrepSpectrum:
 
 
 def _log_degeneracies(n: int, two_s: int, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(two_j values, log d_J) for all sectors with d_J > 0."""
+    """(two_j values, log d_J) for all sectors with d_J > 0.
+
+    exact=True takes d_J from the big-integer table (the test oracle);
+    otherwise log d_J = log L_J + log(1 - L_{J+1}/L_J) from the log-space row.
+    """
     width = n * two_s
     two_js = np.arange(width % 2, width + 1, 2)
     if exact:
@@ -186,24 +199,10 @@ def _log_degeneracies(n: int, two_s: int, exact: bool) -> tuple[np.ndarray, np.n
             ]
         )
     else:
-        logrow = log_multiplicity_row(n, two_s)
-        # per-sector scaling: log d_J = log L_J + log(1 - L_{J+1}/L_J) stays
-        # well conditioned across the ~n log(theta) orders of magnitude
+        logrow = np.append(log_multiplicity_row(n, two_s), -math.inf)
         ks = (two_js + width) // 2
-        logd = np.empty(len(two_js))
-        for idx, k in enumerate(ks):
-            lo = logrow[k]
-            hi = logrow[k + 1] if k + 1 <= width else -math.inf
-            if not math.isfinite(lo):
-                logd[idx] = -math.inf
-            elif not math.isfinite(hi):
-                logd[idx] = lo
-            else:
-                ratio = hi - lo
-                if ratio >= 0.0:
-                    logd[idx] = -math.inf
-                else:
-                    logd[idx] = lo + math.log1p(-math.exp(ratio))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logd = logrow[ks] + np.log1p(-np.exp(logrow[ks + 1] - logrow[ks]))
     keep = logd > -math.inf
     return two_js[keep], logd[keep]
 
@@ -212,42 +211,35 @@ def _log_degeneracies(n: int, two_s: int, exact: bool) -> tuple[np.ndarray, np.n
 # Sector-decomposed Gibbs expectation
 # ---------------------------------------------------------------------------
 
-def _char_ratio(two_j: int, h: complex, n: int) -> complex:
-    """sum_{M=-J}^{J} e^{h M / n} via the sinh ratio; (2J+1) at h = 0."""
-    if h == 0 or abs(h) / (2.0 * n) < 1e-150:
-        return float(two_j + 1)
-    num = (two_j + 1) * h / (2.0 * n)
-    den = h / (2.0 * n)
-    if isinstance(h, complex):
-        return cmath.sinh(num) / cmath.sinh(den)
-    return math.sinh(num) / math.sinh(den)
+def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float):
+    """Sector sums sum_M e^{-gamma M^2} and sum_M e^{-gamma M^2} <J M|e^{t Sigma1}|J M>.
 
-
-def _ladder_eig_fresh(two_j: int):
-    dim = two_j + 1
-    if dim == 1:
-        return np.zeros(1), np.ones((1, 1))
-    two_ms = np.arange(-two_j, two_j, 2)  # 2M for M = -J .. J-1
-    jj = 0.25 * two_j * (two_j + 2)       # J(J+1)
-    mm = 0.25 * two_ms * (two_ms + 2.0)   # M(M+1)
-    off = 0.5 * np.sqrt(jj - mm)
-    w, v = eigh_tridiagonal(np.zeros(dim), off)
-    return w, v
-
-
-_ladder_eig_cached = lru_cache(maxsize=256)(_ladder_eig_fresh)
-
-
-def _sector_ladder_eig(two_j: int):
-    """Eigendecomposition of the tridiagonal Sigma1 ladder matrix in sector J.
-
-    Off-diagonal entries between M and M+1 are sqrt(J(J+1) - M(M+1))/2; the
-    matrix is real symmetric with spectrum {-J, ..., J}.  Only small sectors
-    are memoised; large eigenvector matrices are recomputed to bound memory.
+    Both are arrays over 2J = width % 2, ..., width.  Uses <J M| e^{t Sigma1} |J M> = cosh(t/2)^{2|M|} P^{(0,2|M|)}_{J-|M|}(cosh t)
+    (Wigner small-d at imaginary angle).  The Jacobi three-term recurrence
+    runs in k = J - |M|, vectorised over b = 2|M|, and is written in
+    u = cosh t - 1 = 2 sinh(t/2)^2 so that no digits are lost for small t.
     """
-    if two_j <= 64:
-        return _ladder_eig_cached(two_j)
-    return _ladder_eig_fresh(two_j)
+    b = np.arange(width % 2, width + 1, 2).astype(float)
+    m = len(b)
+    coef = np.where(b > 0, 2.0, 1.0) * np.exp(-0.25 * gamma * b * b)
+    sector_s = np.cumsum(coef)
+    coef = coef * np.cosh(0.5 * t) ** b
+    u = 2.0 * np.sinh(0.5 * t) ** 2
+    p_prev = np.ones(m)
+    p_cur = 1.0 + 0.5 * (b + 2.0) * u
+    sector_t = coef * p_prev
+    sector_t[1:] += coef[:-1] * p_cur[:-1]
+    for k in range(2, m):
+        bk = b[: m - k]
+        c = 2.0 * k + bk
+        cc = c * (c - 2.0)
+        p_next = (
+            (c - 1.0) * ((cc - bk * bk) + cc * u) * p_cur[: m - k]
+            - 2.0 * (k - 1.0) * (k + bk - 1.0) * c * p_prev[: m - k]
+        ) / (2.0 * k * (k + bk) * (c - 2.0))
+        sector_t[k:] += coef[: m - k] * p_next
+        p_prev, p_cur = p_cur[: m - k], p_next
+    return sector_s, sector_t
 
 
 def heisenberg_expectation_exact(
@@ -256,17 +248,20 @@ def heisenberg_expectation_exact(
     beta: float,
     delta: float = 1.0,
     h: complex | float = 0.0,
-    exact_degeneracies: bool | None = None,
+    exact_degeneracies: bool = False,
 ) -> GibbsValue:
     """Gibbs expectation of e^{(h/n) Sigma1} via total-spin sectors.
 
-    Delta = 1: closed sum over sectors, each contributing the geometric
-    character sum sinh((2J+1) h / 2n)/sinh(h / 2n); feasible up to n ~ 10^4
-    in the log-space degeneracy mode.
+    Sector degeneracies come from the log-space multiplicity row, accurate
+    for every sector up to n ~ 10^4; exact_degeneracies=True takes them from
+    the big-integer table instead, as the reference the tests compare with.
 
-    Delta < 1: within each sector the weight e^{-(1-Delta)(beta/n) M^2}
-    breaks the rotation symmetry, so Sigma1 is exponentiated through the
-    eigendecomposition of its (2J+1) x (2J+1) ladder matrix.
+    Delta = 1: each sector contributes the character sum
+    sinh((2J+1) h / 2n) / sinh(h / 2n), one array expression over sectors.
+
+    Delta < 1: the weight e^{-(1-Delta)(beta/n) M^2} breaks the rotation
+    symmetry, so each sector contributes the weighted diagonal of
+    e^{(h/n) Sigma1}, summed in closed form by a Jacobi recurrence.
 
     All sector sums subtract a common maximum exponent before exponentiating.
     """
@@ -276,41 +271,25 @@ def heisenberg_expectation_exact(
         raise ValueError("beta must be positive")
     if not -1.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [-1, 1]")
-    if exact_degeneracies is None:
-        exact_degeneracies = n * two_s <= 512
     if h == 0:
         return GibbsValue(1.0, n, two_s, beta, delta, h)
     two_js, logd = _log_degeneracies(n, two_s, exact_degeneracies)
     jj1 = 0.25 * two_js * (two_js + 2.0)  # J(J+1)
     log_w = logd + (beta / n) * jj1
     if delta == 1.0:
-        top = log_w.max()
-        weights = np.exp(log_w - top)
-        denom = float(np.dot(weights, two_js + 1.0))
-        numer = sum(
-            w * _char_ratio(int(j2), h, n) for j2, w in zip(two_js, weights)
-        )
-        value = numer / denom
+        weights = np.exp(log_w - log_w.max())
+        if abs(h) / (2.0 * n) < 1e-150:
+            chars = two_js + 1.0
+        else:
+            chars = np.sinh((two_js + 1.0) * (h / (2.0 * n))) / np.sinh(h / (2.0 * n))
+        value = np.dot(weights, chars) / np.dot(weights, two_js + 1.0)
     else:
-        gamma = (1.0 - delta) * beta / n
-        is_complex = isinstance(h, complex)
-        sector_s = np.empty(len(two_js))
-        sector_t = np.empty(len(two_js), dtype=complex if is_complex else float)
-        for idx, j2 in enumerate(two_js):
-            two_ms = np.arange(-j2, j2 + 1, 2)
-            m2 = 0.25 * two_ms.astype(float) ** 2
-            d_weights = np.exp(-gamma * m2)
-            sector_s[idx] = d_weights.sum()
-            w, v = _sector_ladder_eig(int(j2))
-            exp_spec = np.exp((h / n) * w)
-            diag = (v * v) @ exp_spec  # diagonal of e^{(h/n) Sigma1} in the M basis
-            sector_t[idx] = np.dot(d_weights, diag)
-        log_u = log_w + np.log(sector_s)
-        top = log_u.max()
-        weights = np.exp(log_u - top)
-        denom = weights.sum()
-        numer = np.dot(weights, sector_t / sector_s)
-        value = numer / denom
+        width = n * two_s
+        sector_s, sector_t = _anisotropic_sector_sums(width, (1.0 - delta) * beta / n, h / n)
+        idx = (two_js - width % 2) // 2
+        log_u = log_w + np.log(sector_s[idx])
+        weights = np.exp(log_u - log_u.max())
+        value = np.dot(weights, sector_t[idx] / sector_s[idx]) / weights.sum()
     if not isinstance(h, complex):
         value = float(np.real(value))
     if not np.all(np.isfinite([abs(value)])):
@@ -336,30 +315,27 @@ def _one_site_spin(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _total_spin_ops(n: int, two_s: int):
-    """Dense total-spin operators (Sigma1, Sigma3, Sigma^2) on (C^{2S+1})^n."""
+def _site_sums(n: int, two_s: int) -> tuple[np.ndarray, ...]:
+    """Dense Kronecker sums sum_i op_i on (C^{2S+1})^n of op = Sx, Sy, Sz, Sz^2."""
     dim_site = two_s + 1
     dim = dim_site**n
     if dim > DENSE_CAP:
         raise CapExceededError(f"dense dimension {dim} exceeds cap {DENSE_CAP}")
     sx, sy, sz = _one_site_spin(two_s)
-    tot = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
-    for i in range(n):
-        for op, acc in zip((sx, sy, sz), tot):
-            big = np.eye(1, dtype=complex)
-            for j in range(n):
-                big = np.kron(big, op if j == i else np.eye(dim_site))
-            acc += big
-    s1, s2, s3 = tot
-    total_sq = s1 @ s1 + s2 @ s2 + s3 @ s3
-    return s1, s3, total_sq
+    sums = []
+    for op in (sx, sy, sz, sz @ sz):
+        acc = np.zeros((dim, dim), dtype=complex)
+        for i in range(n):
+            acc += np.kron(np.kron(np.eye(dim_site**i), op), np.eye(dim_site ** (n - 1 - i)))
+        sums.append(acc)
+    return tuple(sums)
 
 
 @lru_cache(maxsize=64)
 def _dense_eig(n: int, two_s: int, delta: float):
     """Eigendecomposition of G1 = (1/n)(Sigma^2 - (1-Delta)(Sigma3)^2) and of Sigma1."""
-    s1, s3, total_sq = _total_spin_ops(n, two_s)
-    g1 = (total_sq - (1.0 - delta) * (s3 @ s3)) / n
+    s1, s2, s3, _ = _site_sums(n, two_s)
+    g1 = (s1 @ s1 + s2 @ s2 + delta * (s3 @ s3)) / n
     lam, u = np.linalg.eigh(g1)
     mu, w = np.linalg.eigh(s1)
     b = u.conj().T @ w  # change of basis between the two eigenframes
@@ -402,25 +378,6 @@ def dense_gibbs_oracle(
 # Ward identity / Falk-Bruch inequality chain
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _transverse_ops(n: int, two_s: int):
-    dim_site = two_s + 1
-    sx, sy, sz = _one_site_spin(two_s)
-    dim = dim_site**n
-    if dim > DENSE_CAP:
-        raise CapExceededError(f"dense dimension {dim} exceeds cap {DENSE_CAP}")
-    tots = []
-    for op in (sx, sy, sz):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for i in range(n):
-            big = np.eye(1, dtype=complex)
-            for j in range(n):
-                big = np.kron(big, op if j == i else np.eye(dim_site))
-            acc += big
-        tots.append(acc)
-    return tuple(tots)
-
-
 def falk_bruch_check(
     n: int, two_s: int, beta: float, h: float, u: float = 0.0
 ) -> FalkBruchResult:
@@ -442,12 +399,12 @@ def falk_bruch_check(
     """
     if h <= 0.0:
         raise ValueError("falk_bruch_check needs h > 0")
-    s1, s2, s3 = _transverse_ops(n, two_s)
+    s1, s2, s3, z_sq = _site_sums(n, two_s)
     total_sq = s1 @ s1 + s2 @ s2 + s3 @ s3
     site_sq_const = n * 0.25 * two_s * (two_s + 2)  # sum_i S_i.S_i
     # -(2/n) sum_{i<j} S_i.S_j = -(1/n)(Sigma^2 - const)
     ham = -(total_sq - site_sq_const * np.eye(total_sq.shape[0])) / n
-    ham += (u / n) * (s3 @ s3 - n * _site_z_sq(n, two_s))
+    ham += (u / n) * (s3 @ s3 - z_sq)
     ham -= h * s1
     energy, vecs = np.linalg.eigh(ham)
     energy = energy - energy.min()
@@ -473,19 +430,3 @@ def falk_bruch_check(
     dc_val = float(np.real(np.trace((vecs.conj().T @ double_comm @ vecs) @ np.diag(rho))))
     lower = chi_perp - 0.5 * beta * math.sqrt(h) * math.sqrt(max(chi_perp * dc_val, 0.0))
     return FalkBruchResult(chi_perp, duhamel, lower, mag, dc_val)
-
-
-@lru_cache(maxsize=32)
-def _site_z_sq(n: int, two_s: int) -> np.ndarray:
-    """(1/n) sum_i (S_i3)^2 as a dense matrix (identity times S^2 only for S=1/2)."""
-    dim_site = two_s + 1
-    _, _, sz = _one_site_spin(two_s)
-    sz2 = sz @ sz
-    dim = dim_site**n
-    acc = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        big = np.eye(1, dtype=complex)
-        for j in range(n):
-            big = np.kron(big, sz2 if j == i else np.eye(dim_site))
-        acc += big
-    return acc / n

@@ -3,7 +3,9 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from scipy.special import i0
 
 from spinloops import spectra as sp
 from spinloops.asymptotics import SpinContext, m_star
@@ -70,12 +72,14 @@ def test_cap_error():
 
 
 def test_log_row_matches_exact():
-    for n, two_s in [(30, 1), (12, 2), (9, 3)]:
+    # the large rows span hundreds of orders of magnitude below their peak
+    for n, two_s in [(30, 1), (12, 2), (9, 3), (2000, 1), (1000, 2)]:
         t = sp.multiplicity_table(n, two_s)
         row = sp.log_multiplicity_row(n, two_s)
         width = n * two_s
-        for k in range(width + 1):
-            assert row[k] == pytest.approx(math.log(t.count(2 * k - width)), rel=1e-10)
+        exact = [math.log(t.count(2 * k - width)) for k in range(width + 1)]
+        assert np.all(np.isfinite(row))
+        assert row == pytest.approx(exact, rel=1e-12)
 
 
 def test_irrep_spectrum_small():
@@ -132,15 +136,47 @@ def test_sign_symmetry_in_h():
 
 
 def test_complex_field():
-    v = sp.heisenberg_expectation_exact(4, 1, 1.0, 1.0, 1.0 + 0.5j).value
-    w = sp.dense_gibbs_oracle(4, 1, 1.0, 1.0, 1.0 + 0.5j).value
-    assert abs(v - w) < 1e-10 * abs(w)
+    # complex t = h/n in both sector sums, and odd 2|M| when n * 2S is odd
+    for delta, two_s, n in itertools.product((1.0, 0.0, -0.5), (1, 2, 3), range(1, 6)):
+        if (two_s + 1) ** n > 256:
+            continue
+        v = sp.heisenberg_expectation_exact(n, two_s, 1.0, delta, 1.0 + 0.5j).value
+        w = sp.dense_gibbs_oracle(n, two_s, 1.0, delta, 1.0 + 0.5j).value
+        assert abs(v - w) < 1e-12 * abs(w), (delta, two_s, n)
 
 
 def test_exact_vs_log_space_degeneracies():
     a = sp.heisenberg_expectation_exact(60, 1, 2.5, 1.0, 1.0, exact_degeneracies=True)
     b = sp.heisenberg_expectation_exact(60, 1, 2.5, 1.0, 1.0, exact_degeneracies=False)
     assert a.value == pytest.approx(b.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,two_s,beta", [(2000, 1, 10.0), (1000, 2, 3.0)])
+def test_log_path_matches_big_integer_past_beta_c(n, two_s, beta):
+    # above beta_c the weight sits in sectors far below the multiplicity peak
+    a = sp.heisenberg_expectation_exact(n, two_s, beta, 1.0, 1.0).value
+    b = sp.heisenberg_expectation_exact(n, two_s, beta, 1.0, 1.0, exact_degeneracies=True).value
+    assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta,beta", [(1.0, 4.0), (0.0, 5.0)])
+def test_convergence_past_beta_c_to_n_10000(delta, beta):
+    m = m_star(beta, SpinContext(1)).location
+    limit = float(np.real(sinhc(m))) if delta == 1.0 else float(i0(m))  # h = 1
+    gaps = [
+        abs(sp.heisenberg_expectation_exact(n, 1, beta, delta, 1.0).value - limit)
+        for n in (1250, 2500, 5000, 10_000)
+    ]
+    for a, b in zip(gaps, gaps[1:]):
+        assert 1.8 <= a / b <= 2.2, gaps
+
+
+def test_anisotropic_sum_against_40_digit_reference():
+    # mpmath at 40 digits: big-integer degeneracies, and each sector's
+    # sum_M e^{-beta M^2/n} cosh(t/2)^{2|M|} P^{(0,2|M|)}_{J-|M|}(cosh t)
+    # with t = 1/250 from mpmath.jacobi
+    v = sp.heisenberg_expectation_exact(250, 1, 5.0, 0.0, 1.0).value
+    assert v == pytest.approx(1.062062583405921176, rel=1e-13)
 
 
 def test_monotone_convergence_to_limit():
