@@ -98,6 +98,17 @@ def cmd_exact(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    chain_errors = [
+        (args.sweeps < 1, "--sweeps must be >= 1"),
+        (args.chains < 1, "--chains must be >= 1"),
+        (args.thin < 1, "--thin must be >= 1"),
+        (args.burn_in is not None and not 0 <= args.burn_in < args.sweeps,
+         "--burn-in must lie in [0, --sweeps)"),
+    ]
+    for bad, message in chain_errors:
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_USAGE
     if args.model == "interchange":
         two_s, theta, u = 1, args.theta, 1.0
         hvec = args.h if len(args.h) == args.theta else None

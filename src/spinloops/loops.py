@@ -23,9 +23,16 @@ pseudo-edge, uniform time, kind cross with probability u, is accepted with
 min(1, theta^{dL} Lambda/(k+1)); a deletion of a uniform link with
 min(1, theta^{dL} k/Lambda); a sigma_i resample with min(1, theta^{dL}).
 The kind proposal probabilities (u, 1-u) cancel against the marked Poisson
-intensities.  Loop counts are recomputed by a full retrace after every
-proposal; at desk scale this costs O(#links + #threads) and avoids
-incremental-update bookkeeping.
+intensities.  The chain keeps its loops incrementally (the continuous-time
+loop bookkeeping of Beard & Wiese, PRL 1996): threads hold time-ordered
+linked event lists, and a link birth or death changes the loop count by -1,
+0 or +1, decided by one walk along the loop through one of its endpoints.
+Points on different loops merge (-1); on one loop, a cross met going the
+same way or a bar met going the opposite way splits it (+1), anything else
+reroutes it (0).  A deletion is the same test with the link taken out.  The
+walk also counts the marked segments, so the loop lengths follow; the second
+loop is walked only when a move that changes the count is accepted.  A
+sigma_i resample retraces the whole configuration.
 """
 
 from __future__ import annotations
@@ -131,6 +138,7 @@ class McmcStats:
     accepted_perm_moves: int = 0
     observable_trace: list[float] = field(default_factory=list)
     links_trace: list[int] = field(default_factory=list)
+    final_config: LoopConfiguration | None = field(default=None, compare=False, repr=False)
 
 
 def empty_configuration(n: int, two_s: int, beta: float, u: float) -> LoopConfiguration:
@@ -294,6 +302,120 @@ def _trace_flat(n: int, two_s: int, site_perms, flat) -> LoopSpectrum:
 # Metropolis sampler for the theta^{#loops} weighted measure
 # ---------------------------------------------------------------------------
 
+class _Event:
+    """A link end on a thread, or one of the thread's two sentinels.
+
+    The events of a thread form a doubly linked list in time order (down,
+    up) between a bottom and a top sentinel; a link end points to its
+    partner on the other thread.  The wrap is stored as a cross: the top
+    sentinel of thread (i, a) partners the bottom sentinel of (i, sigma_i(a)).
+    A segment is named by the event at its lower end, and `marked` is 1 when
+    that segment holds its thread's time-0 point (just below time 0).
+    """
+
+    __slots__ = ("time", "kind", "thread", "marked", "partner", "up", "down")
+
+    def __init__(self, time: float, kind: int, thread: int, marked: int = 0):
+        self.time, self.kind, self.thread, self.marked = time, kind, thread, marked
+
+
+def _below(bottom: _Event, t: float) -> _Event | None:
+    """The event just below time t on bottom's thread; None if t is taken."""
+    x = bottom
+    while x.up.time < t:
+        x = x.up
+    return None if x.up.time == t else x
+
+
+def _attach(e: _Event, a: _Event) -> None:
+    """Link e in just above a, taking over a's mark if e lies below time 0."""
+    b = a.up
+    e.down, e.up, a.up, b.down = a, b, e, e
+    e.marked = 0
+    if a.marked and e.time < 0.0:
+        a.marked, e.marked = 0, 1
+
+
+def _detach(e: _Event) -> None:
+    a, b = e.down, e.up
+    a.up, b.down = b, a
+    if e.marked:
+        a.marked = 1
+
+
+def _wire(tops: list, bottoms: list, site: int, sigma: tuple) -> None:
+    base = site * len(sigma)
+    for a, b in enumerate(sigma):
+        tops[base + a].partner = bottoms[base + b]
+        bottoms[base + b].partner = tops[base + a]
+
+
+def _walk(x: _Event, up: bool, stop_a: _Event, stop_b: _Event):
+    """Follow a loop from inside segment x until it enters stop_a or stop_b.
+
+    Returns the segment entered, the direction on entry (True = up) and the
+    marks of the segments passed in between.  A cross keeps the direction
+    across its link, a bar (kind 1) reverses it.
+    """
+    marks = 0
+    while True:
+        if up:
+            f = x.up.partner
+            if f.kind:
+                x, up = f.down, False
+            else:
+                x = f
+        else:
+            f = x.partner
+            if f.kind:
+                x, up = f, True
+            else:
+                x = f.down
+        if x is stop_a or x is stop_b:
+            return x, up, marks
+        marks += x.marked
+
+
+def _probe(a: _Event, b: _Event, t: float, kind: int):
+    """Effect of a link of `kind` at time t joining segments a and b.
+
+    Walks up from the point at t in a.  Returns (d_loops, la, up):
+    d_loops = -1 if the walk returns to a first (two loops, which the link
+    merges; la is the length of a's loop); otherwise it meets b's point,
+    going up or down, and the link splits the loop (+1) for a cross met
+    going up or a bar met going down, else reroutes it (0); la is then the
+    length from a's point to b's point.
+    """
+    x, up, marks = _walk(a, True, a, b)
+    if x is a:
+        return -1, marks + a.marked, up
+    above_a = a.marked if t < 0.0 else 0
+    above_b = b.marked if t < 0.0 else 0
+    la = above_a + marks + (b.marked - above_b if up else above_b)
+    return (1 if up == (kind == CROSS) else 0), la, up
+
+
+def _other_length(a: _Event, b: _Event, t: float, d_loops: int, up: bool) -> int:
+    """Length of the second loop of a _probe: b's loop, or b's point back to a's."""
+    if d_loops < 0:
+        return _walk(b, True, b, b)[2] + b.marked
+    above_a = a.marked if t < 0.0 else 0
+    above_b = b.marked if t < 0.0 else 0
+    rest_b = above_b if up else b.marked - above_b
+    return rest_b + _walk(b, up, a, a)[2] + a.marked - above_a
+
+
+def _regroup(lengths: list[int], join: bool, la: int, lb: int) -> None:
+    """Swap loops la, lb for one loop la + lb (join) or back, in a sorted list."""
+    old, new = ((la, lb), (la + lb,)) if join else ((la + lb,), (la, lb))
+    for x in old:
+        if x:
+            del lengths[bisect.bisect_left(lengths, x)]
+    for x in new:
+        if x:
+            bisect.insort(lengths, x)
+
+
 def mcmc_run(
     n: int,
     two_s: int,
@@ -306,15 +428,17 @@ def mcmc_run(
     thin: int = 1,
     max_links: int | None = None,
     observable=None,
-    start: LoopConfiguration | None = None,
 ) -> tuple[list[LoopSpectrum], McmcStats]:
     """Metropolis chain with stationary law theta^{#loops} x Poisson links.
 
-    One sweep is one elementary proposal (insert / delete / sigma resample).
-    Returns the retained post-burn-in spectra (every `thin`-th sweep) and
-    move statistics; burn_in defaults to 20% of n_sweeps.  max_links caps
-    the link count (proposals beyond it are rejected), which truncates the
-    target measure and is used by the finite-state-space validation tests.
+    One sweep is one elementary proposal (insert / delete / sigma resample),
+    starting from the empty configuration.  Returns the retained post-burn-in
+    spectra (every `thin`-th sweep) and move statistics, with the final
+    configuration in stats.final_config; burn_in defaults to 20% of
+    n_sweeps.  `observable` is evaluated once per distinct retained spectrum.
+    max_links caps the link count (proposals beyond it are rejected), which
+    truncates the target measure and is used by the finite-state-space
+    validation tests.
     """
     if theta < 1.0:
         raise ValueError("theta must be >= 1 (smaller weights are not needed here)")
@@ -322,23 +446,32 @@ def mcmc_run(
         raise ValueError("n_sweeps must be positive")
     if burn_in is None:
         burn_in = n_sweeps // 5
-    config = start if start is not None else empty_configuration(n, two_s, beta, u)
+    if not 0 <= burn_in < n_sweeps:
+        raise ValueError("burn_in must lie in [0, n_sweeps)")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    config = empty_configuration(n, two_s, beta, u)
     lo, hi = config.interval
     span = hi - lo
     edges = pseudo_edges(n, two_s)
-    n_edges = len(config.links)
+    n_edges = len(edges)
     lam = n_edges * span
-    # flat mirror of config.links for O(1) uniform deletion and fast tracing
-    flat: list[tuple[int, int, float, int, int]] = [
-        (*edges[e], t, kind, e)
-        for e, links in enumerate(config.links)
-        for (t, kind) in links
-    ]
     perms = config.site_perms
-    cur_spectrum = _trace_flat(n, two_s, perms, flat)
+    n_threads = n * two_s
+    bottoms = [_Event(-math.inf, CROSS, v, 1) for v in range(n_threads)]
+    tops = [_Event(math.inf, CROSS, v) for v in range(n_threads)]
+    for bottom, top in zip(bottoms, tops):
+        bottom.up, top.down = top, bottom
+    for site in range(n):
+        _wire(tops, bottoms, site, perms[site])
+    flat: list[_Event] = []  # the lower-thread end of every link, for uniform deletion
+    spectrum = _trace_flat(n, two_s, perms, flat)
+    n_loops = spectrum.n_loops_total
+    lengths = sorted(spectrum.lengths)  # ascending; rebuilt into `spectrum` on demand
     perm_prob = 0.1 if two_s > 1 else 0.0
     stats = McmcStats()
     samples: list[LoopSpectrum] = []
+    observed, value = None, 0.0
     log_theta = math.log(theta) if theta > 1.0 else 0.0
 
     def accept(d_loops: int, log_factor: float) -> bool:
@@ -354,9 +487,12 @@ def mcmc_run(
             site = int(rng.integers(n))
             old = perms[site]
             perms[site] = tuple(int(x) for x in rng.permutation(two_s))
-            new_spectrum = _trace_flat(n, two_s, perms, flat)
-            if accept(new_spectrum.n_loops_total - cur_spectrum.n_loops_total, 0.0):
-                cur_spectrum = new_spectrum
+            links = [(x.thread, x.partner.thread, x.time, x.kind) for x in flat]
+            new_spectrum = _trace_flat(n, two_s, perms, links)
+            if accept(new_spectrum.n_loops_total - n_loops, 0.0):
+                spectrum, n_loops = new_spectrum, new_spectrum.n_loops_total
+                lengths = sorted(spectrum.lengths)
+                _wire(tops, bottoms, site, perms[site])
                 stats.accepted_perm_moves += 1
             else:
                 perms[site] = old
@@ -367,48 +503,63 @@ def mcmc_run(
                 e = int(rng.integers(n_edges))
                 t = lo + span * rng.random()
                 kind = CROSS if rng.random() < u else BAR
-                edge_links = config.links[e]
-                pos = bisect.bisect_left(edge_links, (t, -1))
-                if pos < len(edge_links) and edge_links[pos][0] == t:
-                    pass  # coinciding times have probability zero; reject
-                else:
-                    v, w = edges[e]
-                    flat.append((v, w, t, kind, e))
-                    new_spectrum = _trace_flat(n, two_s, perms, flat)
-                    if accept(
-                        new_spectrum.n_loops_total - cur_spectrum.n_loops_total,
-                        math.log(lam / (k + 1)),
-                    ):
-                        edge_links.insert(pos, (t, kind))
-                        cur_spectrum = new_spectrum
+                v, w = edges[e]
+                a, b = _below(bottoms[v], t), _below(bottoms[w], t)
+                # a time already taken on either thread has probability zero; reject
+                if a is not None and b is not None:
+                    d_loops, la, up = _probe(a, b, t, kind)
+                    if accept(d_loops, math.log(lam / (k + 1))):
+                        if d_loops:
+                            lb = _other_length(a, b, t, d_loops, up)
+                            _regroup(lengths, d_loops < 0, la, lb)
+                            n_loops += d_loops
+                            spectrum = None
+                        x, y = _Event(t, kind, v), _Event(t, kind, w)
+                        x.partner, y.partner = y, x
+                        _attach(x, a)
+                        _attach(y, b)
+                        flat.append(x)
                         stats.accepted_inserts += 1
-                    else:
-                        flat.pop()
         else:
             stats.proposed_deletes += 1
             k = len(flat)
             if k > 0:
                 j = int(rng.integers(k))
-                v, w, t, kind, e = flat[j]
-                flat[j] = flat[-1]
-                flat.pop()
-                new_spectrum = _trace_flat(n, two_s, perms, flat)
-                if accept(
-                    new_spectrum.n_loops_total - cur_spectrum.n_loops_total,
-                    math.log(k / lam),
-                ):
-                    edge_links = config.links[e]
-                    edge_links.remove((t, kind))
-                    cur_spectrum = new_spectrum
+                # the candidate moves to the end, where a rejected one stays
+                flat[j], flat[-1] = flat[-1], flat[j]
+                x = flat[-1]
+                y = x.partner
+                _detach(x)
+                _detach(y)
+                a, b = x.down, y.down
+                d_loops, la, up = _probe(a, b, x.time, x.kind)
+                if accept(-d_loops, math.log(k / lam)):
+                    if d_loops:
+                        lb = _other_length(a, b, x.time, d_loops, up)
+                        _regroup(lengths, d_loops > 0, la, lb)
+                        n_loops -= d_loops
+                        spectrum = None
+                    flat.pop()
                     stats.accepted_deletes += 1
                 else:
-                    flat.append((v, w, t, kind, e))
+                    _attach(x, a)
+                    _attach(y, b)
         stats.sweeps += 1
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-            samples.append(cur_spectrum)
+            if spectrum is None:
+                spectrum = LoopSpectrum(tuple(reversed(lengths)), n_loops)
+            samples.append(spectrum)
             stats.links_trace.append(len(flat))
             if observable is not None:
-                stats.observable_trace.append(float(observable(cur_spectrum)))
+                if spectrum != observed:
+                    observed, value = spectrum, float(observable(spectrum))
+                stats.observable_trace.append(value)
+    index = {vw: e for e, vw in enumerate(edges)}
+    for x in flat:
+        config.links[index[x.thread, x.partner.thread]].append((x.time, x.kind))
+    for links in config.links:
+        links.sort()
+    stats.final_config = config
     return samples, stats
 
 

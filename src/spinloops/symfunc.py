@@ -1,10 +1,10 @@
 """Exact symmetric-function and symmetric-group character machinery.
 
 Partitions are plain tuples of weakly decreasing positive integers.  The
-module provides lexicographic partition enumeration, Schur and power-sum
-evaluation (with confluent divided-difference handling of repeated
-arguments), Murnaghan-Nakayama characters in exact integer arithmetic,
-hook-length dimensions, character ratios at a transposition, and the exact
+module provides lexicographic partition enumeration, Schur evaluation by
+divided differences (repeated arguments need no special case), power sums,
+Murnaghan-Nakayama characters in exact integer arithmetic, hook-length
+dimensions, character ratios at a transposition, and the exact
 finite-n expectation of loop observables for the theta^{#loops} interchange
 measure via its character expansion.
 
@@ -101,38 +101,38 @@ def schur_at_ones(lam, r: int) -> Fraction:
     return val
 
 
-def schur_eval(lam, xs, merge_tol: float = 1e-6) -> complex:
-    """Schur polynomial s_lambda(x_1, ..., x_r) by the bialternant ratio.
+def schur_eval(lam, xs) -> complex:
+    """Schur polynomial s_lambda(x_1, ..., x_r) by divided differences.
 
-    Well-separated arguments use det[x_i^{lam_j + r - j}] over the
-    Vandermonde; arguments closer than merge_tol are merged into clusters
-    evaluated with derivative rows (confluent divided differences), which is
-    where the raw ratio would lose all precision to 0/0.
+    s_lambda = (-1)^{C(r,2)} det[h_{l_j - k}(x_1..x_{k+1})] with l_j =
+    lambda_j + r - j (see _schur_exp): the Vandermonde is divided out
+    exactly, so equal or close arguments need no merging.  Zero arguments
+    are dropped, and s_lambda(x) = c^{|lambda|} s_lambda(x / c) with c the
+    largest |x_i| keeps the table in range unless |lambda| log(max |x_i| /
+    min |x_i|) exceeds ~700, where it raises ValueError.
     """
     lam = tuple(lam)
     xs = list(xs)
-    r = len(xs)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 1 for p in lam):
         raise ValueError("lam must be a weakly decreasing tuple of positive parts")
-    if len(lam) > r:
+    if len(lam) > len(xs):
         warnings.warn("Schur polynomial vanishes when l(lam) > #variables", stacklevel=2)
         return 0.0
-    exps = [lam[j] + r - j - 1 if j < len(lam) else r - j - 1 for j in range(r)]
-    clusters = _pd._cluster(xs, merge_tol)
-    mat = np.zeros((r, r), dtype=complex)
-    row, sign, denom = 0, 1.0, 1.0 + 0.0j
-    for a, (xa, ma) in enumerate(clusters):
-        sign *= (-1.0) ** (ma * (ma - 1) // 2)
-        for xb, mb in clusters[a + 1:]:
-            denom *= (xa - xb) ** (ma * mb)
-        for d in range(ma):
-            mat[row] = [math.comb(e, d) * xa ** (e - d) if d <= e else 0.0 for e in exps]
-            row += 1
-    det = np.linalg.det(mat)
-    val = sign * det / denom
+    nonzero = [x for x in xs if x != 0]
+    r = len(nonzero)
+    if len(lam) > r:
+        return 0.0
+    l = np.array([[(lam[j] if j < len(lam) else 0) + r - 1 - j for j in range(r)]], dtype=int)
+    ts = np.log(np.asarray(nonzero, dtype=complex))
+    shift = ts.real.max() if r else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        val = _schur_exp(ts - shift, int(l.max(initial=0)))(l)[0]
+    if not np.isfinite(val):
+        raise ValueError("schur_eval overflows: arguments too far apart for this degree")
+    val *= math.exp(sum(lam) * shift)
     if all(isinstance(x, (int, float)) for x in xs):
         return float(val.real)
-    return val
+    return complex(val)
 
 
 def schur_eval_exact(lam, xs) -> Fraction:
@@ -265,8 +265,8 @@ def transposition_ratio(lam) -> Fraction:
 # Interchange expectation and the Schur ratio limit
 # ---------------------------------------------------------------------------
 
-def _schur_exp(hv, n: int, top: int):
-    """Batched s_lambda(e^{h/n}) as a function of l = lambda_j + r - j <= top.
+def _schur_exp(ts, top: int):
+    """Batched s_lambda(e^{t_1}, .., e^{t_r}) as a function of l = lambda_j + r - j <= top.
 
     Newton divided differences of the bialternant rows x_a^{l_j} divide out
     the Vandermonde exactly: the k-th one of x^l over x_1..x_{k+1} is the
@@ -274,11 +274,11 @@ def _schur_exp(hv, n: int, top: int):
     det[h_{l_j-k}]: equal or close fields need no merging.  The h_m table
     adds one variable at a time, h_m(.., x) = sum_i x^i h_{m-i}(..).
     """
-    hv = np.asarray(hv)
-    r, m = len(hv), np.arange(top + 1)
-    table = np.zeros((r, r + top + 1), dtype=complex if hv.dtype.kind == "c" else float)
+    ts = np.asarray(ts)
+    r, m = len(ts), np.arange(top + 1)
+    table = np.zeros((r, r + top + 1), dtype=complex if ts.dtype.kind == "c" else float)
     col = (m == 0) * 1.0
-    for k, t in enumerate(hv / n):
+    for k, t in enumerate(ts):
         table[k, r:] = col = np.exp(m * t) * np.cumsum(np.exp(-m * t) * col)
     offsets = np.arange(r)[:, None] * (r + top) + r  # flat index of h_{l-k} is l + offset_k
     sign = (-1.0) ** (r * (r - 1) // 2)
@@ -308,7 +308,7 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
     if len(hv) != theta:
         raise ValueError(f"hvec must have length theta = {theta}")
     log_fact = gammaln(np.arange(n + theta) + 1.0)
-    schur = _schur_exp(hv, n, n + theta - 1)
+    schur = _schur_exp(np.asarray(hv) / n, n + theta - 1)
     iu, ju = np.triu_indices(theta, 1)
     top, numer, denom = -np.inf, 0.0, 0.0
     for shapes in _shape_blocks(n, theta, _BLOCK):
@@ -359,6 +359,7 @@ def schur_ratio_limit_check(lambdas, hvec, x=None) -> SchurLimitReport:
     rows = []
     for lam in lambdas:
         l = np.array([lam + (0,) * (theta - len(lam))]) + np.arange(theta - 1, -1, -1)
-        ratio = complex(_schur_exp(hv, sum(lam), l.max())(l)[0]) / float(schur_at_ones(lam, theta))
+        s_h = _schur_exp(np.asarray(hv) / sum(lam), l.max())(l)[0]
+        ratio = complex(s_h) / float(schur_at_ones(lam, theta))
         rows.append((sum(lam), ratio, abs(ratio - target)))
     return SchurLimitReport(rows, target)

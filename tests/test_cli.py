@@ -67,6 +67,27 @@ def test_exact_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--thin", "0"], "--thin"),
+        (["--thin", "-1"], "--thin"),
+        (["--burn-in", "200"], "--burn-in"),
+        (["--burn-in", "500"], "--burn-in"),
+        (["--burn-in", "-1"], "--burn-in"),
+        (["--chains", "0"], "--chains"),
+        (["--sweeps", "0"], "--sweeps"),
+    ],
+)
+def test_simulate_usage_errors(tmp_path, capsys, extra, message):
+    rc = main(["simulate", "--model", "heisenberg", "--n", "3", "--spin", "1/2",
+               "--beta", "1.0", "--h", "1", "--sweeps", "200", "--seed", "1",
+               "--out", str(tmp_path)] + extra)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_reproducible(tmp_path, capsys):
     args = ["simulate", "--model", "interchange", "--n", "4", "--theta", "2",
             "--beta", "1.5", "--h", "0.5,-0.5", "--sweeps", "4000",

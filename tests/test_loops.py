@@ -145,6 +145,128 @@ def test_mcmc_rejects_small_theta():
         lp.mcmc_run(3, 1, 1.0, 1.0, 0.5, 100, rng)
 
 
+def test_mcmc_rejects_bad_burn_in_and_thin():
+    rng = np.random.default_rng(0)
+    for kwargs in ({"thin": 0}, {"thin": -1}, {"burn_in": 100}, {"burn_in": 150}, {"burn_in": -1}):
+        with pytest.raises(ValueError):
+            lp.mcmc_run(3, 1, 1.0, 1.0, 2.0, 100, rng, **kwargs)
+
+
+def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin=1,
+                     max_links=None, observable=None):
+    """The chain by full retrace: every proposal re-traces the whole configuration.
+
+    Same proposals, random stream and acceptance rule as mcmc_run; a rejected
+    deletion leaves the proposed link last in the list.
+    """
+    if burn_in is None:
+        burn_in = n_sweeps // 5
+    lo, hi = lp.empty_configuration(n, two_s, beta, u).interval
+    span = hi - lo
+    edges = lp.pseudo_edges(n, two_s)
+    lam = len(edges) * span
+    perms = [tuple(range(two_s))] * n
+    flat = []
+    trace = lambda: lp._trace_flat(n, two_s, perms, flat)
+    cur = trace()
+    perm_prob = 0.1 if two_s > 1 else 0.0
+    stats, samples = lp.McmcStats(), []
+
+    def accept(new, log_factor):
+        log_ratio = (new.n_loops_total - cur.n_loops_total) * math.log(theta) + log_factor
+        return log_ratio >= 0.0 or rng.random() < math.exp(log_ratio)
+
+    for sweep in range(n_sweeps):
+        r = rng.random()
+        if r < perm_prob:
+            stats.proposed_perm_moves += 1
+            site = int(rng.integers(n))
+            old = perms[site]
+            perms[site] = tuple(int(x) for x in rng.permutation(two_s))
+            new = trace()
+            if accept(new, 0.0):
+                cur = new
+                stats.accepted_perm_moves += 1
+            else:
+                perms[site] = old
+        elif r < perm_prob + 0.5 * (1.0 - perm_prob):
+            stats.proposed_inserts += 1
+            k = len(flat)
+            if max_links is None or k < max_links:
+                e = int(rng.integers(len(edges)))
+                t = lo + span * rng.random()
+                kind = lp.CROSS if rng.random() < u else lp.BAR
+                flat.append((*edges[e], t, kind))
+                new = trace()
+                if accept(new, math.log(lam / (k + 1))):
+                    cur = new
+                    stats.accepted_inserts += 1
+                else:
+                    flat.pop()
+        else:
+            stats.proposed_deletes += 1
+            k = len(flat)
+            if k > 0:
+                j = int(rng.integers(k))
+                flat[j], flat[-1] = flat[-1], flat[j]
+                link = flat.pop()
+                new = trace()
+                if accept(new, math.log(k / lam)):
+                    cur = new
+                    stats.accepted_deletes += 1
+                else:
+                    flat.append(link)
+        stats.sweeps += 1
+        if sweep >= burn_in and (sweep - burn_in) % thin == 0:
+            samples.append(cur)
+            stats.links_trace.append(len(flat))
+            if observable is not None:
+                stats.observable_trace.append(float(observable(cur)))
+    return samples, stats
+
+
+@pytest.mark.parametrize(
+    "n, two_s, u, theta, kwargs",
+    [
+        (100, 1, 1.0, 2.0, {}),
+        (20, 1, 0.5, 2.0, {}),
+        (10, 2, 1.0, 2.0, {}),
+        (20, 1, 1.0, 3.0, {}),
+        (6, 3, 0.7, 2.0, {}),
+        (8, 1, 0.3, 2.0, {}),
+        (6, 2, 0.6, 2.0, {"max_links": 5}),
+        (8, 1, 1.0, 2.0, {"max_links": 3}),
+        (10, 2, 0.8, 2.0, {"burn_in": 0, "thin": 3}),
+        (20, 1, 1.0, 2.0, {"burn_in": 1999, "thin": 7}),
+    ],
+)
+def test_mcmc_matches_full_retrace_chain(n, two_s, u, theta, kwargs):
+    # the incremental loop bookkeeping must reproduce the retraced chain exactly
+    beta, sweeps = 3.0, 3001
+    observable = lambda s: lp.observable_cosh(s, 1.5, n, two_s)
+    for seed in (3, 4):
+        got, stats = lp.mcmc_run(n, two_s, beta, u, theta, sweeps, np.random.default_rng(seed),
+                                 observable=observable, **kwargs)
+        want, want_stats = _reference_chain(n, two_s, beta, u, theta, sweeps,
+                                            np.random.default_rng(seed), observable=observable,
+                                            **kwargs)
+        assert got == want
+        assert stats == want_stats
+        assert stats.accepted_inserts > 0 and stats.accepted_deletes > 0
+        assert lp.trace_loops(stats.final_config) == got[-1]  # the last sweep is kept
+        assert stats.final_config.n_links == stats.links_trace[-1]
+
+
+def test_mcmc_observable_once_per_distinct_spectrum():
+    seen = []
+    observable = lambda s: seen.append(s) or float(len(seen))
+    samples, stats = lp.mcmc_run(8, 1, 2.0, 1.0, 2.0, 2000, np.random.default_rng(8),
+                                 observable=observable)
+    assert all(a != b for a, b in zip(seen, seen[1:]))
+    assert len(seen) == 1 + sum(a != b for a, b in zip(samples, samples[1:]))
+    assert len(set(stats.observable_trace)) == len(seen) < len(samples)
+
+
 def test_mcmc_poisson_equilibrium():
     # theta = 1 is plain birth-death: mean link count = total Poisson mass
     rng = np.random.default_rng(13)

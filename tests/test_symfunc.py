@@ -54,6 +54,16 @@ def test_schur_confluent_continuity():
     assert abs(sep - base) / abs(base) < 1e-4
 
 
+def test_schur_scaled_arguments_and_overflow():
+    # the table is built for x / max|x|, so only the spread of |x| is limited
+    want = sum(0.3**k * 0.5 ** (800 - k) for k in range(801))
+    assert sf.schur_eval((800,), [0.3, 0.5]) == pytest.approx(want, rel=1e-12)
+    assert sf.schur_eval((2,), [0.0, 3.0]) == pytest.approx(9.0, rel=1e-12)
+    assert sf.schur_eval((1, 1), [0.0, 3.0]) == 0.0
+    with pytest.raises(ValueError):
+        sf.schur_eval((200,), [1e-3, 1.0])
+
+
 def test_schur_vanishes_beyond_length():
     with pytest.warns(UserWarning):
         assert sf.schur_eval((1, 1, 1), [1.0, 2.0]) == 0.0
@@ -287,6 +297,18 @@ def test_schur_ratio_close_fields_match_high_precision(lam, hv):
         want = float(s_h / s_1)
     (_, ratio, _), = sf.schur_ratio_limit_check([lam], hv).rows
     assert abs(ratio - want) <= 1e-12 * abs(want)
+
+
+def test_schur_eval_close_arguments_match_high_precision():
+    # arguments 9e-7 apart in e^{h/n} were once merged, 4.9e-7 off
+    mpmath = pytest.importorskip("mpmath")
+    lam, xs = (7000, 2000, 1000), [math.exp(h / 10_000) for h in (1.0, 0.009, 0.0)]
+    ls = [lam[j] + 2 - j for j in range(3)]
+    with mpmath.workdps(50):
+        xm = [mpmath.mpf(x) for x in xs]  # the float arguments, exactly
+        det = mpmath.det(mpmath.matrix([[x**l for l in ls] for x in xm]))
+        want = float(det / ((xm[0] - xm[1]) * (xm[0] - xm[2]) * (xm[1] - xm[2])))
+    assert abs(sf.schur_eval(lam, xs) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("beta", [0.5, 12.0])
