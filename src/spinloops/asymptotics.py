@@ -8,6 +8,12 @@ pressure / magnetisation / susceptibility, the simplex functional phi_beta
 of the interchange model with its order parameter z_star, the classical
 (S -> infinity) analogue, and log-log exponent fitting.
 
+The Heisenberg and classical maximisers are the unique positive root of the
+self-consistency equation m = d(2 beta m + h), d = eta' or the Langevin
+function, found by Brent's bracketed method; x_star and classical_field
+invert d the same way.  Only the interchange family, whose maximiser jumps
+for theta >= 3, is maximised by a grid scan and golden-section search.
+
 Conventions:
   * half-integer spins are carried as doubled integers (two_s = 2S),
   * theta = 2S + 1 is the number of one-site levels,
@@ -18,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from scipy.optimize import brentq
 
 __all__ = [
     "SpinContext",
@@ -73,7 +81,6 @@ class MaximizerResult:
     location: float
     value: float
     second_derivative: float
-    converged: bool
     iterations: int
     z_star: float | None = None
 
@@ -156,47 +163,27 @@ def eta_second(x: float, ctx: SpinContext) -> float:
     return 0.25 * th * th * _langevin_prime(0.5 * th * x) - 0.25 * _langevin_prime(0.5 * x)
 
 
-def x_star(m: float, ctx: SpinContext, tol: float = 1e-12) -> float:
-    """Unique solution x of eta'(x) = m, for |m| < S.
+def _invert_increasing(f, target: float) -> float:
+    """x > 0 with f(x) = target, for f increasing from f(0) = 0 and 0 < target < sup f.
 
-    Bracketed bisection (eta' is strictly increasing) followed by Newton
-    polish; residual |eta'(x) - m| is driven below tol.
+    Brent's root to relative precision 1e-15 on [0, hi], hi doubled from 1.
     """
+    hi = 1.0
+    while f(hi) <= target:
+        hi *= 2.0
+        if hi > 1e16:  # unreachable for targets below sup f in floating point
+            raise ArithmeticError("inverse bracket growth failed")
+    return brentq(lambda x: f(x) - target, 0.0, hi, xtol=1e-300, rtol=1e-15)
+
+
+def x_star(m: float, ctx: SpinContext) -> float:
+    """Unique solution x of eta'(x) = m, for |m| < S (eta' is odd and increasing)."""
     s = ctx.spin
     if not abs(m) < s:
         raise ValueError(f"x_star requires |m| < S = {s}, got m = {m}")
     if m == 0.0:
         return 0.0
-    sign = 1.0 if m > 0 else -1.0
-    target = abs(m)
-    hi = 1.0
-    while eta_prime(hi, ctx) <= target:
-        hi *= 2.0
-        if hi > 1e6:  # unreachable for |m| < S
-            raise ArithmeticError("x_star bracket growth failed")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if eta_prime(mid, ctx) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        r = eta_prime(x, ctx) - target
-        if abs(r) <= tol:
-            break
-        d2 = eta_second(x, ctx)
-        if d2 <= 0.0:
-            break
-        step = r / d2
-        xn = x - step
-        if not (lo - 1e-12 <= xn <= hi + 1e-12):
-            break
-        x = xn
-    return sign * x
+    return math.copysign(_invert_increasing(lambda x: eta_prime(x, ctx), abs(m)), m)
 
 
 def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
@@ -205,15 +192,51 @@ def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
     return eta(x, ctx) - m * x + beta * m * m
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
-    """Golden-section maximisation on [lo, hi]; returns (argmax, max, iters)."""
+def _mean_field_root(d, beta: float, h: float, upper: float, beta_c: float) -> tuple[float, int]:
+    """Maximiser m* in [0, upper) of a mean-field profile, and Brent's iteration count.
+
+    At an interior maximum m* solves the self-consistency equation
+    m = d(2 beta m + h), where d is odd, increasing and concave on [0, inf)
+    with d(0) = 0, slope 1/(2 beta_c) at 0 and supremum `upper`.  Then
+    F(m) = d(2 beta m + h) - m is concave with F(0) = d(h) >= 0, so it has
+    exactly one positive root when h > 0, or when h = 0 and beta > beta_c;
+    otherwise m* = 0.  At h = 0 the trivial root is divided out: F(m)/m tends
+    to beta/beta_c - 1 as m -> 0.  If F is still >= 0 at the cap
+    upper (1 - 1e-12) the cap is returned.
+    """
+    if h == 0.0:
+        if beta <= beta_c:
+            return 0.0, 0
+        f = lambda m: d(2.0 * beta * m) / m - 1.0 if m > 0.0 else beta / beta_c - 1.0
+    else:
+        f = lambda m: d(2.0 * beta * m + h) - m
+    cap = upper * (1.0 - 1e-12)
+    if f(cap) >= 0.0:
+        return cap, 0
+    m, info = brentq(f, 0.0, cap, xtol=1e-300, rtol=1e-15, full_output=True)
+    return m, info.iterations
+
+
+def _grid_then_golden(f, lo: float, hi: float):
+    """Maximise f on [lo, hi]: 512-point scan, then golden-section refinement.
+
+    Robust to bimodal profiles; returns (argmax, max, golden iterations).
+    """
+    n_grid = 512
+    step = (hi - lo) / n_grid
+    best_i, best_v = 0, -math.inf
+    for i in range(n_grid + 1):
+        v = f(lo + i * step)
+        if v > best_v:
+            best_i, best_v = i, v
+    a = lo + max(0, best_i - 1) * step
+    b = lo + min(n_grid, best_i + 1) * step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     it = 0
-    while b - a > tol and it < max_iter:
+    while b - a > 1e-12 and it < 200:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -227,76 +250,18 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200
     return xm, f(xm), it
 
 
-def _grid_then_golden(f, lo: float, hi: float, n_grid: int = 512, tol: float = 1e-12):
-    """Coarse scan then golden refinement; robust to bimodal profiles."""
-    step = (hi - lo) / n_grid
-    best_i, best_v = 0, -math.inf
-    for i in range(n_grid + 1):
-        v = f(lo + i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    a = lo + max(0, best_i - 1) * step
-    b = lo + min(n_grid, best_i + 1) * step
-    return _golden_max(f, a, b, tol=tol)
-
-
 def m_star(beta: float, ctx: SpinContext) -> MaximizerResult:
     """Maximiser of g_beta on [0, S); zero iff beta <= beta_critical.
 
-    Coarse 512-point grid plus golden refinement, then a bisection polish of
-    the stationarity condition 2*beta*m = x*(m).  If the refined interior
-    value ties the boundary value g_beta(0) within 1e-13 the transition has
-    not happened and m* = 0 is reported.
+    Solved as the self-consistency root m = eta'(2 beta m) by Brent's method
+    (see _mean_field_root); `iterations` counts Brent iterations.  The
+    curvature is g_beta''(m*) = 2 beta - 1/eta''(x*(m*)).
     """
-    s = ctx.spin
-    hi = s * (1.0 - 1e-12)
-    f = lambda m: g_beta(m, beta, ctx)
-    loc, val, iters = _grid_then_golden(f, 0.0, hi)
-    g0 = f(0.0)
-    if loc > 0.0:
-        loc = _polish_stationary(beta, 0.0, loc, ctx)
-        val = f(loc)
-    if val <= g0 + 1e-13:
-        loc, val = 0.0, g0
+    loc, iters = _mean_field_root(
+        lambda x: eta_prime(x, ctx), beta, 0.0, ctx.spin, beta_critical(ctx)
+    )
     curv = 2.0 * beta - 1.0 / eta_second(x_star(loc, ctx), ctx)
-    return MaximizerResult(loc, val, curv, True, iters)
-
-
-def _stationarity(m: float, beta: float, h: float, ctx: SpinContext) -> float:
-    """g_beta'(m) + h = 2 beta m - x*(m) + h."""
-    return 2.0 * beta * m - x_star(m, ctx) + h
-
-
-def _polish_stationary(beta: float, h: float, m0: float, ctx: SpinContext) -> float:
-    """Bisection refinement of 2 beta m - x*(m) + h = 0 around m0."""
-    s = ctx.spin
-    w = max(1e-6 * s, 1e-3 * m0)
-    lo = max(0.0, m0 - w)
-    hi = min(s * (1.0 - 1e-12), m0 + w)
-    flo = _stationarity(lo, beta, h, ctx)
-    fhi = _stationarity(hi, beta, h, ctx)
-    grow = 0
-    while flo * fhi > 0.0 and grow < 60:
-        lo = max(0.0, lo - w)
-        hi = min(s * (1.0 - 1e-12), hi + w)
-        w *= 2.0
-        flo = _stationarity(lo, beta, h, ctx)
-        fhi = _stationarity(hi, beta, h, ctx)
-        grow += 1
-    if flo * fhi > 0.0:
-        return m0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = _stationarity(mid, beta, h, ctx)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return MaximizerResult(loc, g_beta(loc, beta, ctx), curv, iters)
 
 
 def saddle_multiplicity(n: int, m: float, ctx: SpinContext) -> float:
@@ -322,26 +287,20 @@ def pressure(beta: float, h: float, ctx: SpinContext) -> float:
     """max over m in [0, S] of g_beta(m) + h m (h >= 0)."""
     if h < 0.0:
         raise ValueError("pressure is defined for h >= 0")
-    if h == 0.0:
-        return m_star(beta, ctx).value
     m = magnetization(beta, h, ctx)
     return g_beta(m, beta, ctx) + h * m
 
 
 def magnetization(beta: float, h: float, ctx: SpinContext) -> float:
-    """argmax of g_beta(m) + h m; solves 2 beta m - x*(m) + h = 0 for h > 0.
+    """argmax of g_beta(m) + h m on [0, S): the root of m = eta'(2 beta m + h).
 
-    Since x*(m) diverges at m -> S, the stationary point never leaves [0, S)
-    for finite h; no boundary clamping is required.
+    The root is unique (see _mean_field_root); at h = 0 it is m_star.
     """
     if h < 0.0:
         raise ValueError("magnetization is defined for h >= 0")
-    if h == 0.0:
-        return m_star(beta, ctx).location
-    s = ctx.spin
-    f = lambda m: g_beta(m, beta, ctx) + h * m
-    loc, _, _ = _grid_then_golden(f, 0.0, s * (1.0 - 1e-12))
-    return _polish_stationary(beta, h, loc, ctx)
+    return _mean_field_root(
+        lambda x: eta_prime(x, ctx), beta, h, ctx.spin, beta_critical(ctx)
+    )[0]
 
 
 def susceptibility(beta: float, ctx: SpinContext) -> float:
@@ -434,84 +393,31 @@ def interchange_maximizer(beta: float, ctx: SpinContext) -> MaximizerResult:
     z = (th * loc - 1.0) / (th - 1.0)
     if z < 1e-12:
         z = 0.0
-    return MaximizerResult(loc, val, curv, True, iters, z_star=z)
+    return MaximizerResult(loc, val, curv, iters, z_star=z)
 
 
 # ---------------------------------------------------------------------------
 # Classical (S -> infinity) limit
 # ---------------------------------------------------------------------------
 
-def classical_field(mu: float, tol: float = 1e-12) -> float:
+def classical_field(mu: float) -> float:
     """Solve coth(x) - 1/x = mu for x >= 0, mu in [0, 1)."""
     if not 0.0 <= mu < 1.0:
         raise ValueError("classical field requires mu in [0, 1)")
     if mu == 0.0:
         return 0.0
-    hi = 1.0
-    while _langevin(hi) <= mu:
-        hi *= 2.0
-        if hi > 1e8:
-            raise ArithmeticError("classical field bracket failed")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _langevin(mid) < mu:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        r = _langevin(x) - mu
-        if abs(r) <= tol:
-            break
-        x -= r / _langevin_prime(x)
-    return x
+    return _invert_increasing(_langevin, mu)
 
 
 def classical_maximizer(beta: float) -> MaximizerResult:
     """Maximiser of log(sinh(x(mu))/x(mu)) - mu x(mu) + beta mu^2 on [0, 1).
 
-    mu* is positive iff beta > 3/2; at interior maxima 2 beta mu = x(mu).
+    mu* is positive iff beta > 3/2; it is the self-consistency root
+    mu = coth(2 beta mu) - 1/(2 beta mu) found by Brent's method (see
+    _mean_field_root), with curvature 2 beta - 1/L'(x(mu*)) for the
+    Langevin function L(x) = coth x - 1/x.
     """
-    def f(mu: float) -> float:
-        x = classical_field(mu)
-        return _log_sinhc(x) - mu * x + beta * mu * mu
-
-    # mu -> 1 forces x(mu) ~ 1/(1 - mu); stop the scan where x stays modest
-    loc, val, iters = _grid_then_golden(f, 0.0, 1.0 - 1e-6)
-    f0 = f(0.0)
-    if loc > 0.0:
-        # polish 2 beta mu - x(mu) = 0 by bisection
-        g = lambda mu: 2.0 * beta * mu - classical_field(mu)
-        w = max(1e-6, 1e-3 * loc)
-        lo_b, hi_b = max(0.0, loc - w), min(1.0 - 1e-9, loc + w)
-        glo, ghi = g(lo_b), g(hi_b)
-        tries = 0
-        while glo * ghi > 0.0 and tries < 50:
-            lo_b = max(0.0, lo_b - w)
-            hi_b = min(1.0 - 1e-9, hi_b + w)
-            w *= 2.0
-            glo, ghi = g(lo_b), g(hi_b)
-            tries += 1
-        if glo * ghi <= 0.0:
-            for _ in range(200):
-                mid = 0.5 * (lo_b + hi_b)
-                gm = g(mid)
-                if glo * gm < 0.0:
-                    hi_b, ghi = mid, gm
-                else:
-                    lo_b, glo = mid, gm
-                if hi_b - lo_b < 1e-16:
-                    break
-            loc = 0.5 * (lo_b + hi_b)
-            val = f(loc)
-    if val <= f0 + 1e-13:
-        loc, val = 0.0, f0
-    eps = 1e-5
-    if loc > eps:
-        curv = (f(loc + eps) - 2.0 * f(loc) + f(loc - eps)) / (eps * eps)
-    else:
-        curv = 2.0 * beta - 3.0  # quadratic coefficient at mu = 0
-    return MaximizerResult(loc, val, curv, True, iters)
+    loc, iters = _mean_field_root(_langevin, beta, 0.0, 1.0, 1.5)
+    x = classical_field(loc)
+    val = _log_sinhc(x) - loc * x + beta * loc * loc
+    return MaximizerResult(loc, val, 2.0 * beta - 1.0 / _langevin_prime(x), iters)

@@ -207,15 +207,14 @@ def cmd_exponents(args) -> int:
         pts = [(d, asymptotics.susceptibility(bc - d, ctx)) for d in deltas]
         fit = asymptotics.fit_exponent(pts)
         rows.append(("susceptibility", -1.0, fit))
-    if which in ("critical-isotherm", "all"):
+    if which in ("critical-isotherm", "transverse", "all"):
         hs = [10.0**-k for k in range(2, 7)]
-        pts = [(h, asymptotics.magnetization(bc, h, ctx)) for h in hs]
-        fit = asymptotics.fit_exponent(pts)
+        mags = [(h, asymptotics.magnetization(bc, h, ctx)) for h in hs]
+    if which in ("critical-isotherm", "all"):
+        fit = asymptotics.fit_exponent(mags)
         rows.append(("critical-isotherm", 1.0 / 3.0, fit))
     if which in ("transverse", "all"):
-        hs = [10.0**-k for k in range(2, 7)]
-        pts = [(h, asymptotics.magnetization(bc, h, ctx) / h) for h in hs]
-        fit = asymptotics.fit_exponent(pts)
+        fit = asymptotics.fit_exponent([(h, m / h) for h, m in mags])
         rows.append(("transverse", -2.0 / 3.0, fit))
     if not rows:
         print(f"error: unknown exponent set {which}", file=sys.stderr)

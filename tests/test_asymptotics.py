@@ -159,6 +159,55 @@ def test_stationarity_at_interior_maxima(ctx):
         assert abs(2 * beta * r.location - asy.x_star(r.location, ctx)) < 1e-9
 
 
+def test_maximizers_just_above_beta_c():
+    # pitchfork: m* = sqrt(3 delta / 4) for S = 1/2 and mu* = sqrt(5 delta / 3)
+    # classically, to relative order delta
+    for delta in (1e-6, 1e-8, 1e-10, 1e-12):
+        m = asy.m_star(2.0 * (1 + delta), HALF).location
+        assert m > 0.0
+        assert m == pytest.approx(math.sqrt(3 * delta / 4), rel=1e-3)
+        mu = asy.classical_maximizer(1.5 * (1 + delta)).location
+        assert mu > 0.0
+        assert mu == pytest.approx(math.sqrt(5 * delta / 3), rel=1e-3)
+
+
+def test_m_star_solves_curie_weiss():
+    for beta in (2.2, 3.0, 5.0):
+        m = asy.m_star(beta, HALF).location
+        assert abs(m - 0.5 * math.tanh(beta * m)) < 1e-14
+
+
+def test_mean_field_derivatives_non_increasing():
+    # eta' and the Langevin function are concave on [0, inf): the premise of
+    # the uniqueness of the positive self-consistency root
+    xs = [1e-6 * 5e7 ** (k / 186) for k in range(187)]  # log grid, 1e-6 .. 50
+    fns = [lambda x, c=asy.SpinContext(t): asy.eta_second(x, c) for t in (1, 2, 3, 5)]
+    for fn in fns + [asy._langevin_prime]:
+        vals = [fn(x) for x in xs]
+        assert all(b <= a + 1e-18 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize(
+    "ctx,beta,location,value",
+    [
+        (HALF, 10.0, 0.49995456085761636, 2.5000454195276163),
+        (HALF, 50.0, 0.49999999999949996, 12.499999999989658),
+        (HALF, 200.0, 0.49999999999949996, 49.99999999991465),
+        (ONE, 10.0, 0.9999999979388463, 10.000000002061153),
+        (ONE, 50.0, 0.9999999999989999, 49.99999999992862),
+        (ONE, 200.0, 0.9999999999989999, 199.99999999962859),
+    ],
+)
+def test_m_star_saturated(ctx, beta, location, value):
+    # reference values from a 512-point grid scan with golden-section and
+    # bisection refinement; at beta = 50 and 200 the root lies beyond the cap
+    # S (1 - 1e-12), which is returned
+    r = asy.m_star(beta, ctx)
+    assert 0.0 <= r.location < ctx.spin
+    assert r.location == pytest.approx(location, abs=1e-12)
+    assert r.value == pytest.approx(value, abs=1e-12)
+
+
 def test_saddle_exponent_identity():
     # exponent equals n (g_beta(m) - beta m^2) for any beta
     ctx = HALF
