@@ -158,9 +158,19 @@ def eta_prime(x: float, ctx: SpinContext) -> float:
 
 
 def eta_second(x: float, ctx: SpinContext) -> float:
-    """d^2 eta/dx^2; strictly positive, maximal at 0 where it equals (theta^2-1)/12."""
+    """d^2 eta/dx^2; even, maximal at 0 where it equals (theta^2-1)/12.
+
+    Equals 1/(4 sinh^2(x/2)) - theta^2/(4 sinh^2(theta x/2)): the 1/x^2 poles
+    of the two Langevin derivatives cancel exactly, so past the series switch
+    each term is taken as e^{-a}/expm1(-a)^2, which cannot overflow.  Strictly
+    positive until e^{-|x|} underflows (|x| > 745).
+    """
     th = ctx.theta
-    return 0.25 * th * th * _langevin_prime(0.5 * th * x) - 0.25 * _langevin_prime(0.5 * x)
+    a = abs(x)
+    if 0.5 * th * a < _SERIES_SWITCH:
+        return 0.25 * th * th * _langevin_prime(0.5 * th * a) - 0.25 * _langevin_prime(0.5 * a)
+    d1, d2 = math.expm1(-a), math.expm1(-th * a)
+    return math.exp(-a) / (d1 * d1) - th * th * math.exp(-th * a) / (d2 * d2)
 
 
 def _invert_increasing(f, target: float) -> float:

@@ -115,7 +115,8 @@ def cmd_simulate(args) -> int:
         if hvec is None:
             print(f"error: interchange needs {args.theta} fields", file=sys.stderr)
             return EXIT_USAGE
-        observable = lambda s: float(np.real(loops.observable_q(s, hvec, args.n)))
+        q_table = {}
+        observable = lambda s: float(np.real(loops.observable_q(s, hvec, args.n, q_table)))
     else:
         two_s = parse_spin(args.spin)
         theta = 2.0
@@ -279,10 +280,9 @@ def cmd_pd(args) -> int:
     ok = True
     for h in args.h:
         series = pd.pd_cosh_series(args.theta, h)
-        vals = []
-        for _ in range(args.samples):
-            s = pd.stick_breaking_sample(args.theta, rng)
-            vals.append(float(np.prod(np.cosh(h * s.parts))))
+        vals = np.ones(args.samples)
+        for col in pd.stick_breaking_columns(args.theta, args.samples, rng):
+            vals *= np.cosh(h * col)
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         verdict = "pass" if abs(mean - series) <= 3 * se else "FAIL"

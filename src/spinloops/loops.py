@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import i0 as _bessel_i0
@@ -584,11 +584,19 @@ def spins_loops_observable(spectrum: LoopSpectrum, h: float, n: int) -> float:
     return out
 
 
-def observable_q(spectrum: LoopSpectrum, hvec, n: int) -> complex:
-    """prod_i q_h(l_i / n) for the interchange loop model."""
+def observable_q(spectrum: LoopSpectrum, hvec, n: int, table: dict | None = None) -> complex:
+    """prod_i q_h(l_i / n) for the interchange loop model.
+
+    `table` maps a loop length l to q_h(l / n); pass one dict per (hvec, n)
+    to evaluate each length once over a run instead of once per loop.
+    """
+    table = {} if table is None else table
     out = 1.0 + 0.0j
     for length in spectrum.lengths:
-        out *= _pd.q_eval(hvec, length / n)
+        q = table.get(length)
+        if q is None:
+            q = table[length] = _pd.q_eval(hvec, length / n)
+        out *= q
     if all(isinstance(h, (int, float)) for h in hvec):
         return out.real
     return out
@@ -662,8 +670,6 @@ def pd_comparison(
         )
     scale = two_s * n * z_star
     largest = np.array([(s.lengths[0] if s.lengths else 0) / scale for s in spectra])
-    reference = np.array(
-        [_pd.stick_breaking_sample(theta, rng).parts[0] for _ in range(n_reference)]
-    )
+    reference = reduce(np.maximum, _pd.stick_breaking_columns(theta, n_reference, rng))
     ks = ks_2samp(largest, reference)
     return PdComparisonReport(rows, float(ks.statistic), float(ks.pvalue), False, "")

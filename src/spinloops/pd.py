@@ -4,13 +4,15 @@ PD(theta) enters as the conjectured law of rescaled macroscopic loop
 lengths.  This module provides:
 
   * stick-breaking sampling with Beta(1, theta) sticks (inverse CDF,
-    u -> 1 - u^{1/theta}),
+    u -> 1 - u^{1/theta}), drawn for all samples at once and streamed one
+    column of sticks at a time, so memory is O(samples) and no
+    (samples, sticks) matrix is ever formed,
   * the closed-form series for E[prod cosh(h X_i)],
   * the level-average functions q_h(t) and their spin special case,
   * the determinant ratio R(h; x) = det[e^{h_i x_j}] prod (j-i)/((h_i-h_j)(x_i-x_j))
     with confluent (repeated-argument) evaluation via derivative rows/columns,
   * Monte Carlo vs closed-form checks of E[prod q_h(z* X_i)],
-  * Ewens cycle-type sampling through the Chinese-restaurant construction.
+  * Ewens cycle-type sampling through the Feller coupling.
 
 Samplers take an explicit numpy Generator; closed-form evaluators are pure.
 """
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PDSample",
     "EwensPermutation",
-    "stick_breaking_sample",
+    "stick_breaking_columns",
     "pd_cosh_series",
     "q_eval",
     "q_spin",
@@ -41,49 +42,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PDSample:
-    """Size-ordered stick-breaking partition of [0, 1].
-
-    parts are strictly positive and sorted descending; the untracked tail
-    mass (below the truncation threshold) is kept in residual, never dropped
-    silently: parts.sum() + residual = 1 up to rounding.
-    """
-
-    parts: np.ndarray
-    residual: float
-    theta: float
-
-
-@dataclass(frozen=True)
 class EwensPermutation:
     n: int
     cycle_type: tuple[int, ...]
 
 
-def _stick_breaking_raw(theta: float, rng: np.random.Generator, truncation: float):
-    """Unsorted stick masses Y_k = B_k prod_{i<k} (1 - B_i) plus the residual."""
-    parts = []
-    remaining = 1.0
-    # Beta(1, theta) by inverse CDF: P(B > t) = (1-t)^theta
-    while remaining >= truncation:
-        b = 1.0 - rng.random() ** (1.0 / theta) if theta != 1.0 else rng.random()
-        y = b * remaining
-        parts.append(y)
-        remaining -= y
-        if len(parts) > 100_000:
-            raise ArithmeticError("stick breaking failed to terminate")
-    return parts, remaining
+def stick_breaking_columns(
+    theta: float, n: int, rng: np.random.Generator, truncation: float = 1e-12
+):
+    """Stick-breaking for n independent PD(theta) samples, one column at a time.
 
-
-def stick_breaking_sample(
-    theta: float, rng: np.random.Generator, truncation: float = 1e-12
-) -> PDSample:
-    """One PD(theta) sample: sorted stick-breaking parts, residual tracked."""
+    Yields (n,) arrays: column k holds the k-th stick Y_k = B_k prod_{i<k}
+    (1 - B_i) of every row, B ~ Beta(1, theta) by inverse CDF, and 0 for a
+    row whose remaining mass has already dropped below `truncation`.  Stops
+    once no row is left, so each row follows the scalar loop "break while
+    the remaining mass is >= truncation"; the row's residual is 1 minus its
+    sticks.  Columns are unsorted; reduce them as they arrive (cosh(0) =
+    q_h(0) = 1, so dead rows are neutral in products).
+    """
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    parts, residual = _stick_breaking_raw(theta, rng, truncation)
-    arr = np.sort(np.array(parts))[::-1]
-    return PDSample(arr, residual, theta)
+    remaining = np.ones(n)
+    for _ in range(100_000):
+        alive = remaining >= truncation
+        if not alive.any():
+            return
+        # 1 - U^{1/theta} for U uniform on (0, 1]
+        part = np.where(alive, -np.expm1(np.log1p(-rng.random(n)) / theta) * remaining, 0.0)
+        remaining -= part
+        yield part
+    raise ArithmeticError("stick breaking failed to terminate")
 
 
 def pd_cosh_series(theta: float, h: complex | float) -> complex | float:
@@ -342,30 +330,33 @@ def pd_q_expectation_mc(
     n_samples: int,
     rng: np.random.Generator,
     truncation: float = 1e-12,
-) -> tuple[float, float]:
+) -> tuple[complex | float, float]:
     """Monte Carlo mean and standard error of prod_i q_h(z* X_i) under PD(theta).
 
-    Only integer theta >= 2 is admitted; the closed form this is checked
-    against is specific to integer theta and is not extrapolated.
+    The product runs over stick columns in real arithmetic for real fields
+    and in complex arithmetic otherwise; for complex fields the mean is
+    complex and the standard error is that of the complex mean,
+    sqrt((var Re + var Im) / n).  Only integer theta >= 2 is admitted;
+    the closed form this is checked against is specific to integer theta
+    and is not extrapolated.
     """
     if not isinstance(theta, (int, np.integer)) or theta < 2:
         raise ValueError("pd_q_expectation_mc requires integer theta >= 2")
     if not 0.0 <= z_star <= 1.0:
         raise ValueError("z_star must lie in [0, 1]")
-    hv = np.array([complex(h) for h in hvec])
+    hv = np.asarray(hvec)
+    if not np.iscomplexobj(hv):
+        hv = hv.astype(float)
     if len(hv) != theta:
         raise ValueError("hvec must have length theta")
     if z_star == 0.0:
         return 1.0, 0.0
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        parts, _ = _stick_breaking_raw(theta, rng, truncation)
-        arg = z_star * np.asarray(parts)
-        qs = np.exp(np.outer(arg, hv)).sum(axis=1) / theta
-        vals[i] = float(np.real(np.prod(qs)))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return mean, se
+    vals = np.ones(n_samples, dtype=hv.dtype)
+    for col in stick_breaking_columns(theta, n_samples, rng, truncation):
+        vals *= np.exp(np.multiply.outer(z_star * col, hv)).sum(axis=1) / theta
+    mean = vals.mean()
+    se = float(np.sqrt(vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / math.sqrt(n_samples))
+    return (complex(mean) if np.iscomplexobj(vals) else float(mean)), se
 
 
 # ---------------------------------------------------------------------------
@@ -375,32 +366,15 @@ def pd_q_expectation_mc(
 def ewens_sample(n: int, theta: float, rng: np.random.Generator) -> EwensPermutation:
     """Cycle type of an Ewens(theta) permutation of n elements.
 
-    Chinese-restaurant construction: customer i opens a new table with
-    probability theta/(theta + i - 1), otherwise joins a table with
-    probability proportional to its occupancy.  The induced table-size law
-    is exactly the Ewens cycle-type distribution.
+    Feller coupling (Arratia, Barbour & Tavare, Logarithmic Combinatorial
+    Structures, 2003, ch. 1): with independent xi_i ~ Bernoulli(theta /
+    (theta + i - 1)), i = 1..n, the cycle lengths are exactly the spacings
+    between successive ones in xi_1 ... xi_n 1 (xi_1 = 1 always).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    u_new = rng.random(n)
-    u_pick = rng.random(n)
-    sizes: list[int] = [1]
-    for i in range(2, n + 1):
-        total = theta + i - 1
-        if u_new[i - 1] * total < theta:
-            sizes.append(1)
-        else:
-            # pick a seated customer uniformly; tables in insertion order
-            # are large first on average, so the scan is short
-            target = u_pick[i - 1] * (i - 1)
-            acc = 0.0
-            for t, sz in enumerate(sizes):
-                acc += sz
-                if target < acc:
-                    sizes[t] += 1
-                    break
-            else:
-                sizes[-1] += 1
-    return EwensPermutation(n, tuple(sorted(sizes, reverse=True)))
+    xi = rng.random(n) * (theta + np.arange(n)) < theta
+    sizes = np.diff(np.flatnonzero(np.append(xi, True)))
+    return EwensPermutation(n, tuple(sorted(sizes.tolist(), reverse=True)))

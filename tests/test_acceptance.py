@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.  Tolerances are pinned here and nowhere else.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -146,10 +147,9 @@ def test_criterion_07_pd_identities():
         rng = np.random.default_rng(2024)
         for theta, h in ((1.0, 1.0), (2.0, 1.0), (3.0, 2.0)):
             n_mc = 100_000
-            vals = np.empty(n_mc)
-            for i in range(n_mc):
-                s = pd.stick_breaking_sample(theta, rng)
-                vals[i] = np.prod(np.cosh(h * s.parts))
+            vals = np.ones(n_mc)
+            for col in pd.stick_breaking_columns(theta, n_mc, rng):
+                vals *= np.cosh(h * col)
             se = vals.std(ddof=1) / math.sqrt(n_mc)
             assert abs(vals.mean() - pd.pd_cosh_series(theta, h)) < 3 * se
         field_grids = {
@@ -275,9 +275,10 @@ def test_criterion_10_interchange_cross_engine():
             hv = hv_of[theta]
             exact = sf.interchange_expectation_exact(n, theta, beta, hv)
             rng = np.random.default_rng(seed)
+            q_table = {}
             _, stats = lp.mcmc_run(
                 n, 1, beta, 1.0, float(theta), 200_000, rng,
-                observable=lambda s: float(np.real(lp.observable_q(s, hv, n))),
+                observable=lambda s: float(np.real(lp.observable_q(s, hv, n, q_table))),
             )
             mean, se = lp.batch_means_se(stats.observable_trace)
             assert abs(mean - exact) < 3 * se, (n, theta, mean, se, exact)
@@ -307,9 +308,7 @@ def test_criterion_12_ewens_converges_to_pd():
         ewens = np.array(
             [pd.ewens_sample(n, theta, rng).cycle_type[0] / n for _ in range(n_samples)]
         )
-        sticks = np.array(
-            [pd.stick_breaking_sample(theta, rng).parts[0] for _ in range(n_samples)]
-        )
+        sticks = functools.reduce(np.maximum, pd.stick_breaking_columns(theta, n_samples, rng))
         ks = ks_2samp(ewens, sticks)
         assert ks.pvalue > 0.01, (ks.statistic, ks.pvalue)
         assert rep.elapsed < 120.0

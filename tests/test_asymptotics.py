@@ -66,11 +66,28 @@ def test_eta_derivatives_by_finite_differences():
 
 
 def test_eta_second_positive_on_log_grid():
-    for ctx in (HALF, ONE, THREE_HALVES):
-        x = 1e-6
-        while x <= 50.0:
-            assert asy.eta_second(x, ctx) > 0.0
-            x *= 2.0
+    for ctx in (HALF, ONE, THREE_HALVES, asy.SpinContext(5)):
+        for k in range(241):
+            x = 1e-6 * 7e8 ** (k / 240)  # log grid, 1e-6 .. 700
+            assert asy.eta_second(x, ctx) > 0.0, (ctx.two_s, x)
+
+
+def test_eta_second_against_mpmath():
+    # 50-digit values of 1/(4 sinh^2(x/2)) - theta^2/(4 sinh^2(theta x/2)).
+    # Below x = 1 the error is that of the Langevin derivative near its 1e-3
+    # series switch (measured up to 1.1e-9); from x = 1 on the two terms
+    # cancel mildly at most and the measured error is below 7e-16.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for two_s in (1, 2, 3, 5):
+            ctx, th = asy.SpinContext(two_s), two_s + 1
+            for k in range(0, 121, 3):
+                x = 1e-6 * 7e8 ** (k / 120)  # log grid, 1e-6 .. 700
+                xm = mpmath.mpf(x)
+                ref = (0.25 / mpmath.sinh(xm / 2) ** 2
+                       - 0.25 * th**2 / mpmath.sinh(th * xm / 2) ** 2)
+                rel = abs((asy.eta_second(x, ctx) - ref) / ref)
+                assert rel < (5e-9 if x < 1.0 else 2e-15), (two_s, x, float(rel))
 
 
 def test_x_star_inverts_eta_prime():

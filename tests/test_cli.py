@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from spinloops import loops, pd
 from spinloops.cli import main, parse_h_list, parse_spin
 
 
@@ -105,6 +106,26 @@ def test_simulate_reproducible(tmp_path, capsys):
     meta1 = (out1 / "a_meta.json").read_bytes()
     meta2 = (out2 / "a_meta.json").read_bytes()
     assert meta1 == meta2
+
+
+def test_simulate_q_table_matches_per_loop_q_eval(tmp_path, capsys, monkeypatch):
+    # the per-run q table must reproduce, byte for byte, the output of
+    # evaluating q_eval afresh for every loop of every sample
+    def per_loop_q(spectrum, hvec, n, table=None):
+        out = 1.0 + 0.0j
+        for length in spectrum.lengths:
+            out *= pd.q_eval(hvec, length / n)
+        return out.real
+
+    argv = ["simulate", "--model", "interchange", "--n", "12", "--theta", "3",
+            "--beta", "2", "--h", "0.7,-0.2,0.1", "--sweeps", "2000", "--seed", "5"]
+    assert main(argv + ["--out", str(tmp_path / "table")]) == 0
+    monkeypatch.setattr(loops, "observable_q", per_loop_q)
+    assert main(argv + ["--out", str(tmp_path / "per_loop")]) == 0
+    capsys.readouterr()
+    for name in ("run_spectra.csv", "run_meta.json"):
+        table, per_loop = (tmp_path / d / name for d in ("table", "per_loop"))
+        assert table.read_bytes() == per_loop.read_bytes()
 
 
 def test_simulate_schema(tmp_path, capsys):

@@ -12,12 +12,19 @@ from spinloops import pd
 def test_stick_breaking_invariants():
     rng = np.random.default_rng(0)
     for theta in (1.0, 2.0, 3.0, 5.0):
-        for _ in range(2500):
-            s = pd.stick_breaking_sample(theta, rng)
-            assert np.all(s.parts > 0)
-            assert np.all(np.diff(s.parts) <= 0)
-            assert s.parts.sum() + s.residual == pytest.approx(1.0, abs=1e-12)
-            assert s.residual < 1e-12
+        n = 2500
+        residual = np.ones(n)
+        total = np.zeros(n)
+        for col in pd.stick_breaking_columns(theta, n, rng):
+            alive = residual >= 1e-12
+            # live rows break a positive stick; rows already below the
+            # truncation get exact zeros
+            assert np.all(col[alive] > 0)
+            assert np.all(col[~alive] == 0.0)
+            residual -= col
+            total += col
+        np.testing.assert_allclose(total + residual, 1.0, rtol=0, atol=1e-12)
+        assert np.all(residual < 1e-12)
 
 
 def test_first_stick_mean():
@@ -25,13 +32,22 @@ def test_first_stick_mean():
     rng = np.random.default_rng(1)
     n = 100_000
     for theta in (1.0, 3.0):
-        ys = np.empty(n)
-        for i in range(n):
-            parts, _ = pd._stick_breaking_raw(theta, rng, 1e-6)
-            ys[i] = parts[0]
+        ys = next(pd.stick_breaking_columns(theta, n, rng, 1e-6))
         target = 1.0 / (1.0 + theta)
         se = ys.std(ddof=1) / math.sqrt(n)
         assert abs(ys.mean() - target) < 3 * se
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 3.0, 5.0])
+def test_stick_square_sum_mean(theta):
+    # E[sum X_i^2] = 1/(theta + 1) under PD(theta)
+    rng = np.random.default_rng(8)
+    n = 20_000
+    sq = np.zeros(n)
+    for col in pd.stick_breaking_columns(theta, n, rng):
+        sq += col * col
+    se = sq.std(ddof=1) / math.sqrt(n)
+    assert abs(sq.mean() - 1.0 / (theta + 1.0)) < 3 * se
 
 
 def test_cosh_series_special_cases():
@@ -54,10 +70,9 @@ def test_cosh_series_against_sampler():
     rng = np.random.default_rng(2)
     h, theta = 1.0, 1.0
     n = 100_000
-    vals = np.empty(n)
-    for i in range(n):
-        s = pd.stick_breaking_sample(theta, rng)
-        vals[i] = np.prod(np.cosh(h * s.parts))
+    vals = np.ones(n)
+    for col in pd.stick_breaking_columns(theta, n, rng):
+        vals *= np.cosh(h * col)
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - pd.pd_cosh_series(theta, h)) < 3 * se
 
@@ -206,6 +221,17 @@ def test_pd_q_expectation_mc_pd1_projector():
     assert abs(mean - closed) < 3 * se
 
 
+def test_pd_q_expectation_mc_complex_fields():
+    # complex fields run the product in complex arithmetic and return the
+    # complex mean, with the standard error of the complex mean
+    rng = np.random.default_rng(9)
+    hv = [0.6 + 0.8j, -0.3, 0.2 - 0.4j]
+    mean, se = pd.pd_q_expectation_mc(3, hv, 0.7, 50_000, rng)
+    closed = pd.pd_q_expectation_exact(3, hv, 0.7)
+    assert isinstance(mean, complex) and abs(closed.imag) > 0.1
+    assert abs(mean - closed) < 3 * se
+
+
 def test_ewens_small_cases():
     rng = np.random.default_rng(5)
     assert pd.ewens_sample(1, 2.0, rng).cycle_type == (1,)
@@ -226,6 +252,17 @@ def test_ewens_cycle_type_sums():
             s = pd.ewens_sample(37, theta, rng)
             assert sum(s.cycle_type) == 37
             assert all(a >= b for a, b in zip(s.cycle_type, s.cycle_type[1:]))
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.0])
+def test_ewens_mean_cycle_count(theta):
+    # E[#cycles] = sum_{i=1}^{n} theta / (theta + i - 1)
+    rng = np.random.default_rng(10)
+    n, n_trials = 2000, 4000
+    counts = np.array([len(pd.ewens_sample(n, theta, rng).cycle_type) for _ in range(n_trials)])
+    target = sum(theta / (theta + i - 1) for i in range(1, n + 1))
+    se = counts.std(ddof=1) / math.sqrt(n_trials)
+    assert abs(counts.mean() - target) < 3 * se
 
 
 def test_ewens_matches_exact_law_n3():
