@@ -50,9 +50,29 @@ __all__ = [
     "classical_maximizer",
 ]
 
-# Below this |x| the sinh-ratio formulas cancel catastrophically; switch to
-# 8th-order Taylor series of log(sinh t / t) and its derivatives.
+# Below this |x| log(sinh t / t) cancels catastrophically; switch to its
+# 8th-order Taylor series.
 _SERIES_SWITCH = 1e-3
+
+
+def _langevin_coefficients(terms: int) -> tuple[float, ...]:
+    """c_k of coth t - 1/t = sum_{k>=1} c_k t^{2k-1}, from L' = 1 - L^2 - 2L/t.
+
+    Matching powers gives (2k + 1) c_k = [k = 1] - sum_{i=1}^{k-1} c_i c_{k-i},
+    i.e. c_k = 2^{2k} B_{2k} / (2k)!; the series converges for |t| < pi.
+    """
+    c: list[float] = []
+    for k in range(1, terms + 1):
+        c.append(((k == 1) - sum(c[i] * c[k - 2 - i] for i in range(k - 1))) / (2 * k + 1))
+    return tuple(c)
+
+
+# Below |t| = 1, coth t - 1/t and 1/t^2 - 1/sinh^2 t are summed from their
+# series (18 terms reach 1e-17 relative at |t| = 1); from |t| = 1 on their two
+# terms cancel by a factor of at most 8.
+_LANGEVIN_SWITCH = 1.0
+_LANGEVIN_C = _langevin_coefficients(18)
+_LANGEVIN_PRIME_C = tuple((2 * k + 1) * c for k, c in enumerate(_LANGEVIN_C))
 
 
 @dataclass(frozen=True)
@@ -118,14 +138,19 @@ def _log_sinhc(t: float) -> float:
     return t - math.log(2.0 * t) + math.log1p(-math.exp(-2.0 * t))
 
 
+def _horner(coefficients: tuple[float, ...], x: float) -> float:
+    """sum_k coefficients[k] x^k."""
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
 def _langevin(t: float) -> float:
     """coth(t) - 1/t; odd, smooth at 0."""
-    if t == 0.0:
-        return 0.0
     a = abs(t)
-    if a < _SERIES_SWITCH:
-        t2 = t * t
-        return t * (1.0 / 3 + t2 * (-1.0 / 45 + t2 * (2.0 / 945 - t2 / 4725)))
+    if a < _LANGEVIN_SWITCH:
+        return t * _horner(_LANGEVIN_C, t * t)
     if a < 350.0:
         val = math.cosh(a) / math.sinh(a) - 1.0 / a
     else:
@@ -136,9 +161,8 @@ def _langevin(t: float) -> float:
 def _langevin_prime(t: float) -> float:
     """d/dt (coth t - 1/t) = 1/t^2 - 1/sinh(t)^2; even."""
     a = abs(t)
-    if a < _SERIES_SWITCH:
-        t2 = t * t
-        return 1.0 / 3 + t2 * (-1.0 / 15 + t2 * (2.0 / 189 - t2 / 675))
+    if a < _LANGEVIN_SWITCH:
+        return _horner(_LANGEVIN_PRIME_C, t * t)
     if a < 350.0:
         s = math.sinh(a)
         return 1.0 / (a * a) - 1.0 / (s * s)
@@ -161,13 +185,14 @@ def eta_second(x: float, ctx: SpinContext) -> float:
     """d^2 eta/dx^2; even, maximal at 0 where it equals (theta^2-1)/12.
 
     Equals 1/(4 sinh^2(x/2)) - theta^2/(4 sinh^2(theta x/2)): the 1/x^2 poles
-    of the two Langevin derivatives cancel exactly, so past the series switch
-    each term is taken as e^{-a}/expm1(-a)^2, which cannot overflow.  Strictly
-    positive until e^{-|x|} underflows (|x| > 745).
+    of the two Langevin derivatives cancel exactly, so from |x| = 1 on each
+    term is taken as e^{-a}/expm1(-a)^2, which cannot overflow; below it the
+    difference of the two Langevin derivatives cancels mildly at most.
+    Strictly positive until e^{-|x|} underflows (|x| > 745).
     """
     th = ctx.theta
     a = abs(x)
-    if 0.5 * th * a < _SERIES_SWITCH:
+    if a < 1.0:
         return 0.25 * th * th * _langevin_prime(0.5 * th * a) - 0.25 * _langevin_prime(0.5 * a)
     d1, d2 = math.expm1(-a), math.expm1(-th * a)
     return math.exp(-a) / (d1 * d1) - th * th * math.exp(-th * a) / (d2 * d2)

@@ -275,6 +275,9 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_pd(args) -> int:
+    if args.samples < 2:  # the standard error needs two samples
+        print("error: --samples must be >= 2", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     print("check,h_or_z,series_or_closed,mc_mean,mc_se,verdict")
     ok = True

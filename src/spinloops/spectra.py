@@ -11,13 +11,13 @@ Heisenberg Hamiltonian -(2/n) sum_{i<j} (S_i1 S_j1 + S_i2 S_j2 + Delta S_i3 S_j3
 up to additive constants that cancel in the Gibbs ratio.
 
 Engine 1 (heisenberg_expectation_exact) decomposes the Hilbert space into
-total-spin sectors.  The multiplicities L_{M,n} of Sigma3 are computed in log
-space by repeated squaring of the one-site row, so no sector underflows, and
-the degeneracies are d_J = L_J - L_{J+1}; the exact big-integer table
-(multiplicity_table) is kept as the reference the tests compare with.  For
-Delta = 1 each sector contributes a sinh-ratio character; for Delta < 1 the
-diagonal of e^{t Sigma1} in each sector is a Wigner small-d function at
-imaginary angle, summed by a Jacobi three-term recurrence.  Engine 2
+total-spin sectors.  The degeneracies d_J = L_J - L_{J+1} of the multiplicities
+L_{M,n} of Sigma3 come in log space from Miller's recurrence on the ratios
+L_{M,n} / L_{M-1,n}, in O(n 2S) work, so no sector underflows; the exact
+big-integer table (multiplicity_table) is the tests' reference.  For Delta = 1
+each sector contributes a sinh-ratio character; for Delta < 1 the diagonal of
+e^{t Sigma1} in each sector is a Wigner small-d function at imaginary angle,
+summed by a Jacobi three-term recurrence.  Engine 2
 (dense_gibbs_oracle) builds everything as dense Kronecker-product matrices
 and eigendecomposes; it knows nothing about angular momentum sectors.
 
@@ -114,56 +114,56 @@ def multiplicity_table(n: int, two_s: int, cap: int = EXACT_CAP) -> Multiplicity
     """
     if n < 1 or two_s < 1:
         raise ValueError("need n >= 1 and two_s >= 1")
-    if n * two_s > cap:
-        raise CapExceededError(
-            f"n * two_s = {n * two_s} exceeds the exact-table cap {cap}"
-        )
     width = n * two_s
-    row = [0] * (width + 1)
-    row[0] = 1
-    cur = 0  # filled length so far
+    if width > cap:
+        raise CapExceededError(f"n * two_s = {width} exceeds the exact-table cap {cap}")
+    row = [1]
     for _ in range(n):
         # prefix-sum recurrence for convolution with ones(two_s + 1)
-        new_hi = cur + two_s
-        prefix = 0
-        out = [0] * (new_hi + 1)
-        for k in range(new_hi + 1):
-            if k <= cur:
-                prefix += row[k]
-            if k - two_s - 1 >= 0:
-                prefix -= row[k - two_s - 1] if k - two_s - 1 <= cur else 0
-            out[k] = prefix
-        row[: new_hi + 1] = out
-        cur = new_hi
+        prefix, out = 0, []
+        for k in range(len(row) + two_s):
+            prefix += (row[k] if k < len(row) else 0) - (row[k - two_s - 1] if k > two_s else 0)
+            out.append(prefix)
+        row = out
     counts = {2 * k - width: row[k] for k in range(width + 1)}
     return MultiplicityTable(n, two_s, counts)
 
 
-def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log of the convolution of e^a and e^b, by log-adding shifted copies of a."""
-    out = np.full(len(a) + len(b) - 1, -math.inf)
-    for j, bj in enumerate(b):
-        out[j : j + len(a)] = np.logaddexp(out[j : j + len(a)], a + bj)
-    return out
+def _half_row(n: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """log c_k and log(1 - c_{k-1}/c_k), k = 0..floor(n two_s / 2), c_k = L_{k - S n, n}.
+
+    J.C.P. Miller's recurrence for the coefficients of (1 + x + ... + x^{two_s})^n
+    (Knuth, TAOCP Vol. 2, 4.7), k c_k = sum_{j=1}^{two_s} ((n+1) j - k) c_{k-j},
+    run on the ratios r_k = c_k / c_{k-1}; r_k - 1 = (acc - k)/k is formed
+    inside the sum (closed form at two_s = 1), so log r_k = log1p(r_k - 1)
+    and log(1 - 1/r_k) = -log1p(1/(r_k - 1)) lose no digits near the centre.
+    """
+    half = n * two_s // 2
+    if two_s == 1:
+        k = np.arange(1.0, half + 1)
+        excess = (n + 1.0 - 2.0 * k) / k
+    else:
+        ratios, excess = [math.inf], []  # r_0 = c_0 / c_{-1}
+        for k in range(1, half + 1):
+            acc, q = float(n + 1 - k), 1.0  # q = c_{k-j} / c_{k-1}
+            for j in range(2, min(two_s, k) + 1):
+                q /= ratios[k - j + 1]
+                acc += ((n + 1) * j - k) * q
+            ratios.append(acc / k)
+            excess.append((acc - k) / k)
+        excess = np.array(excess)
+    log_c = np.concatenate(([0.0], np.cumsum(np.log1p(excess))))
+    with np.errstate(divide="ignore"):  # r_k = 1 only where d_J = 0, at n = 1
+        log_frac = np.concatenate(([0.0], -np.log1p(1.0 / excess)))
+    return log_c, log_frac
 
 
 def log_multiplicity_row(n: int, two_s: int) -> np.ndarray:
-    """log L_{M,n} over the shifted index k = M + S n, as float64.
-
-    Repeated squaring of the one-site row log(1, ..., 1) in log space, so
-    every entry is finite however far below the central peak it lies.
-    """
+    """log L_{M,n} over k = M + S n: cumulative sums of log r_k to the centre, mirrored."""
     if n < 1 or two_s < 1:
         raise ValueError("need n >= 1 and two_s >= 1")
-    power = np.zeros(two_s + 1)
-    row = None
-    while True:
-        if n & 1:
-            row = power if row is None else _log_convolve(row, power)
-        n >>= 1
-        if not n:
-            return row
-        power = _log_convolve(power, power)
+    log_c, _ = _half_row(n, two_s)
+    return np.concatenate((log_c, log_c[n * two_s - len(log_c) :: -1]))
 
 
 def irrep_spectrum(table: MultiplicityTable) -> IrrepSpectrum:
@@ -186,23 +186,19 @@ def _log_degeneracies(n: int, two_s: int, exact: bool) -> tuple[np.ndarray, np.n
     """(two_j values, log d_J) for all sectors with d_J > 0.
 
     exact=True takes d_J from the big-integer table (the test oracle);
-    otherwise log d_J = log L_J + log(1 - L_{J+1}/L_J) from the log-space row.
+    otherwise log d_J = log L_J + log(1 - L_{J+1}/L_J), where
+    L_{J+1}/L_J = c_{k-1}/c_k at the mirrored index k = S n - J.
     """
     width = n * two_s
     two_js = np.arange(width % 2, width + 1, 2)
     if exact:
         table = multiplicity_table(n, two_s)
-        logd = np.array(
-            [
-                math.log(d) if (d := table.count(j2) - table.count(j2 + 2)) > 0 else -math.inf
-                for j2 in two_js
-            ]
-        )
+        degs = [table.count(j2) - table.count(j2 + 2) for j2 in two_js]
+        logd = np.array([math.log(d) if d > 0 else -math.inf for d in degs])
     else:
-        logrow = np.append(log_multiplicity_row(n, two_s), -math.inf)
-        ks = (two_js + width) // 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logd = logrow[ks] + np.log1p(-np.exp(logrow[ks + 1] - logrow[ks]))
+        log_c, log_frac = _half_row(n, two_s)
+        ks = (width - two_js) // 2
+        logd = log_c[ks] + log_frac[ks]
     keep = logd > -math.inf
     return two_js[keep], logd[keep]
 
@@ -252,9 +248,11 @@ def heisenberg_expectation_exact(
 ) -> GibbsValue:
     """Gibbs expectation of e^{(h/n) Sigma1} via total-spin sectors.
 
-    Sector degeneracies come from the log-space multiplicity row, accurate
-    for every sector up to n ~ 10^4; exact_degeneracies=True takes them from
-    the big-integer table instead, as the reference the tests compare with.
+    Sector degeneracies come in log space from Miller's recurrence
+    (_half_row), accurate in every sector, so Delta = 1 costs O(n 2S) in all;
+    Delta < 1 stays O(n^2) in its Jacobi recurrence.  exact_degeneracies=True
+    takes them from the big-integer table instead, as the reference the tests
+    compare with.
 
     Delta = 1: each sector contributes the character sum
     sinh((2J+1) h / 2n) / sinh(h / 2n), one array expression over sectors.

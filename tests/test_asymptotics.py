@@ -74,9 +74,9 @@ def test_eta_second_positive_on_log_grid():
 
 def test_eta_second_against_mpmath():
     # 50-digit values of 1/(4 sinh^2(x/2)) - theta^2/(4 sinh^2(theta x/2)).
-    # Below x = 1 the error is that of the Langevin derivative near its 1e-3
-    # series switch (measured up to 1.1e-9); from x = 1 on the two terms
-    # cancel mildly at most and the measured error is below 7e-16.
+    # The difference of the two Langevin derivatives (below x = 1) and of the
+    # two expm1 terms (from x = 1 on) cancels mildly at most; the measured
+    # error is 1.1e-15 below x = 1 and 7e-16 from x = 1 on.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for two_s in (1, 2, 3, 5):
@@ -87,7 +87,22 @@ def test_eta_second_against_mpmath():
                 ref = (0.25 / mpmath.sinh(xm / 2) ** 2
                        - 0.25 * th**2 / mpmath.sinh(th * xm / 2) ** 2)
                 rel = abs((asy.eta_second(x, ctx) - ref) / ref)
-                assert rel < (5e-9 if x < 1.0 else 2e-15), (two_s, x, float(rel))
+                assert rel < 2e-15, (two_s, x, float(rel))
+
+
+def test_langevin_against_mpmath():
+    # 50-digit coth t - 1/t and 1/t^2 - 1/sinh^2 t on a log grid 1e-6 .. 700,
+    # across the series switch at t = 1; measured up to 4.8e-16 and 6.8e-16
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for k in range(241):
+            t = 1e-6 * 7e8 ** (k / 240)
+            tm = mpmath.mpf(t)
+            lang = mpmath.coth(tm) - 1 / tm
+            lang_prime = 1 / tm**2 - 1 / mpmath.sinh(tm) ** 2
+            for sign in (1.0, -1.0):
+                assert abs(asy._langevin(sign * t) / (sign * lang) - 1) < 1.5e-15, t
+                assert abs(asy._langevin_prime(sign * t) / lang_prime - 1) < 1.5e-15, t
 
 
 def test_x_star_inverts_eta_prime():

@@ -222,3 +222,21 @@ def test_pd_command_verdicts(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "check,h_or_z,series_or_closed,mc_mean,mc_se,verdict"
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_pd_samples_usage_error(capsys, samples):
+    rc = main(["pd", "--theta", "2", "--h", "1", "--samples", samples, "--seed", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: --samples must be >= 2" in captured.err
+    assert captured.out == ""
+
+
+def test_exact_heisenberg_n_one_million(capsys):
+    # Delta = 1 at beta_c: Miller's recurrence makes n = 10^6 a sub-second run
+    rc = main(["exact", "--model", "heisenberg", "--n", "1000000", "--beta", "2", "--h", "1"])
+    assert rc == 0
+    _, _, limit, gap = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert float(limit) == 1.0
+    assert float(gap) == pytest.approx(0.106762e-3, rel=5e-4)  # A_{1/2} / sqrt(n)

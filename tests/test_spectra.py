@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import i0
 
 from spinloops import spectra as sp
-from spinloops.asymptotics import SpinContext, m_star
+from spinloops.asymptotics import SpinContext, beta_critical, m_star
 from spinloops.pd import sinhc
 
 
@@ -73,13 +74,32 @@ def test_cap_error():
 
 def test_log_row_matches_exact():
     # the large rows span hundreds of orders of magnitude below their peak
-    for n, two_s in [(30, 1), (12, 2), (9, 3), (2000, 1), (1000, 2)]:
+    for n, two_s in [(30, 1), (12, 2), (9, 3), (2000, 1), (1000, 2), (300, 3), (200, 4), (50, 5)]:
         t = sp.multiplicity_table(n, two_s)
         row = sp.log_multiplicity_row(n, two_s)
         width = n * two_s
         exact = [math.log(t.count(2 * k - width)) for k in range(width + 1)]
         assert np.all(np.isfinite(row))
         assert row == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,two_s", [(10_000, 1), (1000, 2), (300, 3), (200, 4)])
+def test_log_degeneracies_match_big_integer(n, two_s):
+    # every sector, including the few-state ones far below the peak; at spin
+    # 1/2, L_J = C(n, k) with k = n/2 + J, since the big-integer table is O(n^2)
+    width = n * two_s
+    if two_s == 1:
+        lo = (n + 1) // 2
+        binom = [math.comb(n, lo)]
+        for k in range(lo, n + 1):
+            binom.append(binom[-1] * (n - k) // (k + 1))
+        degs = {2 * (lo + i) - n: binom[i] - binom[i + 1] for i in range(n - lo + 1)}
+    else:
+        degs = sp.irrep_spectrum(sp.multiplicity_table(n, two_s)).degeneracies
+    two_js, logd = sp._log_degeneracies(n, two_s, exact=False)
+    assert list(two_js) == sorted(degs)
+    rel = max(abs(math.expm1(ld - math.log(degs[j2]))) for j2, ld in zip(two_js.tolist(), logd))
+    assert rel < 5e-11
 
 
 def test_irrep_spectrum_small():
@@ -169,6 +189,78 @@ def test_convergence_past_beta_c_to_n_10000(delta, beta):
     ]
     for a, b in zip(gaps, gaps[1:]):
         assert 1.8 <= a / b <= 2.2, gaps
+
+
+def _window_amplitude(two_s, x, h=1.0):
+    """lim sqrt(n) (<e^{(h/n) Sigma1}> - 1) at beta = beta_c (1 + x/sqrt(n)), Delta = 1.
+
+    Near m = 0 the free-energy profile of the 3-vector order parameter is
+    (beta - beta_c) r^2 - c_S r^4, with c_S = -kappa_4 / (24 kappa_2^4) from
+    the cumulants kappa_2 = eta''(0), kappa_4 = eta''''(0) of the uniform law
+    on {-S, ..., S}.  With r = rho n^{-1/4} under the measure
+    rho^2 e^{beta_c x rho^2 - c_S rho^4} drho, the gap
+    sinh(h r)/(h r) - 1 ~ h^2 r^2 / 6 averages to (h^2/6) <rho^2> / sqrt(n);
+    at x = 0, <rho^2> = Gamma(5/4)/Gamma(3/4) c_S^{-1/2}.
+    """
+    levels = [0.5 * (2 * i - two_s) for i in range(two_s + 1)]
+    m2 = sum(v**2 for v in levels) / len(levels)
+    m4 = sum(v**4 for v in levels) / len(levels)
+    c_s = -(m4 - 3 * m2 * m2) / (24 * m2**4)
+    if x == 0.0:
+        return h * h / 6 * math.gamma(1.25) / math.gamma(0.75) / math.sqrt(c_s)
+    beta_c = beta_critical(SpinContext(two_s))
+
+    def moment(power):
+        return quad(lambda r: r**power * math.exp(beta_c * x * r * r - c_s * r**4), 0, math.inf)[0]
+
+    return h * h / 6 * moment(4) / moment(2)
+
+
+_HALF_NS = (15_625, 62_500, 250_000, 1_000_000)
+
+
+@pytest.mark.parametrize(
+    "two_s,x,ns",
+    [
+        (1, 0.0, _HALF_NS),
+        (2, 0.0, (2500, 10_000, 40_000, 160_000)),
+        (3, 0.0, (2500, 10_000, 40_000)),
+        (1, -1.0, _HALF_NS),
+        (1, 1.0, _HALF_NS),
+        (2, -1.0, (2500, 10_000, 40_000)),
+        (2, 1.0, (2500, 10_000, 40_000)),
+    ],
+)
+def test_critical_window_gap_amplitude(two_s, x, ns):
+    # Measured x_n = sqrt(n) * gap: x_n / A - 1 = a / sqrt(n), a nearly
+    # constant in n: a = -0.183, -0.073, +0.068 at x = 0 for S = 1/2, 1, 3/2;
+    # +0.30 and +0.32 at x = -1, -1.37 and -1.19 at x = +1 (S = 1/2, 1).  So
+    # the gap ratio per quadrupling is 2 (1 + a/(2 sqrt(n))), and the
+    # Richardson value 2 x_{4n} - x_n is within b/n of A, |b| <= 1.1.
+    amp = _window_amplitude(two_s, x)
+    beta_c = beta_critical(SpinContext(two_s))
+    gaps = [
+        sp.heisenberg_expectation_exact(n, two_s, beta_c * (1 + x / math.sqrt(n)), 1.0, 1.0).value
+        - 1.0
+        for n in ns
+    ]
+    xs = [g * math.sqrt(n) for g, n in zip(gaps, ns)]
+    tol = 0.25 + 1.5 * abs(x)
+    for n, v in zip(ns, xs):
+        assert abs(v / amp - 1.0) < tol / math.sqrt(n), (n, v, amp)
+    ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+    for n, ratio in zip(ns, ratios):
+        assert abs(ratio - 2.0) < tol / math.sqrt(n), (n, ratios)
+    assert all(abs(a - 2.0) > abs(b - 2.0) for a, b in zip(ratios, ratios[1:])), ratios
+    for n, v, v4 in zip(ns, xs, xs[1:]):
+        assert abs((2.0 * v4 - v) / amp - 1.0) < (tol + 0.15) / n, (n, v, v4, amp)
+
+
+def test_window_amplitude_closed_form_at_beta_c():
+    # the integral ratio tends to the Gamma-function closed form as x -> 0
+    assert _window_amplitude(1, 0.0) == pytest.approx(0.106762, abs=1e-6)
+    for two_s in (1, 2, 3):
+        assert _window_amplitude(two_s, 1e-9) == pytest.approx(_window_amplitude(two_s, 0.0), rel=1e-8)
 
 
 def test_anisotropic_sum_against_40_digit_reference():
