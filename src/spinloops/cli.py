@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
                 print("error: the xy model needs --u in [0, 1)", file=sys.stderr)
                 return EXIT_USAGE
         h = float(args.h[0])
-        observable = lambda s: loops.spins_loops_observable(s, h, args.n)
+        observable = lambda s: loops.observable_cosh(s, h * two_s / 2, args.n, two_s)
     seeds = np.random.SeedSequence(args.seed).spawn(args.chains)
     all_rows = []
     chain_stats = []

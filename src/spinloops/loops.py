@@ -61,7 +61,6 @@ __all__ = [
     "trace_loops",
     "mcmc_run",
     "observable_cosh",
-    "spins_loops_observable",
     "observable_q",
     "batch_means_se",
     "pd_comparison",
@@ -573,14 +572,6 @@ def observable_cosh(spectrum: LoopSpectrum, h: float, n: int, two_s: int) -> flo
     out = 1.0
     for length in spectrum.lengths:
         out *= math.cosh(h * length / denom)
-    return out
-
-
-def spins_loops_observable(spectrum: LoopSpectrum, h: float, n: int) -> float:
-    """prod_i cosh(h l_i / (2 n)), the spin generating-function convention."""
-    out = 1.0
-    for length in spectrum.lengths:
-        out *= math.cosh(h * length / (2.0 * n))
     return out
 
 

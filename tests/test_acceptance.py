@@ -294,7 +294,7 @@ def test_criterion_11_loop_mcmc_vs_quantum_oracle():
             rng = np.random.default_rng(seed)
             _, stats = lp.mcmc_run(
                 n, 1, beta, u, 2.0, 200_000, rng,
-                observable=lambda s: lp.spins_loops_observable(s, h, n),
+                observable=lambda s: lp.observable_cosh(s, h / 2, n, 1),
             )
             mean, se = lp.batch_means_se(stats.observable_trace)
             assert abs(mean - exact) < 3 * se, (u, mean, se, exact)

@@ -105,6 +105,19 @@ def test_langevin_against_mpmath():
                 assert abs(asy._langevin_prime(sign * t) / lang_prime - 1) < 1.5e-15, t
 
 
+def test_log_sinhc_against_mpmath():
+    # 50-digit log(sinh t / t) on a log grid 1e-6 .. 700, across the series
+    # switch at t = 1 and the large-t branch at 350; measured up to 9.4e-16
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for k in range(481):
+            t = 1e-6 * 7e8 ** (k / 480)
+            tm = mpmath.mpf(t)
+            ref = mpmath.log(mpmath.sinh(tm) / tm)
+            for sign in (1.0, -1.0):
+                assert abs(asy._log_sinhc(sign * t) / ref - 1) < 2e-15, t
+
+
 def test_x_star_inverts_eta_prime():
     for ctx in (HALF, ONE, THREE_HALVES):
         s = ctx.spin

@@ -130,10 +130,11 @@ def test_observables():
     # a single full-length loop gives cosh(h)
     full = lp.LoopSpectrum((6,), 1)
     assert lp.observable_cosh(full, h, n, two_s) == pytest.approx(math.cosh(h), rel=1e-13)
-    # spins-loops convention divides by 2n
-    assert lp.spins_loops_observable(spec, h, n) == pytest.approx(
-        math.cosh(h * 4 / 6) * math.cosh(h * 2 / 6), rel=1e-13
-    )
+    # the spin convention of `cli simulate`: field h S divides by 2n
+    for spin2 in (1, 2, 3):
+        assert lp.observable_cosh(spec, h * spin2 / 2, n, spin2) == pytest.approx(
+            math.cosh(h * 4 / 6) * math.cosh(h * 2 / 6), rel=1e-13
+        )
     qv = lp.observable_q(spec, [1.0, 0.0, 0.0], n)
     target = pd.q_eval([1.0, 0.0, 0.0], 4 / 3) * pd.q_eval([1.0, 0.0, 0.0], 2 / 3)
     assert qv == pytest.approx(float(np.real(target)), rel=1e-13)
@@ -314,7 +315,7 @@ def test_mcmc_cross_engine_heisenberg_small():
     exact = sp.heisenberg_expectation_exact(n, 1, beta, 1.0, h).value
     _, stats = lp.mcmc_run(
         n, 1, beta, 1.0, 2.0, 120_000, rng,
-        observable=lambda s: lp.spins_loops_observable(s, h, n),
+        observable=lambda s: lp.observable_cosh(s, h / 2, n, 1),
     )
     mean, se = lp.batch_means_se(stats.observable_trace)
     assert abs(mean - exact) < 3 * se

@@ -1,5 +1,6 @@
 """Tests for Poisson-Dirichlet sampling, series, and the R function."""
 
+import itertools
 import math
 
 import numpy as np
@@ -157,20 +158,74 @@ def test_r_function_continuity_at_confluence():
     assert abs(nudged2 - base2) / abs(base2) < 1e-5
 
 
-def test_r_function_generic_matches_confluent_machinery():
-    # well-separated arguments: determinant route vs forced confluent route
-    hv = [1.2, 0.3, -0.8]
-    xs = [0.5, 0.3, 0.2]
-    generic = pd.r_function(hv, xs)
-    forced = pd._r_confluent([(h, 1) for h in hv], [(x, 1) for x in xs])
-    assert generic == pytest.approx(forced, rel=1e-10)
+def _r_mpmath(mpmath, hvec, xvec):
+    """R from a 200-digit Leibniz determinant, arguments i nudged by i * 1e-40.
+
+    The nudge separates equal arguments; it moves R by about 1e-40.
+    """
+    with mpmath.workdps(200):
+        nudge = mpmath.mpf("1e-40")
+        hs = [mpmath.mpmathify(h) + i * nudge for i, h in enumerate(hvec)]
+        xs = [mpmath.mpmathify(x) + i * nudge for i, x in enumerate(xvec)]
+        theta = len(hs)
+        det = 0
+        for perm in itertools.permutations(range(theta)):
+            inversions = sum(perm[i] > perm[j] for i in range(theta) for j in range(i + 1, theta))
+            det += (-1) ** inversions * mpmath.exp(mpmath.fsum(h * xs[p] for h, p in zip(hs, perm)))
+        for i in range(theta):
+            for j in range(i + 1, theta):
+                det *= (j - i) / ((hs[i] - hs[j]) * (xs[i] - xs[j]))
+        return complex(det)
+
+
+def _rho(hvec, xvec):
+    hv, xv = np.asarray(hvec), np.asarray(xvec)
+    return np.abs(hv - hv.mean()).max() * np.abs(xv - xv.mean()).max()
+
+
+def test_r_function_matches_mpmath_determinant():
+    # one divided-difference path for distinct, close and equal arguments:
+    # within 1e-13 for rho <= 4 and 1e-10 up to the cap, real and complex
+    mpmath = pytest.importorskip("mpmath")
+    cases = [
+        # well separated
+        ([1.2, 0.3, -0.8], [0.5, 0.3, 0.2]),
+        # equal arguments in h and in x at once
+        ([1.0, 0.3, 0.3], [0.6, 0.2, 0.2]),
+        # two fields 2.4e-5 apart, where a direct determinant cancels
+        ([-0.047815559256558095, 0.05531081725498171, 0.03265037857358175,
+          0.03267396792987174, -0.007067182585666751],
+         [0.35105954763639835, 0.27925265402675226, 0.14462507279163658,
+          0.13503788222604046, 0.09002484331917239]),
+    ]
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        theta = int(rng.integers(2, 6))
+        xv = rng.dirichlet(np.ones(theta))
+        hv = rng.uniform(-1.0, 1.0, theta)
+        if rng.random() < 0.3:
+            hv = hv + 1j * rng.uniform(-1.0, 1.0, theta)
+        if theta > 2 and rng.random() < 0.3:
+            hv[1], xv[2] = hv[0], xv[1]
+        hv = (hv - hv.mean()) * rng.uniform(0.0, pd._RHO_CAP) / _rho(hv, xv) + rng.uniform(-2.0, 2.0)
+        cases.append((hv.tolist(), xv.tolist()))
+    for hv, xv in cases:
+        ref = _r_mpmath(mpmath, hv, xv)
+        err = abs(pd.r_function(hv, xv) - ref) / abs(ref)
+        assert err < (1e-13 if _rho(hv, xv) <= 4.0 else 1e-10), (hv, xv, err)
+    # the PD closed form at theta = 5: two-level x, five distinct close fields
+    v = pd.pd_q_expectation_exact(5, [0.05, 0.02, 0.0, -0.03, -0.04], 0.4)
+    assert abs(v - 1.0000144043595183) < 1e-13
+    # rho = c/4 for h = (c, -c), x = (3/4, 1/4)
+    pd.r_function([39.9999, -39.9999], [0.75, 0.25])
+    with pytest.raises(ValueError):
+        pd.r_function([40.0001, -40.0001], [0.75, 0.25])
 
 
 def test_r_function_doubly_confluent_general_path():
-    # simultaneous repeats in h and x match no closed-form route and go
-    # through the generalized confluent determinant; probe with the generic
-    # route at a separation large enough for float64 (smaller separations
-    # lose digits to cancellation, which is why the confluent path exists)
+    # simultaneous repeats in h and x; the divided differences treat equal
+    # and nearby arguments alike, so a probe at separation 1e-4 agrees to
+    # first order in the separation
     hv = [1.0, 0.3, 0.3]
     xs = [0.6, 0.2, 0.2]
     val = pd.r_function(hv, xs)
@@ -184,7 +239,7 @@ def test_r_function_complex_fields():
     c = 0.4 + 0.9j
     val = pd.r_function([c, c, c], [0.5, 0.3, 0.2])
     assert val == pytest.approx(np.exp(c), rel=1e-10)
-    # scaling identity with complex fields through the generic route
+    # scaling identity with complex fields
     hv = [0.3 + 0.2j, -0.1, 0.7 - 0.5j]
     xs = [0.6, 0.3, 0.1]
     lhs = pd.r_function(hv, [0.5 * x for x in xs])
