@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 __all__ = [
     "SpinContext",
     "MaximizerResult",
@@ -194,6 +192,49 @@ def eta_second(x: float, ctx: SpinContext) -> float:
     return math.exp(-a) / (d1 * d1) - th * th * math.exp(-th * a) / (d2 * d2)
 
 
+def _brent(f, lo: float, hi: float) -> tuple[float, int]:
+    """Root of f in [lo, hi], where f(lo) and f(hi) differ in sign, and the iteration count.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) in the form of the common C routine brentq, step for step, at
+    xtol 1e-300 and rtol 1e-15: secant or inverse quadratic steps, bisection
+    when a step is not short enough.  Raises ArithmeticError after 100
+    iterations.
+    """
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre if fpre == 0.0 else xcur), 0
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f({lo}) and f({hi}) must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for it in range(1, 101):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):  # new bracket [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-300 + 1e-15 * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, it
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise ArithmeticError(f"Brent's method did not converge in 100 iterations (at {xcur})")
+
+
 def _invert_increasing(f, target: float) -> float:
     """x > 0 with f(x) = target, for f increasing from f(0) = 0 and 0 < target < sup f.
 
@@ -204,7 +245,7 @@ def _invert_increasing(f, target: float) -> float:
         hi *= 2.0
         if hi > 1e16:  # unreachable for targets below sup f in floating point
             raise ArithmeticError("inverse bracket growth failed")
-    return brentq(lambda x: f(x) - target, 0.0, hi, xtol=1e-300, rtol=1e-15)
+    return _brent(lambda x: f(x) - target, 0.0, hi)[0]
 
 
 def x_star(m: float, ctx: SpinContext) -> float:
@@ -244,8 +285,7 @@ def _mean_field_root(d, beta: float, h: float, upper: float, beta_c: float) -> t
     cap = upper * (1.0 - 1e-12)
     if f(cap) >= 0.0:
         return cap, 0
-    m, info = brentq(f, 0.0, cap, xtol=1e-300, rtol=1e-15, full_output=True)
-    return m, info.iterations
+    return _brent(f, 0.0, cap)
 
 
 def _grid_then_golden(f, lo: float, hi: float):

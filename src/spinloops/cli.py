@@ -23,7 +23,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import iv as _bessel_iv
 
 from . import asymptotics, loops, pd, spectra, symfunc
 
@@ -54,7 +53,7 @@ def _heisenberg_limit(beta: float, h: float, delta: float, ctx) -> float:
     m = asymptotics.m_star(beta, ctx).location
     if delta == 1.0:
         return float(np.real(pd.sinhc(h * m)))
-    return float(np.real(_bessel_iv(0, h * m)))
+    return float(np.i0(h * m))
 
 
 def cmd_exact(args) -> int:

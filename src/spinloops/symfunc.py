@@ -25,7 +25,6 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import pd as _pd
 
@@ -307,7 +306,7 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
     hv = list(hvec)
     if len(hv) != theta:
         raise ValueError(f"hvec must have length theta = {theta}")
-    log_fact = gammaln(np.arange(n + theta) + 1.0)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + theta)])
     schur = _schur_exp(np.asarray(hv) / n, n + theta - 1)
     iu, ju = np.triu_indices(theta, 1)
     top, numer, denom = -np.inf, 0.0, 0.0

@@ -1,6 +1,7 @@
 """Tests for the variational / asymptotic machinery."""
 
 import math
+import random
 
 import pytest
 
@@ -429,3 +430,46 @@ def test_classical_transition():
         return math.log(math.sinh(x) / x) - mu * x + 1.6 * mu * mu if x > 0 else 1.6 * mu * mu
     oracle = grid_scan_max(f, 0.0, 0.97)
     assert r.location == pytest.approx(oracle, abs=1e-7)
+
+
+def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
+    # every root the module solves, on the grids the CLI and the benchmark
+    # walk, against the routine the port follows
+    from scipy.optimize import brentq
+
+    calls = []
+    brent = asy._brent
+
+    def recording(f, lo, hi):
+        calls.append((f, lo, hi, brent(f, lo, hi)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(asy, "_brent", recording)
+    rng = random.Random(29)
+    for two_s in (1, 2, 3, 5):
+        ctx = asy.SpinContext(two_s)
+        bc = asy.beta_critical(ctx)
+        seeded = [bc * rng.uniform(1.0, 20.0) for _ in range(4)]
+        for beta in [bc * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded:
+            asy.m_star(beta, ctx)
+            for h in (0.0, 1e-9, 1e-4, 0.3, 2.0, 10.0):
+                asy.magnetization(beta, h, ctx)
+        for _ in range(20):
+            asy.x_star(rng.uniform(-1.0, 1.0) * ctx.spin, ctx)
+    seeded = [rng.uniform(1.5, 30.0) for _ in range(8)]
+    for beta in [1.5 * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded:
+        asy.classical_maximizer(beta)
+    for _ in range(20):
+        asy.classical_field(rng.random())
+    assert len(calls) > 500
+    for f, lo, hi, (root, iterations) in calls:
+        ref, info = brentq(f, lo, hi, xtol=1e-300, rtol=1e-15, full_output=True)
+        assert (root, iterations) == (ref, info.iterations)
+
+
+def test_brent_failures():
+    with pytest.raises(ValueError, match="differ in sign"):
+        asy._brent(lambda x: x + 1.0, 0.0, 1.0)
+    # a step at 0: each iteration only halves the bracket towards xtol = 1e-300
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        asy._brent(lambda x: 1.0 if x > 0.0 else -1.0, 0.0, 1.0)

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spinloops
 from spinloops import loops, pd
 from spinloops.cli import main, parse_h_list, parse_spin
 
@@ -213,6 +217,37 @@ def test_numeric_failure_exit_code(capsys):
                "--beta", "-1.0", "--h", "1"])
     assert rc == 3
     capsys.readouterr()
+
+
+def test_unconverged_root_exit_code(capsys, monkeypatch):
+    from spinloops import asymptotics
+
+    # with eta' = 0 the self-consistency root sits at m -> 0+, out of Brent's reach
+    monkeypatch.setattr(asymptotics, "eta_prime", lambda x, ctx: 0.0)
+    rc = main(["maximize", "--model", "heisenberg", "--spin", "1/2", "--beta-grid", "3:3:1"])
+    assert rc == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_import_pulls_no_third_party_package_but_numpy():
+    # start-up cost is import cost: a heavy dependency here is paid by every run
+    # (modules loaded at interpreter start-up, such as site hooks, do not count)
+    code = (
+        "import importlib, json, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import spinloops, spinloops.cli\n"
+        "for m in pkgutil.iter_modules(spinloops.__path__):\n"
+        "    importlib.import_module('spinloops.' + m.name)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinloops.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "spinloops.cli" in loaded
+    assert not [name for name in loaded if name.startswith("scipy")]
+    top = {name.split(".")[0] for name in loaded} - set(sys.stdlib_module_names)
+    assert top == {"numpy", "spinloops"}
 
 
 def test_pd_command_verdicts(capsys):

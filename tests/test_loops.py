@@ -354,6 +354,35 @@ def test_pd_comparison_report_structure():
     assert set(report.rows[0]) == {"h", "mc_mean", "mc_se", "limit", "abs_gap", "within_3se"}
 
 
+def test_pd_comparison_ks_statistic_matches_ks_2samp(monkeypatch):
+    from scipy.stats import ks_2samp
+
+    # loop lengths are integers, and the reference is put on the same grid,
+    # so both samples carry many ties, within and across them
+    rng = np.random.default_rng(31)
+    n, two_s, z_star = 20, 1, 0.5
+    scale = two_s * n * z_star
+    worst = 0.0
+    for _ in range(200):
+        lengths = rng.integers(0, 11, size=rng.integers(2, 60))
+        spectra = [lp.LoopSpectrum((int(l),) if l else (), 1) for l in lengths]
+        reference = rng.integers(0, 11, size=rng.integers(2, 60)) / scale
+        monkeypatch.setattr(pd, "stick_breaking_columns", lambda *args: iter([reference]))
+        report = lp.pd_comparison(spectra, n, two_s, 1.0, 2.0, z_star, [], rng)
+        expected = ks_2samp(lengths / scale, reference).statistic
+        worst = max(worst, abs(report.ks_statistic - expected))
+    assert worst <= 2e-16
+
+
+def test_bessel_i0_against_mpmath():
+    # np.i0 carries the u < 1 limit I_0(h z*) in pd_comparison and the CLI
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.linspace(0.0, 50.0, 2001), np.logspace(-6, math.log10(700.0), 400)])
+    with mpmath.workdps(40):
+        worst = max(abs(float(np.i0(x)) / float(mpmath.besseli(0, x)) - 1.0) for x in xs)
+    assert worst <= 1e-15
+
+
 @pytest.mark.slow
 def test_pd_comparison_ordered_phase_matches_limits():
     # calibrated cross-check of the conjectured limit laws at n = 128

@@ -350,3 +350,12 @@ def test_interchange_gap_halves_with_n(theta, ns):
 def test_interchange_gap_halves_to_n_10000():
     a, b = _interchange_gaps(3, (5000, 10000))
     assert 1.8 <= a / b <= 2.2, (a, b)
+
+
+def test_log_factorials_against_mpmath():
+    # interchange_expectation_exact tabulates log k! with math.lgamma up to n + theta
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for k in range(10**4 + 1):
+            ref = mpmath.loggamma(k + 1)
+            assert abs(math.lgamma(k + 1.0) - float(ref)) <= 1e-15 * max(1.0, float(ref))
