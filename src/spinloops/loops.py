@@ -402,15 +402,48 @@ def _other_length(a: _Event, b: _Event, t: float, d_loops: int, up: bool) -> int
     return rest_b + _walk(b, up, a, a)[2] + a.marked - above_a
 
 
-def _regroup(lengths: list[int], join: bool, la: int, lb: int) -> None:
-    """Swap loops la, lb for one loop la + lb (join) or back, in a sorted list."""
-    old, new = ((la, lb), (la + lb,)) if join else ((la + lb,), (la, lb))
+def _regroup(lengths: list[int], old, new) -> None:
+    """Swap loops of lengths `old` for loops of lengths `new` in a sorted list."""
     for x in old:
         if x:
             del lengths[bisect.bisect_left(lengths, x)]
     for x in new:
         if x:
             bisect.insort(lengths, x)
+
+
+def _wrap_loops(tops: list, base: int, two_s: int) -> list[int]:
+    """Lengths of the loops through the wrap points of threads base .. base + two_s - 1.
+
+    The wrap segments are tops[base + a].down.  Each loop through them is
+    walked once and listed once, zero-length loops included.
+    """
+    wraps = [tops[base + a].down for a in range(two_s)]
+    pending = set(wraps)
+    out = []
+    for x0 in wraps:
+        if x0 not in pending:
+            continue
+        x, up, marks = x0, True, 0
+        while True:
+            if up:
+                f = x.up.partner
+                if f.kind:
+                    x, up = f.down, False
+                else:
+                    x = f
+            else:
+                f = x.partner
+                if f.kind:
+                    x, up = f, True
+                else:
+                    x = f.down
+            pending.discard(x)
+            marks += x.marked
+            if x is x0:
+                break
+        out.append(marks)
+    return out
 
 
 def mcmc_run(
@@ -462,7 +495,7 @@ def mcmc_run(
     for site in range(n):
         _wire(tops, bottoms, site, perms[site])
     flat: list[_Event] = []  # the lower-thread end of every link, for uniform deletion
-    spectrum = _trace_flat(n, two_s, perms, flat)
+    spectrum = trace_loops(config)
     n_loops = spectrum.n_loops_total
     lengths = sorted(spectrum.lengths)  # ascending; rebuilt into `spectrum` on demand
     perm_prob = 0.1 if two_s > 1 else 0.0
@@ -482,17 +515,17 @@ def mcmc_run(
         if r < perm_prob:
             stats.proposed_perm_moves += 1
             site = int(rng.integers(n))
-            old = perms[site]
-            perms[site] = tuple(int(x) for x in rng.permutation(two_s))
-            links = [(x.thread, x.partner.thread, x.time, x.kind) for x in flat]
-            new_spectrum = _trace_flat(n, two_s, perms, links)
-            if accept(new_spectrum.n_loops_total - n_loops, 0.0):
-                spectrum, n_loops = new_spectrum, new_spectrum.n_loops_total
-                lengths = sorted(spectrum.lengths)
-                _wire(tops, bottoms, site, perms[site])
+            sigma = tuple(int(x) for x in rng.permutation(two_s))
+            old = _wrap_loops(tops, site * two_s, two_s)
+            _wire(tops, bottoms, site, sigma)
+            new = _wrap_loops(tops, site * two_s, two_s)
+            if accept(len(new) - len(old), 0.0):
+                _regroup(lengths, old, new)
+                n_loops += len(new) - len(old)
+                perms[site], spectrum = sigma, None
                 stats.accepted_perm_moves += 1
             else:
-                perms[site] = old
+                _wire(tops, bottoms, site, perms[site])
         elif r < perm_prob + 0.5 * (1.0 - perm_prob):
             stats.proposed_inserts += 1
             k = len(flat)
@@ -508,7 +541,8 @@ def mcmc_run(
                     if accept(d_loops, math.log(lam / (k + 1))):
                         if d_loops:
                             lb = _other_length(a, b, t, d_loops, up)
-                            _regroup(lengths, d_loops < 0, la, lb)
+                            old, new = ((la, lb), (la + lb,)) if d_loops < 0 else ((la + lb,), (la, lb))
+                            _regroup(lengths, old, new)
                             n_loops += d_loops
                             spectrum = None
                         x, y = _Event(t, kind, v), _Event(t, kind, w)
@@ -533,7 +567,8 @@ def mcmc_run(
                 if accept(-d_loops, math.log(k / lam)):
                     if d_loops:
                         lb = _other_length(a, b, x.time, d_loops, up)
-                        _regroup(lengths, d_loops > 0, la, lb)
+                        old, new = ((la, lb), (la + lb,)) if d_loops > 0 else ((la + lb,), (la, lb))
+                        _regroup(lengths, old, new)
                         n_loops -= d_loops
                         spectrum = None
                     flat.pop()
