@@ -177,9 +177,12 @@ def cmd_simulate(args) -> int:
         meta_path = os.path.join(out_dir, f"{args.prefix}meta.json")
         with open(csv_path, "w", newline="") as fh:
             fh.write("chain,sweep,n_loops,observable,lengths\n")
+            sample, text = None, ""
             for chain, idx, n_loops, obs, lengths in all_rows:
-                tail = ",".join(str(x) for x in lengths)
-                fh.write(f"{chain},{idx},{n_loops},{_float_repr(obs)},{tail}\n")
+                if (n_loops, obs, lengths) != sample:  # format each run of equal samples once
+                    sample = (n_loops, obs, lengths)
+                    text = f"{n_loops},{_float_repr(obs)},{','.join(map(str, lengths))}\n"
+                fh.write(f"{chain},{idx},{text}")
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
             fh.write("\n")

@@ -32,7 +32,9 @@ same way or a bar met going the opposite way splits it (+1), anything else
 reroutes it (0).  A deletion is the same test with the link taken out.  The
 walk also counts the marked segments, so the loop lengths follow; the second
 loop is walked only when a move that changes the count is accepted.  A
-sigma_i resample retraces the whole configuration.
+sigma_i resample walks the loops through site i's 2S wrap points before and
+after rewiring.  Every draw comes from one source, _uniforms(rng), which takes
+rng.random in blocks; an integer below m is int(u m), within m 2^-53 of uniform.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
 
 CROSS = 0
 BAR = 1
+_BLOCK = 4096  # uniforms the chain draws from its generator per call
 
 
 @lru_cache(maxsize=64)
@@ -203,11 +206,10 @@ def trace_loops(config: LoopConfiguration) -> LoopSpectrum:
 
 
 def _trace_flat(n: int, two_s: int, site_perms, flat) -> LoopSpectrum:
-    """Loop decomposition from a flat link list of (v, w, t, kind, ...) with v < w."""
+    """Loop decomposition from a flat link list of (v, w, t, kind) with v < w."""
     n_threads = n * two_s
     events: list[list] = [[] for _ in range(n_threads)]
-    for uid, entry in enumerate(flat):
-        v, w, t, kind = entry[0], entry[1], entry[2], entry[3]
+    for uid, (v, w, t, kind) in enumerate(flat):
         events[v].append((t, uid, w, kind))
         events[w].append((t, uid, v, kind))
 
@@ -241,8 +243,7 @@ def _trace_flat(n: int, two_s: int, site_perms, flat) -> LoopSpectrum:
             pair[top_end] = bot_end
             pair[bot_end] = top_end
 
-    for uid, entry in enumerate(flat):
-        v, w, kind = entry[0], entry[1], entry[3]
+    for uid, (v, w, _, kind) in enumerate(flat):
         rv = pos_low[uid]
         rw = pos_high[uid]
         v_below_top = 2 * (seg_base[v] + rv) + 1
@@ -261,16 +262,8 @@ def _trace_flat(n: int, two_s: int, site_perms, flat) -> LoopSpectrum:
             pair[w_above_bot] = v_above_bot
 
     marked = [False] * n_segs
-    if two_s == 1:
-        for v in range(n_threads):
-            marked[seg_base[v]] = True
-    else:
-        for v in range(n_threads):
-            r = 0
-            for t, _, _, _ in events[v]:
-                if t < 0.0:
-                    r += 1
-            marked[seg_base[v] + r] = True
+    for v in range(n_threads):  # the segment just below time 0 (above the wrap at 2S = 1)
+        marked[seg_base[v] + sum(t < 0.0 for t, _, _, _ in events[v])] = True
 
     visited = [False] * n_segs
     lengths: list[int] = []
@@ -412,12 +405,26 @@ def _regroup(lengths: list[int], old, new) -> None:
             bisect.insort(lengths, x)
 
 
-def _wrap_loops(tops: list, base: int, two_s: int) -> list[int]:
-    """Lengths of the loops through the wrap points of threads base .. base + two_s - 1.
+def _uniforms(rng: np.random.Generator):
+    """Uniforms on [0, 1) from rng, _BLOCK at a time.
 
-    The wrap segments are tops[base + a].down.  Each loop through them is
-    walked once and listed once, zero-length loops included.
+    u is a multiple of 2^-53, so int(u * m) < m is within m * 2^-53 of uniform in total variation.
     """
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
+def _permutation(draw, m: int) -> tuple[int, ...]:
+    """A uniform permutation of range(m) by Fisher-Yates on the uniforms of draw()."""
+    p = list(range(m))
+    for a in range(m - 1, 0, -1):
+        b = int(draw() * (a + 1))
+        p[a], p[b] = p[b], p[a]
+    return tuple(p)
+
+
+def _wrap_loops(tops: list, base: int, two_s: int) -> list[int]:
+    """Length of each loop through the wrap segments tops[base + a].down, zeros included."""
     wraps = [tops[base + a].down for a in range(two_s)]
     pending = set(wraps)
     out = []
@@ -425,19 +432,13 @@ def _wrap_loops(tops: list, base: int, two_s: int) -> list[int]:
         if x0 not in pending:
             continue
         x, up, marks = x0, True, 0
-        while True:
+        while True:  # the steps of _walk
             if up:
                 f = x.up.partner
-                if f.kind:
-                    x, up = f.down, False
-                else:
-                    x = f
+                x, up = (f.down, False) if f.kind else (f, True)
             else:
                 f = x.partner
-                if f.kind:
-                    x, up = f, True
-                else:
-                    x = f.down
+                x, up = (f, True) if f.kind else (f.down, False)
             pending.discard(x)
             marks += x.marked
             if x is x0:
@@ -466,6 +467,7 @@ def mcmc_run(
     spectra (every `thin`-th sweep) and move statistics, with the final
     configuration in stats.final_config; burn_in defaults to 20% of
     n_sweeps.  `observable` is evaluated once per distinct retained spectrum.
+    All randomness comes from rng.random in blocks (see _uniforms).
     max_links caps the link count (proposals beyond it are rejected), which
     truncates the target measure and is used by the finite-state-space
     validation tests.
@@ -501,21 +503,21 @@ def mcmc_run(
     perm_prob = 0.1 if two_s > 1 else 0.0
     stats = McmcStats()
     samples: list[LoopSpectrum] = []
+    keep, keep_links, keep_value = samples.append, stats.links_trace.append, stats.observable_trace.append
     observed, value = None, 0.0
     log_theta = math.log(theta) if theta > 1.0 else 0.0
+    draw = _uniforms(rng).__next__
 
     def accept(d_loops: int, log_factor: float) -> bool:
         log_ratio = d_loops * log_theta + log_factor
-        if log_ratio >= 0.0:
-            return True
-        return rng.random() < math.exp(log_ratio)
+        return log_ratio >= 0.0 or draw() < math.exp(log_ratio)
 
     for sweep in range(n_sweeps):
-        r = rng.random()
+        r = draw()
         if r < perm_prob:
             stats.proposed_perm_moves += 1
-            site = int(rng.integers(n))
-            sigma = tuple(int(x) for x in rng.permutation(two_s))
+            site = int(draw() * n)
+            sigma = _permutation(draw, two_s)
             old = _wrap_loops(tops, site * two_s, two_s)
             _wire(tops, bottoms, site, sigma)
             new = _wrap_loops(tops, site * two_s, two_s)
@@ -530,9 +532,9 @@ def mcmc_run(
             stats.proposed_inserts += 1
             k = len(flat)
             if max_links is None or k < max_links:
-                e = int(rng.integers(n_edges))
-                t = lo + span * rng.random()
-                kind = CROSS if rng.random() < u else BAR
+                e = int(draw() * n_edges)
+                t = lo + span * draw()
+                kind = CROSS if draw() < u else BAR
                 v, w = edges[e]
                 a, b = _below(bottoms[v], t), _below(bottoms[w], t)
                 # a time already taken on either thread has probability zero; reject
@@ -555,7 +557,7 @@ def mcmc_run(
             stats.proposed_deletes += 1
             k = len(flat)
             if k > 0:
-                j = int(rng.integers(k))
+                j = int(draw() * k)
                 # the candidate moves to the end, where a rejected one stays
                 flat[j], flat[-1] = flat[-1], flat[j]
                 x = flat[-1]
@@ -576,16 +578,16 @@ def mcmc_run(
                 else:
                     _attach(x, a)
                     _attach(y, b)
-        stats.sweeps += 1
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             if spectrum is None:
                 spectrum = LoopSpectrum(tuple(reversed(lengths)), n_loops)
-            samples.append(spectrum)
-            stats.links_trace.append(len(flat))
+            keep(spectrum)
+            keep_links(len(flat))
             if observable is not None:
-                if spectrum != observed:
+                if spectrum is not observed and spectrum != observed:
                     observed, value = spectrum, float(observable(spectrum))
-                stats.observable_trace.append(value)
+                keep_value(value)
+    stats.sweeps = n_sweeps
     index = {vw: e for e, vw in enumerate(edges)}
     for x in flat:
         config.links[index[x.thread, x.partner.thread]].append((x.time, x.kind))

@@ -10,7 +10,7 @@ import pytest
 
 import spinloops
 from spinloops import loops, pd
-from spinloops.cli import main, parse_h_list, parse_spin
+from spinloops.cli import _float_repr, main, parse_h_list, parse_spin
 
 
 def test_parse_spin():
@@ -130,6 +130,25 @@ def test_simulate_q_table_matches_per_loop_q_eval(tmp_path, capsys, monkeypatch)
     for name in ("run_spectra.csv", "run_meta.json"):
         table, per_loop = (tmp_path / d / name for d in ("table", "per_loop"))
         assert table.read_bytes() == per_loop.read_bytes()
+
+
+def test_simulate_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch):
+    # rows are formatted once per run of equal samples; the bytes must be
+    # those of formatting every row of the same samples on its own
+    runs = []
+    run_chain = loops.mcmc_run
+    monkeypatch.setattr(loops, "mcmc_run", lambda *a, **k: runs.append(run_chain(*a, **k)) or runs[-1])
+    rc = main(["simulate", "--model", "heisenberg", "--n", "5", "--spin", "3/2", "--beta", "2",
+               "--sweeps", "3000", "--chains", "2", "--seed", "13", "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    lines = ["chain,sweep,n_loops,observable,lengths"]
+    for chain, (samples, stats) in enumerate(runs):
+        for idx, (s, obs) in enumerate(zip(samples, stats.observable_trace)):
+            tail = ",".join(str(x) for x in s.lengths)
+            lines.append(f"{chain},{idx},{s.n_loops_total},{_float_repr(obs)},{tail}")
+    assert len(runs) == 2 and len(lines) == 1 + 2 * 2400
+    assert (tmp_path / "run_spectra.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_simulate_schema(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Tests for loop-soup sampling, tracing, and the Metropolis chain."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -157,8 +159,9 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
                      max_links=None, observable=None):
     """The chain by full retrace: every proposal re-traces the whole configuration.
 
-    Same proposals, random stream and acceptance rule as mcmc_run; a rejected
-    deletion leaves the proposed link last in the list.
+    Same proposals, random source (lp._uniforms, lp._permutation) and
+    acceptance rule as mcmc_run; a rejected deletion leaves the proposed link
+    last in the list.
     """
     if burn_in is None:
         burn_in = n_sweeps // 5
@@ -172,18 +175,19 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
     cur = trace()
     perm_prob = 0.1 if two_s > 1 else 0.0
     stats, samples = lp.McmcStats(), []
+    draw = lp._uniforms(rng).__next__
 
     def accept(new, log_factor):
         log_ratio = (new.n_loops_total - cur.n_loops_total) * math.log(theta) + log_factor
-        return log_ratio >= 0.0 or rng.random() < math.exp(log_ratio)
+        return log_ratio >= 0.0 or draw() < math.exp(log_ratio)
 
     for sweep in range(n_sweeps):
-        r = rng.random()
+        r = draw()
         if r < perm_prob:
             stats.proposed_perm_moves += 1
-            site = int(rng.integers(n))
+            site = int(draw() * n)
             old = perms[site]
-            perms[site] = tuple(int(x) for x in rng.permutation(two_s))
+            perms[site] = lp._permutation(draw, two_s)
             new = trace()
             if accept(new, 0.0):
                 cur = new
@@ -194,9 +198,9 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
             stats.proposed_inserts += 1
             k = len(flat)
             if max_links is None or k < max_links:
-                e = int(rng.integers(len(edges)))
-                t = lo + span * rng.random()
-                kind = lp.CROSS if rng.random() < u else lp.BAR
+                e = int(draw() * len(edges))
+                t = lo + span * draw()
+                kind = lp.CROSS if draw() < u else lp.BAR
                 flat.append((*edges[e], t, kind))
                 new = trace()
                 if accept(new, math.log(lam / (k + 1))):
@@ -208,7 +212,7 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
             stats.proposed_deletes += 1
             k = len(flat)
             if k > 0:
-                j = int(rng.integers(k))
+                j = int(draw() * k)
                 flat[j], flat[-1] = flat[-1], flat[j]
                 link = flat.pop()
                 new = trace()
@@ -256,6 +260,94 @@ def test_mcmc_matches_full_retrace_chain(n, two_s, u, theta, kwargs):
         assert stats.accepted_inserts > 0 and stats.accepted_deletes > 0
         assert lp.trace_loops(stats.final_config) == got[-1]  # the last sweep is kept
         assert stats.final_config.n_links == stats.links_trace[-1]
+
+
+def _event_lists(config):
+    """The chain's thread event lists (sentinels, link ends, wrap) for a configuration."""
+    bottoms = [lp._Event(-math.inf, lp.CROSS, v, 1) for v in range(config.n_threads)]
+    tops = [lp._Event(math.inf, lp.CROSS, v) for v in range(config.n_threads)]
+    for bottom, top in zip(bottoms, tops):
+        bottom.up, top.down = top, bottom
+    for (v, w), links in zip(lp.pseudo_edges(config.n, config.two_s), config.links):
+        for t, kind in links:
+            x, y = lp._Event(t, kind, v), lp._Event(t, kind, w)
+            x.partner, y.partner = y, x
+            lp._attach(x, lp._below(bottoms[v], t))
+            lp._attach(y, lp._below(bottoms[w], t))
+    for site, sigma in enumerate(config.site_perms):
+        lp._wire(tops, bottoms, site, sigma)
+    return bottoms, tops
+
+
+@pytest.mark.parametrize("two_s", [2, 3, 4])
+def test_wrap_loops_match_retrace(two_s):
+    # a sigma_i move: the loops walked through site i's wrap points before and
+    # after rewiring are exactly the loops two full retraces tell apart
+    rng = np.random.default_rng(70 + two_s)
+    for n in (2, 3, 5):
+        for _ in range(10):
+            config = lp.sample_free_links(n, two_s, 3.0, 0.5, rng)
+            bottoms, tops = _event_lists(config)
+            before = lp.trace_loops(config)
+            for site in range(n):
+                sigma_old = config.site_perms[site]
+                for sigma in itertools.permutations(range(two_s)):
+                    out = lp._wrap_loops(tops, site * two_s, two_s)
+                    lp._wire(tops, bottoms, site, sigma)
+                    into = lp._wrap_loops(tops, site * two_s, two_s)
+                    lp._wire(tops, bottoms, site, sigma_old)
+                    config.site_perms[site] = sigma
+                    after = lp.trace_loops(config)
+                    config.site_perms[site] = sigma_old
+                    assert len(into) - len(out) == after.n_loops_total - before.n_loops_total
+                    out_c = Counter(x for x in out if x)
+                    into_c = Counter(x for x in into if x)
+                    old_c, new_c = Counter(before.lengths), Counter(after.lengths)
+                    assert old_c - new_c == out_c - into_c
+                    assert new_c - old_c == into_c - out_c
+                    assert out_c <= old_c and into_c <= new_c
+                    assert old_c - out_c == new_c - into_c  # the loops left alone
+            assert lp.trace_loops(config) == before
+
+
+@pytest.mark.parametrize("two_s", [2, 3])
+@pytest.mark.parametrize("theta", [1.0, 2.0, 3.0])
+def test_sigma_moves_sample_ewens_cycles(two_s, theta):
+    # with no links, the loops are the cycles of the sigma_i, so each site's
+    # cycle type is Ewens(theta) on S_{2S}
+    n = 3
+    samples, stats = lp.mcmc_run(n, two_s, 2.0, 1.0, theta, 200_000,
+                                 np.random.default_rng(80 + 10 * two_s + int(theta)), max_links=0)
+    assert stats.accepted_inserts == 0 and stats.accepted_perm_moves > 0
+    mean, se = lp.batch_means_se([s.n_loops_total for s in samples])
+    target = n * sum(theta / (theta + i) for i in range(two_s))
+    assert abs(mean - target) < 3 * se
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts every method call made on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_mcmc_draws_from_generator_in_blocks():
+    # a scalar draw per proposal would make ~sweeps calls; blocks make a few
+    sweeps = 20_000
+    rng = _CountingGenerator(np.random.default_rng(9))
+    _, stats = lp.mcmc_run(6, 2, 2.0, 0.5, 2.0, sweeps, rng)
+    assert stats.accepted_perm_moves > 0 and stats.accepted_deletes > 0
+    # at most 5 uniforms a proposal: move type, edge, time, kind, Metropolis test
+    assert 1 <= rng.calls <= 5 * sweeps // lp._BLOCK + 1
 
 
 def test_mcmc_observable_once_per_distinct_spectrum():
