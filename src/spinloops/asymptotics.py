@@ -8,11 +8,12 @@ pressure / magnetisation / susceptibility, the simplex functional phi_beta
 of the interchange model with its order parameter z_star, the classical
 (S -> infinity) analogue, and log-log exponent fitting.
 
-The Heisenberg and classical maximisers are the unique positive root of the
+Every maximiser is a bracketed root found by Brent's method.  The
+Heisenberg and classical maximisers are the unique positive root of the
 self-consistency equation m = d(2 beta m + h), d = eta' or the Langevin
-function, found by Brent's bracketed method; x_star and classical_field
-invert d the same way.  Only the interchange family, whose maximiser jumps
-for theta >= 3, is maximised by a grid scan and golden-section search.
+function; x_star and classical_field invert d the same way.  The interchange
+maximiser, which jumps for theta >= 3, is the root of its stationarity
+equation past the minimum of its slope, compared against the uniform point.
 
 Conventions:
   * half-integer spins are carried as doubled integers (two_s = 2S),
@@ -92,7 +93,11 @@ class SpinContext:
 
 @dataclass
 class MaximizerResult:
-    """Location/value/curvature of a scalar free-energy maximum."""
+    """Location/value/curvature of a scalar free-energy maximum.
+
+    `iterations` counts the iterations of the Brent solve that located the
+    maximum (0 when no solve was needed); every maximiser is such a root.
+    """
 
     location: float
     value: float
@@ -288,39 +293,6 @@ def _mean_field_root(d, beta: float, h: float, upper: float, beta_c: float) -> t
     return _brent(f, 0.0, cap)
 
 
-def _grid_then_golden(f, lo: float, hi: float):
-    """Maximise f on [lo, hi]: 512-point scan, then golden-section refinement.
-
-    Robust to bimodal profiles; returns (argmax, max, golden iterations).
-    """
-    n_grid = 512
-    step = (hi - lo) / n_grid
-    best_i, best_v = 0, -math.inf
-    for i in range(n_grid + 1):
-        v = f(lo + i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    a = lo + max(0, best_i - 1) * step
-    b = lo + min(n_grid, best_i + 1) * step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while b - a > 1e-12 and it < 200:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        it += 1
-    xm = 0.5 * (a + b)
-    return xm, f(xm), it
-
-
 def m_star(beta: float, ctx: SpinContext) -> MaximizerResult:
     """Maximiser of g_beta on [0, S); zero iff beta <= beta_critical.
 
@@ -428,10 +400,10 @@ def phi_beta(x, beta: float) -> float:
 
 
 def interchange_beta_critical(ctx: SpinContext) -> float:
-    """beta_c(S) = 4S/(2S-1) log(2S) for S >= 1."""
-    if ctx.two_s < 2:
-        raise ValueError("the interchange critical formula needs S >= 1")
+    """beta_c(S) = 4S/(2S-1) log(2S); 2 at S = 1/2, its limit and beta_critical there."""
     two_s = ctx.two_s
+    if two_s == 1:
+        return 2.0
     return 2.0 * two_s / (two_s - 1) * math.log(two_s)
 
 
@@ -448,22 +420,40 @@ def _phi_family(t: float, beta: float, theta: int) -> float:
 def interchange_maximizer(beta: float, ctx: SpinContext) -> MaximizerResult:
     """Maximiser of phi_beta restricted to the one-parameter family.
 
-    Scalar search over x_1 in [1/theta, 1); the remaining theta-1 entries are
-    equal by the uniqueness of the maximiser.  The result carries x_1* in
-    `location` and the order parameter z* = x_1* - x_2* in `z_star`.
+    The remaining theta-1 entries are equal by the uniqueness of the
+    maximiser.  With x_1 = t = (1 + (theta-1) z)/theta, d phi/dt = -F(z) for
+    F(z) = log1p((theta-1) z) - log1p(-z) - beta z, whose slope
+    theta/((1 + (theta-1) z)(1 - z)) - beta turns from negative to positive
+    only at z_min, the larger root of (theta-1) z^2 - (theta-2) z + theta/beta - 1
+    (real iff disc = theta^2 - 4 theta (theta-1)/beta >= 0).
+    So phi has an interior maximum with z > 0 iff z_min > 0 and F(z_min) < 0,
+    at the root of F in [z_min, z_cap] found by Brent's method; z_cap, the
+    cap t = 1 - 1e-12, is returned if F(z_cap) <= 0.  That point must beat
+    the uniform one by more than 1e-13.  The result carries x_1* in
+    `location`, z* = x_1* - x_2* in `z_star` and Brent's iteration count in
+    `iterations`.
     """
     th = ctx.theta
-    lo = 1.0 / th
-    hi = 1.0 - 1e-12
-    f = lambda t: _phi_family(t, beta, th)
-    loc, val, iters = _grid_then_golden(f, lo, hi)
-    f_uniform = f(lo)
-    if val <= f_uniform + 1e-13:
-        loc, val = lo, f_uniform
-    curv = beta * (1.0 + 1.0 / (th - 1)) - 1.0 / loc - 1.0 / (1.0 - loc) if loc < 1.0 else -math.inf
-    z = (th * loc - 1.0) / (th - 1.0)
-    if z < 1e-12:
-        z = 0.0
+    lo, hi = 1.0 / th, 1.0 - 1e-12
+    f_uniform = _phi_family(lo, beta, th)
+    loc, z, val, iters = lo, 0.0, f_uniform, 0
+    disc = th * th - 4.0 * th * (th - 1) / beta if beta > 0.0 else -1.0
+    if disc >= 0.0:
+        z_min = (th - 2 + math.sqrt(disc)) / (2.0 * (th - 1))
+        f = lambda z: math.log1p((th - 1) * z) - math.log1p(-z) - beta * z
+        if z_min > 0.0 and f(z_min) < 0.0:
+            z_cap = (th * hi - 1.0) / (th - 1)
+            if f(z_cap) <= 0.0:
+                z, t = z_cap, hi
+            else:
+                z, iters = _brent(f, z_min, z_cap)
+                t = (1.0 + (th - 1) * z) / th
+            f_t = _phi_family(t, beta, th)
+            if f_t > f_uniform + 1e-13:
+                loc, val = t, f_t
+            else:
+                z = 0.0
+    curv = beta * (1.0 + 1.0 / (th - 1)) - 1.0 / loc - 1.0 / (1.0 - loc)
     return MaximizerResult(loc, val, curv, iters, z_star=z)
 
 

@@ -60,10 +60,10 @@ def cmd_exact(args) -> int:
     two_s = parse_spin(args.spin) if args.model != "interchange" else None
     rows = []
     if args.model in ("heisenberg", "xy"):
-        h = float(args.h[0]) if len(args.h) == 1 else None
-        if h is None:
+        if len(args.h) != 1:
             print("error: heisenberg/xy take a scalar --h", file=sys.stderr)
             return EXIT_USAGE
+        h = args.h[0]
         delta = 1.0 if args.model == "heisenberg" else args.delta
         if args.model == "xy" and not delta < 1.0:
             print("error: the xy model needs --delta < 1", file=sys.stderr)
@@ -117,6 +117,9 @@ def cmd_simulate(args) -> int:
         q_table = {}
         observable = lambda s: float(np.real(loops.observable_q(s, hvec, args.n, q_table)))
     else:
+        if len(args.h) != 1:
+            print("error: heisenberg/xy take a scalar --h", file=sys.stderr)
+            return EXIT_USAGE
         two_s = parse_spin(args.spin)
         theta = 2.0
         if args.model == "heisenberg":
@@ -280,6 +283,9 @@ def cmd_pd(args) -> int:
     if args.samples < 2:  # the standard error needs two samples
         print("error: --samples must be >= 2", file=sys.stderr)
         return EXIT_USAGE
+    if args.z_star is not None and not (args.theta.is_integer() and args.theta >= 2):
+        print("error: --z-star needs an integer --theta >= 2", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     print("check,h_or_z,series_or_closed,mc_mean,mc_se,verdict")
     ok = True
@@ -296,7 +302,7 @@ def cmd_pd(args) -> int:
             f"cosh,{_float_repr(h)},{_float_repr(series)},{_float_repr(mean)},"
             f"{_float_repr(se)},{verdict}"
         )
-    if args.z_star is not None and int(args.theta) == args.theta and args.theta >= 2:
+    if args.z_star is not None:
         theta = int(args.theta)
         hvec = args.h + [0.0] * (theta - len(args.h)) if len(args.h) < theta else args.h[:theta]
         closed = float(np.real(pd.pd_q_expectation_exact(theta, hvec, args.z_star)))

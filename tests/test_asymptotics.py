@@ -354,8 +354,8 @@ def test_phi_beta_validation():
 
 def test_interchange_critical_value():
     assert asy.interchange_beta_critical(ONE) == pytest.approx(4 * math.log(2.0))
-    with pytest.raises(ValueError):
-        asy.interchange_beta_critical(HALF)
+    # the theta -> 2 limit of the formula, and the Heisenberg value at S = 1/2
+    assert asy.interchange_beta_critical(HALF) == 2.0 == asy.beta_critical(HALF)
 
 
 def test_interchange_maximizer_uniform_below_critical():
@@ -409,8 +409,48 @@ def test_interchange_theta2_matches_heisenberg_maximizer():
     for beta in (1.8, 2.2, 3.0):
         fam = asy.interchange_maximizer(beta, HALF)
         m = asy.m_star(beta, HALF).location
-        assert fam.location == pytest.approx(0.5 + m, abs=1e-7)
-        assert fam.z_star == pytest.approx(2.0 * m, abs=1e-6)
+        assert fam.location == pytest.approx(0.5 + m, abs=1e-12)
+        assert fam.z_star == pytest.approx(2.0 * m, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [3, 4, 5, 6, 8])
+def test_interchange_jump_at_beta_c(theta):
+    # first-order transition: z* jumps from 0 to (theta-2)/(theta-1) at beta_c,
+    # where phi at the two maxima differs by O(beta - beta_c) = O(1e-9)
+    ctx = asy.SpinContext(theta - 1)
+    bc = asy.interchange_beta_critical(ctx)
+    assert asy.interchange_maximizer(bc * (1.0 - 1e-9), ctx).z_star == 0.0
+    above = asy.interchange_maximizer(bc * (1.0 + 1e-9), ctx)
+    assert above.z_star == pytest.approx((theta - 2) / (theta - 1), abs=1e-6)
+
+
+@pytest.mark.parametrize("theta", [2, 3, 4, 6])
+def test_interchange_maximizer_against_mpmath_root(theta):
+    # x1* solves beta (x1 - x2) = log(x1/x2) with x2 = (1 - x1)/(theta - 1);
+    # in u = log(x1/x2), x1 - x2 = (e^u - 1)/(e^u + theta - 1) = z
+    mpmath = pytest.importorskip("mpmath")
+    ctx = asy.SpinContext(theta - 1)
+    bc = asy.interchange_beta_critical(ctx)
+    with mpmath.workdps(40):
+        for factor in (1.05, 1.5, 3.0, 6.0):  # roots below the cap x1 = 1 - 1e-12
+            beta = bc * factor
+            r = asy.interchange_maximizer(beta, ctx)
+            assert r.z_star > 0.0 and r.second_derivative < 0.0
+            t = mpmath.mpf(r.location)
+            u0 = mpmath.log(t * (theta - 1) / (1 - t))
+            z_of = lambda u: mpmath.expm1(u) / (mpmath.exp(u) + theta - 1)
+            u = mpmath.findroot(lambda u: beta * z_of(u) - u, u0)
+            ref = mpmath.exp(u) / (mpmath.exp(u) + theta - 1)
+            assert abs(r.location - ref) < 1e-14, (beta, float(r.location - ref))
+            assert abs(r.z_star - z_of(u)) < 1e-14, (beta, float(r.z_star - z_of(u)))
+
+
+def test_interchange_maximizer_capped():
+    # past beta ~ 28 + log(theta) the root lies beyond x1 = 1 - 1e-12
+    for ctx in (HALF, ONE, THREE_HALVES):
+        r = asy.interchange_maximizer(60.0, ctx)
+        assert r.location == 1.0 - 1e-12 and r.iterations == 0
+        assert r.z_star == pytest.approx(1.0, abs=2e-12)
 
 
 def test_classical_field_root():
@@ -461,7 +501,15 @@ def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
         asy.classical_maximizer(beta)
     for _ in range(20):
         asy.classical_field(rng.random())
-    assert len(calls) > 500
+    for two_s in (2, 3):  # the benchmark's maximize grid 2:4:0.1
+        for k in range(21):
+            asy.interchange_maximizer(2.0 + 0.1 * k, asy.SpinContext(two_s))
+    for two_s in range(1, 6):
+        ctx = asy.SpinContext(two_s)
+        bc = asy.interchange_beta_critical(ctx)
+        for _ in range(8):
+            asy.interchange_maximizer(bc * rng.uniform(1.0, 10.0), ctx)
+    assert len(calls) > 750  # 55 of them interchange roots
     for f, lo, hi, (root, iterations) in calls:
         ref, info = brentq(f, lo, hi, xtol=1e-300, rtol=1e-15, full_output=True)
         assert (root, iterations) == (ref, info.iterations)

@@ -82,6 +82,8 @@ def test_exact_usage_errors(capsys):
         (["--burn-in", "-1"], "--burn-in"),
         (["--chains", "0"], "--chains"),
         (["--sweeps", "0"], "--sweeps"),
+        (["--h", "1,2"], "heisenberg/xy take a scalar --h"),
+        (["--model", "xy", "--h", "1,2"], "heisenberg/xy take a scalar --h"),
     ],
 )
 def test_simulate_usage_errors(tmp_path, capsys, extra, message):
@@ -285,6 +287,25 @@ def test_pd_samples_usage_error(capsys, samples):
     captured = capsys.readouterr()
     assert "error: --samples must be >= 2" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("theta", ["2.5", "1"])
+def test_pd_z_star_needs_integer_theta(capsys, theta):
+    rc = main(["pd", "--theta", theta, "--h", "1", "--z-star", "0.5", "--samples", "100"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: --z-star needs an integer --theta >= 2" in captured.err
+    assert captured.out == ""
+
+
+def test_maximize_interchange_spin_half(capsys):
+    # theta = 2: the interchange table is the Heisenberg S = 1/2 one with z* = 2 m*
+    assert main(["maximize", "--model", "interchange", "--spin", "1/2",
+                 "--beta-grid", "1.8:2.4:0.2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "# beta_c = 2.0"
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    assert [r[2] == 0.0 for r in rows] == [True, True, False, False]
 
 
 def test_exact_heisenberg_n_one_million(capsys):
