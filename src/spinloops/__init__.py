@@ -1,12 +1,16 @@
 """Quantum spins and random loops on the complete graph, at desk scale.
 
-Subpackages:
-    spectra     exact finite-n quantum Gibbs expectations and oracles
-    asymptotics free-energy maximisers, critical exponents, saddle points
-    pd          Poisson-Dirichlet / Ewens sampling and closed forms
-    loops       random loop soup simulation (Poisson links + Metropolis)
-    symfunc     partitions, Schur/power sums, characters, interchange sums
+Subpackages (the engines the command line runs):
+    spectra     exact finite-n quantum Gibbs expectations by total-spin sectors
+    asymptotics free-energy maximisers and critical exponents
+    pd          Poisson-Dirichlet sampling, closed forms and the function R
+    loops       random loop soup Metropolis chain and its observables
+    symfunc     partitions and the interchange character sum
     cli         command-line front end
+
+The independent references the tests set against these engines (dense
+eigensolves, big-integer tables, characters, loop tracing) are in
+tests/oracles.py.
 """
 
 __version__ = "0.1.0"

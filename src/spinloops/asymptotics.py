@@ -3,10 +3,11 @@
 Everything here is scalar calculus feeding the n -> infinity side of the
 toolkit: the spin-S entropy function eta and its inverse-derivative x_star,
 the free-energy profile g_beta whose maximiser m_star is the spontaneous
-magnetisation, saddle-point asymptotics for eigenvalue multiplicities,
-pressure / magnetisation / susceptibility, the simplex functional phi_beta
-of the interchange model with its order parameter z_star, the classical
-(S -> infinity) analogue, and log-log exponent fitting.
+magnetisation, the magnetisation in a field and the susceptibility, the
+maximiser of the interchange model's simplex functional phi_beta with its
+order parameter z_star, the classical (S -> infinity) analogue, and log-log
+exponent fitting.  The saddle-point multiplicity, the pressure and phi_beta
+itself are oracles in tests/oracles.py, which the tests compare with.
 
 Every maximiser is a bracketed root found by Brent's method.  The
 Heisenberg and classical maximisers are the unique positive root of the
@@ -37,12 +38,9 @@ __all__ = [
     "x_star",
     "g_beta",
     "m_star",
-    "saddle_multiplicity",
-    "pressure",
     "magnetization",
     "susceptibility",
     "fit_exponent",
-    "phi_beta",
     "interchange_beta_critical",
     "interchange_maximizer",
     "classical_field",
@@ -307,33 +305,6 @@ def m_star(beta: float, ctx: SpinContext) -> MaximizerResult:
     return MaximizerResult(loc, g_beta(loc, beta, ctx), curv, iters)
 
 
-def saddle_multiplicity(n: int, m: float, ctx: SpinContext) -> float:
-    """log of the saddle-point approximation to L_{floor(mn)} - L_{floor(mn)+1}.
-
-    The approximation is (1 - e^{-x*(m)}) / sqrt(2 pi eta''(x*(m)) n) times
-    e^{n (eta(x*(m)) - m x*(m))}; it degenerates at m = 0 where the prefactor
-    vanishes.
-    """
-    s = ctx.spin
-    if not 0.0 < m < s:
-        raise ValueError(f"saddle asymptotics require m in (0, S), got m = {m}")
-    x = x_star(m, ctx)
-    pref = -math.expm1(-x)  # 1 - e^{-x} > 0 for m > 0
-    return (
-        math.log(pref)
-        - 0.5 * math.log(2.0 * math.pi * eta_second(x, ctx) * n)
-        + n * (eta(x, ctx) - m * x)
-    )
-
-
-def pressure(beta: float, h: float, ctx: SpinContext) -> float:
-    """max over m in [0, S] of g_beta(m) + h m (h >= 0)."""
-    if h < 0.0:
-        raise ValueError("pressure is defined for h >= 0")
-    m = magnetization(beta, h, ctx)
-    return g_beta(m, beta, ctx) + h * m
-
-
 def magnetization(beta: float, h: float, ctx: SpinContext) -> float:
     """argmax of g_beta(m) + h m on [0, S): the root of m = eta'(2 beta m + h).
 
@@ -384,20 +355,6 @@ def fit_exponent(samples: list[tuple[float, float]], n_points: int = 4) -> Expon
 # ---------------------------------------------------------------------------
 # Interchange model: simplex functional and its one-parameter family
 # ---------------------------------------------------------------------------
-
-def phi_beta(x, beta: float) -> float:
-    """(beta/2)(sum x_i^2 - 1) - sum x_i log x_i on the ordered simplex."""
-    xs = list(x)
-    if abs(sum(xs) - 1.0) > 1e-12:
-        raise ValueError("phi_beta arguments must sum to 1 within 1e-12")
-    if any(xi < 0.0 for xi in xs):
-        raise ValueError("phi_beta arguments must be nonnegative")
-    if any(xs[i] < xs[i + 1] - 1e-12 for i in range(len(xs) - 1)):
-        raise ValueError("phi_beta arguments must be weakly decreasing")
-    quad = 0.5 * beta * (sum(xi * xi for xi in xs) - 1.0)
-    ent = sum(xi * math.log(xi) for xi in xs if xi > 0.0)
-    return quad - ent
-
 
 def interchange_beta_critical(ctx: SpinContext) -> float:
     """beta_c(S) = 4S/(2S-1) log(2S); 2 at S = 1/2, its limit and beta_critical there."""

@@ -34,8 +34,10 @@ EXIT_IO = 4
 
 def parse_spin(text: str) -> int:
     """Spin quantum number string ("1/2", "1", "3/2") to two_s."""
-    frac = Fraction(text)
-    two_s = frac * 2
+    try:
+        two_s = Fraction(text) * 2
+    except ZeroDivisionError:  # "1/0": argparse reports only ValueError as a usage error
+        two_s = Fraction(0)
     if two_s.denominator != 1 or two_s <= 0:
         raise ValueError(f"spin must be a positive half-integer, got {text}")
     return int(two_s)
@@ -57,7 +59,6 @@ def _heisenberg_limit(beta: float, h: float, delta: float, ctx) -> float:
 
 
 def cmd_exact(args) -> int:
-    two_s = parse_spin(args.spin) if args.model != "interchange" else None
     rows = []
     if args.model in ("heisenberg", "xy"):
         if len(args.h) != 1:
@@ -68,10 +69,8 @@ def cmd_exact(args) -> int:
         if args.model == "xy" and not delta < 1.0:
             print("error: the xy model needs --delta < 1", file=sys.stderr)
             return EXIT_USAGE
-        ctx = asymptotics.SpinContext(two_s)
-        exact = spectra.heisenberg_expectation_exact(
-            args.n, two_s, args.beta, delta, h
-        ).value
+        ctx = asymptotics.SpinContext(args.spin)
+        exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h).value
         limit = _heisenberg_limit(args.beta, h, delta, ctx)
         rows.append({"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)})
     else:
@@ -120,7 +119,7 @@ def cmd_simulate(args) -> int:
         if len(args.h) != 1:
             print("error: heisenberg/xy take a scalar --h", file=sys.stderr)
             return EXIT_USAGE
-        two_s = parse_spin(args.spin)
+        two_s = args.spin
         theta = 2.0
         if args.model == "heisenberg":
             u = 1.0
@@ -198,8 +197,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    two_s = parse_spin(args.spin)
-    ctx = asymptotics.SpinContext(two_s)
+    ctx = asymptotics.SpinContext(args.spin)
     bc = asymptotics.beta_critical(ctx)
     which = args.which
     rows = []
@@ -236,8 +234,8 @@ def cmd_exponents(args) -> int:
 
 def _parse_grid(text: str) -> list[float]:
     lo, hi, step = (float(x) for x in text.split(":"))
-    if step <= 0 or hi < lo:
-        raise ValueError("grid must be lo:hi:step with step > 0")
+    if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
+        raise ValueError("grid must be lo:hi:step with finite lo <= hi and step > 0")
     out = []
     v = lo
     while v <= hi + 1e-12:
@@ -247,24 +245,20 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_maximize(args) -> int:
-    betas = _parse_grid(args.beta_grid)
+    ctx = asymptotics.SpinContext(args.spin)
     if args.model == "heisenberg":
-        two_s = parse_spin(args.spin)
-        ctx = asymptotics.SpinContext(two_s)
         print(f"# beta_c = {_float_repr(asymptotics.beta_critical(ctx))}")
         print("beta,m_star,value,second_derivative")
-        for b in betas:
+        for b in args.beta_grid:
             r = asymptotics.m_star(b, ctx)
             print(
                 f"{_float_repr(b)},{_float_repr(r.location)},{_float_repr(r.value)},"
                 f"{_float_repr(r.second_derivative)}"
             )
     elif args.model == "interchange":
-        two_s = parse_spin(args.spin)
-        ctx = asymptotics.SpinContext(two_s)
         print(f"# beta_c = {_float_repr(asymptotics.interchange_beta_critical(ctx))}")
         print("beta,x1_star,z_star,value")
-        for b in betas:
+        for b in args.beta_grid:
             r = asymptotics.interchange_maximizer(b, ctx)
             print(
                 f"{_float_repr(b)},{_float_repr(r.location)},{_float_repr(r.z_star)},"
@@ -273,7 +267,7 @@ def cmd_maximize(args) -> int:
     else:
         print("# beta_c = 1.5")
         print("beta,mu_star,value")
-        for b in betas:
+        for b in args.beta_grid:
             r = asymptotics.classical_maximizer(b)
             print(f"{_float_repr(b)},{_float_repr(r.location)},{_float_repr(r.value)}")
     return EXIT_OK
@@ -285,6 +279,9 @@ def cmd_pd(args) -> int:
         return EXIT_USAGE
     if args.z_star is not None and not (args.theta.is_integer() and args.theta >= 2):
         print("error: --z-star needs an integer --theta >= 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.z_star is not None and len(args.h) > args.theta:
+        print("error: --z-star takes at most --theta fields in --h", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     print("check,h_or_z,series_or_closed,mc_mean,mc_se,verdict")
@@ -304,7 +301,7 @@ def cmd_pd(args) -> int:
         )
     if args.z_star is not None:
         theta = int(args.theta)
-        hvec = args.h + [0.0] * (theta - len(args.h)) if len(args.h) < theta else args.h[:theta]
+        hvec = args.h + [0.0] * (theta - len(args.h))
         closed = float(np.real(pd.pd_q_expectation_exact(theta, hvec, args.z_star)))
         mean, se = pd.pd_q_expectation_mc(theta, hvec, args.z_star, args.samples, rng)
         verdict = "pass" if abs(mean - closed) <= 3 * max(se, 1e-15) else "FAIL"
@@ -326,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="finite-n exact value vs limit value")
     p.add_argument("--model", choices=("heisenberg", "xy", "interchange"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spin", default="1/2")
+    p.add_argument("--spin", type=parse_spin, default="1/2")
     p.add_argument("--theta", type=int, default=3)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
@@ -337,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="loop soup MCMC; CSV spectra + JSON metadata")
     p.add_argument("--model", choices=("heisenberg", "xy", "interchange"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spin", default="1/2")
+    p.add_argument("--spin", type=parse_spin, default="1/2")
     p.add_argument("--theta", type=int, default=3)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--u", type=float, default=0.5)
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("exponents", help="critical-exponent fits")
-    p.add_argument("--spin", default="1/2")
+    p.add_argument("--spin", type=parse_spin, default="1/2")
     p.add_argument(
         "--which",
         choices=("magnetization", "susceptibility", "critical-isotherm", "transverse", "all"),
@@ -362,13 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize", help="free-energy maximiser tables over a beta grid")
     p.add_argument("--model", choices=("heisenberg", "interchange", "classical"), required=True)
-    p.add_argument("--spin", default="1/2")
-    p.add_argument("--beta-grid", required=True, dest="beta_grid")
+    p.add_argument("--spin", type=parse_spin, default="1/2")
+    p.add_argument("--beta-grid", type=_parse_grid, required=True, dest="beta_grid")
     p.set_defaults(func=cmd_maximize)
 
     p = sub.add_parser("pd", help="Poisson-Dirichlet identities: series vs Monte Carlo")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--h", type=parse_h_list, default=[1.0])
+    p.add_argument(
+        "--h", type=parse_h_list, default=[1.0],
+        help="comma-separated fields, one cosh check each; with --z-star also the "
+        "q-product fields, zero-padded to --theta entries (more is a usage error)",
+    )
     p.add_argument("--z-star", type=float, default=None, dest="z_star")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -1,4 +1,4 @@
-"""Random loop soups on the complete graph: direct sampling, tracing, MCMC.
+"""Random loop soups on the complete graph: the Metropolis chain and its observables.
 
 Geometry.  Each of the n sites hosts two_s pseudo-sites ("threads"); links
 live on inter-site pseudo-edges {(i,a),(j,b)} with i < j.  A link is a
@@ -7,14 +7,15 @@ interval [0, beta/n) with a periodic wrap at 0; higher spins use
 [-beta/2n, beta/2n) with a uniform permutation sigma_i rewiring the 2S
 threads of site i at the wrap.
 
-Tracing.  A configuration cuts every thread into vertical segments.  Each
+Loops.  A configuration cuts every thread into vertical segments.  Each
 link pairs the four segment ends meeting it (a cross preserves the vertical
 direction across the edge, a bar reverses it) and the wrap pairs thread
 tops to sigma-shifted thread bottoms.  Loops are the cycles of segments
 under this pairing; the length of a loop is the number of marked time-0
 points it visits (the wrap line for spin 1/2, the mid-interval level
 otherwise), so lengths always sum to 2S n.  Loops of length zero exist and
-are counted in the loop total but not stored.
+are counted in the loop total but not stored.  The tests check the chain
+against tests/oracles.py, which traces free configurations by this pairing.
 
 MCMC.  Metropolis birth/death of single links plus permutation resampling
 targets theta^{#loops} times the Poisson link measure: with Lambda the total
@@ -42,7 +43,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,16 +55,12 @@ __all__ = [
     "LoopConfiguration",
     "LoopSpectrum",
     "McmcStats",
-    "PdComparisonReport",
     "pseudo_edges",
     "empty_configuration",
-    "sample_free_links",
-    "trace_loops",
     "mcmc_run",
     "observable_cosh",
     "observable_q",
     "batch_means_se",
-    "pd_comparison",
 ]
 
 CROSS = 0
@@ -150,142 +147,6 @@ def empty_configuration(n: int, two_s: int, beta: float, u: float) -> LoopConfig
     return LoopConfiguration(
         n, two_s, beta, u, [[] for _ in range(n_edges)], [tuple(range(two_s))] * n
     )
-
-
-def sample_free_links(
-    n: int, two_s: int, beta: float, u: float, rng: np.random.Generator
-) -> LoopConfiguration:
-    """Free (unweighted) configuration: independent Poisson links per edge.
-
-    Each pseudo-edge carries a Poisson(beta/n) number of links with uniform
-    times (crosses with probability u), and each site gets an independent
-    uniform permutation of its two_s threads.
-    """
-    config = empty_configuration(n, two_s, beta, u)
-    lo, hi = config.interval
-    span = hi - lo
-    for links in config.links:
-        count = int(rng.poisson(span))
-        if count:
-            times = np.sort(lo + span * rng.random(count))
-            kinds = rng.random(count) < u
-            links.extend(
-                (float(t), CROSS if k else BAR) for t, k in zip(times, kinds)
-            )
-    if two_s > 1:
-        config.site_perms = [tuple(int(x) for x in rng.permutation(two_s)) for _ in range(n)]
-    return config
-
-
-def trace_loops(config: LoopConfiguration) -> LoopSpectrum:
-    """Deterministic loop decomposition of a configuration.
-
-    Cuts threads into segments at link times, pairs segment ends across
-    links and through the wrap, walks the cycles and counts marked time-0
-    points per cycle.  Raises ValueError on out-of-interval or non-increasing
-    link times.
-    """
-    edges = pseudo_edges(config.n, config.two_s)
-    if len(config.links) != len(edges):
-        raise ValueError("links list does not match the pseudo-edge count")
-    lo, hi = config.interval
-    flat = []
-    for e_idx, link_list in enumerate(config.links):
-        if not link_list:
-            continue
-        v, w = edges[e_idx]
-        prev_t = None
-        for t, kind in link_list:
-            if not lo <= t < hi:
-                raise ValueError(f"link time {t} outside interval [{lo}, {hi})")
-            if prev_t is not None and t <= prev_t:
-                raise ValueError("link times must be strictly increasing per edge")
-            prev_t = t
-            flat.append((v, w, t, kind))
-    return _trace_flat(config.n, config.two_s, config.site_perms, flat)
-
-
-def _trace_flat(n: int, two_s: int, site_perms, flat) -> LoopSpectrum:
-    """Loop decomposition from a flat link list of (v, w, t, kind) with v < w."""
-    n_threads = n * two_s
-    events: list[list] = [[] for _ in range(n_threads)]
-    for uid, (v, w, t, kind) in enumerate(flat):
-        events[v].append((t, uid, w, kind))
-        events[w].append((t, uid, v, kind))
-
-    seg_base = [0] * n_threads
-    acc = 0
-    pos_low = [0] * len(flat)   # event rank on the link's lower thread
-    pos_high = [0] * len(flat)  # event rank on the link's upper thread
-    for v in range(n_threads):
-        ev = events[v]
-        ev.sort()
-        seg_base[v] = acc
-        acc += len(ev) + 1
-        for r, (_, uid, w, _) in enumerate(ev):
-            if v < w:
-                pos_low[uid] = r
-            else:
-                pos_high[uid] = r
-    n_segs = acc
-
-    # ends: 2*seg = bottom, 2*seg + 1 = top
-    pair = [-1] * (2 * n_segs)
-    for i in range(n):
-        sigma = site_perms[i]
-        if len(sigma) != two_s:
-            raise ValueError("site permutation has the wrong size")
-        for a in range(two_s):
-            v = i * two_s + a
-            w = i * two_s + sigma[a]
-            top_end = 2 * (seg_base[v] + len(events[v])) + 1
-            bot_end = 2 * seg_base[w]
-            pair[top_end] = bot_end
-            pair[bot_end] = top_end
-
-    for uid, (v, w, _, kind) in enumerate(flat):
-        rv = pos_low[uid]
-        rw = pos_high[uid]
-        v_below_top = 2 * (seg_base[v] + rv) + 1
-        v_above_bot = 2 * (seg_base[v] + rv + 1)
-        w_below_top = 2 * (seg_base[w] + rw) + 1
-        w_above_bot = 2 * (seg_base[w] + rw + 1)
-        if kind == CROSS:
-            pair[v_below_top] = w_above_bot
-            pair[w_above_bot] = v_below_top
-            pair[w_below_top] = v_above_bot
-            pair[v_above_bot] = w_below_top
-        else:
-            pair[v_below_top] = w_below_top
-            pair[w_below_top] = v_below_top
-            pair[v_above_bot] = w_above_bot
-            pair[w_above_bot] = v_above_bot
-
-    marked = [False] * n_segs
-    for v in range(n_threads):  # the segment just below time 0 (above the wrap at 2S = 1)
-        marked[seg_base[v] + sum(t < 0.0 for t, _, _, _ in events[v])] = True
-
-    visited = [False] * n_segs
-    lengths: list[int] = []
-    n_loops = 0
-    for s0 in range(n_segs):
-        if visited[s0]:
-            continue
-        n_loops += 1
-        count = 0
-        end = 2 * s0
-        while True:
-            seg = end >> 1
-            visited[seg] = True
-            if marked[seg]:
-                count += 1
-            end = pair[end ^ 1]
-            if end == 2 * s0:
-                break
-        if count:
-            lengths.append(count)
-    lengths.sort(reverse=True)
-    return LoopSpectrum(tuple(lengths), n_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +358,10 @@ def mcmc_run(
     for site in range(n):
         _wire(tops, bottoms, site, perms[site])
     flat: list[_Event] = []  # the lower-thread end of every link, for uniform deletion
-    spectrum = trace_loops(config)
-    n_loops = spectrum.n_loops_total
-    lengths = sorted(spectrum.lengths)  # ascending; rebuilt into `spectrum` on demand
+    # the empty configuration: every thread closes on itself through one marked point
+    lengths = [1] * n_threads  # ascending; rebuilt into `spectrum` on demand
+    n_loops = n_threads
+    spectrum = LoopSpectrum(tuple(lengths), n_loops)
     perm_prob = 0.1 if two_s > 1 else 0.0
     stats = McmcStats()
     samples: list[LoopSpectrum] = []
@@ -598,7 +460,7 @@ def mcmc_run(
 
 
 # ---------------------------------------------------------------------------
-# Observables and comparisons
+# Observables
 # ---------------------------------------------------------------------------
 
 def observable_cosh(spectrum: LoopSpectrum, h: float, n: int, two_s: int) -> float:
@@ -641,63 +503,3 @@ def batch_means_se(values, n_batches: int = 32) -> tuple[float, float]:
     batches = arr[:usable].reshape(n_batches, -1).mean(axis=1)
     se = float(batches.std(ddof=1) / math.sqrt(n_batches))
     return mean, se
-
-
-@dataclass
-class PdComparisonReport:
-    rows: list[dict]
-    ks_statistic: float | None
-    skipped_macroscopic: bool
-    notice: str
-
-
-def pd_comparison(
-    spectra: list[LoopSpectrum],
-    n: int,
-    two_s: int,
-    u: float,
-    theta: float,
-    z_star: float,
-    h_values,
-    rng: np.random.Generator,
-    n_reference: int = 10_000,
-) -> PdComparisonReport:
-    """Compare equilibrated loop samples to the conjectured limit laws.
-
-    For each h the Monte Carlo mean of prod cosh(h l_i / 2Sn) is set against
-    sinh(h z*)/(h z*) for u = 1 and I_0(h z*) for u < 1.  The empirical law
-    of l_1/(2 S n z*) is compared to the PD(theta) largest part by a
-    two-sample Kolmogorov-Smirnov statistic.  With z* = 0 the macroscopic
-    comparison is skipped with a notice.
-    """
-    rows = []
-    for h in h_values:
-        vals = [observable_cosh(s, h, n, two_s) for s in spectra]
-        mean, se = batch_means_se(vals)
-        if u == 1.0:
-            limit = float(np.real(_pd.sinhc(h * z_star)))
-        else:
-            limit = float(np.i0(h * z_star))
-        gap = abs(mean - limit)
-        rows.append(
-            {
-                "h": h,
-                "mc_mean": mean,
-                "mc_se": se,
-                "limit": limit,
-                "abs_gap": gap,
-                "within_3se": gap <= 3.0 * se,
-            }
-        )
-    if z_star <= 0.0:
-        return PdComparisonReport(
-            rows, None, True, "z* = 0: no macroscopic loops to compare"
-        )
-    scale = two_s * n * z_star
-    largest = np.sort([(s.lengths[0] if s.lengths else 0) / scale for s in spectra])
-    reference = np.sort(reduce(np.maximum, _pd.stick_breaking_columns(theta, n_reference, rng)))
-    # sup |F_a - F_b| is attained at a sample point; side='right' counts ties
-    both = np.concatenate([largest, reference])
-    gap = np.searchsorted(largest, both, "right") / largest.size
-    gap -= np.searchsorted(reference, both, "right") / reference.size
-    return PdComparisonReport(rows, float(np.abs(gap).max()), False, "")

@@ -1,4 +1,4 @@
-"""Poisson-Dirichlet and Ewens machinery, plus the determinant function R.
+"""Poisson-Dirichlet machinery and the determinant function R.
 
 PD(theta) enters as the conjectured law of rescaled macroscopic loop
 lengths.  This module provides:
@@ -8,46 +8,37 @@ lengths.  This module provides:
     column of sticks at a time, so memory is O(samples) and no
     (samples, sticks) matrix is ever formed,
   * the closed-form series for E[prod cosh(h X_i)],
-  * the level-average functions q_h(t) and their spin special case,
+  * the level-average function q_h(t),
+  * the complete homogeneous table h_m(v_1..v_i), shared with symfunc,
   * the determinant ratio R(h; x) = det[e^{h_i x_j}] prod (j-i)/((h_i-h_j)(x_i-x_j))
     on one divided-difference path, equal and close arguments included,
     for rho = max|h_i - mean h| max|x_j - mean x| up to 10 (ValueError
     beyond),
-  * Monte Carlo vs closed-form checks of E[prod q_h(z* X_i)],
-  * Ewens cycle-type sampling through the Feller coupling.
+  * Monte Carlo vs closed-form checks of E[prod q_h(z* X_i)].
 
 Samplers take an explicit numpy Generator; closed-form evaluators are pure.
+Spin special cases of q and R and the Ewens sampler live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 __all__ = [
-    "EwensPermutation",
     "stick_breaking_columns",
     "pd_cosh_series",
     "q_eval",
-    "q_spin",
     "sinhc",
+    "complete_homogeneous",
     "r_function",
-    "r_spin_product",
-    "r_projector",
     "pd_q_expectation_exact",
     "pd_q_expectation_mc",
-    "ewens_sample",
 ]
-
-
-@dataclass(frozen=True)
-class EwensPermutation:
-    n: int
-    cycle_type: tuple[int, ...]
 
 
 def stick_breaking_columns(
@@ -110,16 +101,6 @@ def q_eval(hvec, t) -> complex:
     return val
 
 
-def q_spin(two_s: int, t: float) -> float:
-    """q for the equally spaced fields -S, -S+1, ..., S.
-
-    Equals sinh((2S+1) t / 2) / ((2S+1) sinh(t / 2)); evaluated as the
-    average of 2S+1 exponentials, which is smooth through t = 0.
-    """
-    theta = two_s + 1
-    return sum(math.exp((k - 0.5 * two_s) * t) for k in range(theta)) / theta
-
-
 def sinhc(x: complex | float) -> complex | float:
     """sinh(x)/x, equal to 1 at x = 0."""
     if abs(x) < 1e-8:
@@ -138,52 +119,22 @@ def sinhc(x: complex | float) -> complex | float:
 _RHO_CAP = 10.0
 
 
-def _exp_divided_differences(nodes, terms: int) -> np.ndarray:
-    """(terms, len(nodes)) table of h_{k-i}(v_1..v_{i+1}) at [k, i].
+def complete_homogeneous(nodes, terms: int) -> np.ndarray:
+    """(len(nodes), terms) table of h_m(v_1..v_{i+1}) at [i, m].
 
-    h_m is the complete homogeneous polynomial, h_m = 0 for m < 0, built
-    one variable at a time by h_m(.., v) = h_m(..) + v h_{m-1}(.., v).
+    h_m is the complete homogeneous polynomial of degree m, built one
+    variable at a time by h_m(.., v) = h_m(..) + v h_{m-1}(.., v).
     """
-    col = [1.0] + [0.0] * (len(nodes) - 1)
-    rows = [col]
-    for _ in range(1, terms):
-        col = [v * c + prev for v, c, prev in zip(nodes, col, [0.0] + col[:-1])]
-        rows.append(col)
-    return np.array(rows)
+    rows = [[1.0] + [0.0] * (terms - 1)]  # h_m of no variables
+    for v in nodes:
+        rows.append(list(accumulate(rows[-1], lambda prev, h: h + v * prev)))
+    return np.array(rows[1:]).reshape(len(nodes), terms)
 
 
 @lru_cache(maxsize=32)
 def _factorial_ratios(theta: int, terms: int) -> np.ndarray:
     """(terms, theta) table of i!/k!, each correctly rounded, at [k, i]."""
     return np.array([[math.factorial(i) / math.factorial(k) for i in range(theta)] for k in range(terms)])
-
-
-def r_spin_product(h: complex | float, z: float, two_s: int) -> complex | float:
-    """R at equally spaced fields h(-S..S) and x = (x, y, .., y), z = x - y.
-
-    Closed product form [sinh(h z / 2) / (h z / 2)]^{2S}.
-    """
-    return sinhc(0.5 * h * z) ** two_s
-
-
-def r_projector(h: complex | float, z: float, y: float, theta: int) -> complex | float:
-    """R at fields (h, 0, ..., 0) and x = (y + z, y, ..., y).
-
-    Equals e^{h y} (theta-1)! sum_{i>=0} (h z)^i / (i + theta - 1)!, the
-    rank-one-projector generating function; evaluated as an entire series.
-    """
-    hz = h * z
-    term = 1.0 / math.factorial(theta - 1) * (1.0 + 0.0 * hz)
-    total = term
-    for i in range(1, 500):
-        term = term * hz / (i + theta - 1)
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    val = math.factorial(theta - 1) * total
-    if isinstance(h, complex):
-        return cmath.exp(h * y) * val
-    return math.exp(h * y) * float(np.real(val))
 
 
 def r_function(hvec, xvec) -> complex:
@@ -222,8 +173,12 @@ def r_function(hvec, xvec) -> complex:
         # one side is constant: D (rows times i!) is triangular, unit diagonal
         hc, xc = 0.0 * hc, 0.0 * xc
     terms = theta + 30 + int(4 * rho)
-    d_h = _exp_divided_differences(hc.tolist(), terms)
-    d_x = _exp_divided_differences(xc.tolist(), terms)
+    lag = np.arange(terms)[:, None] - np.arange(theta)  # k - i at [k, i]
+
+    def shifted(nodes):  # h_{k-i}(v_1..v_{i+1}) at [k, i], 0 for k < i
+        return np.where(lag >= 0, complete_homogeneous(nodes, terms)[np.arange(theta), lag], 0.0)
+
+    d_h, d_x = shifted(hc.tolist()), shifted(xc.tolist())
     det = np.linalg.det((_factorial_ratios(theta, terms) * d_h).T @ d_x)
     return complex(cmath.exp(theta * complex(h.mean()) * complex(x.mean())) * det)
 
@@ -280,24 +235,3 @@ def pd_q_expectation_mc(
     mean = vals.mean()
     se = float(np.sqrt(vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / math.sqrt(n_samples))
     return (complex(mean) if np.iscomplexobj(vals) else float(mean)), se
-
-
-# ---------------------------------------------------------------------------
-# Ewens sampling
-# ---------------------------------------------------------------------------
-
-def ewens_sample(n: int, theta: float, rng: np.random.Generator) -> EwensPermutation:
-    """Cycle type of an Ewens(theta) permutation of n elements.
-
-    Feller coupling (Arratia, Barbour & Tavare, Logarithmic Combinatorial
-    Structures, 2003, ch. 1): with independent xi_i ~ Bernoulli(theta /
-    (theta + i - 1)), i = 1..n, the cycle lengths are exactly the spacings
-    between successive ones in xi_1 ... xi_n 1 (xi_1 = 1 always).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-    xi = rng.random(n) * (theta + np.arange(n)) < theta
-    sizes = np.diff(np.flatnonzero(np.append(xi, True)))
-    return EwensPermutation(n, tuple(sorted(sizes.tolist(), reverse=True)))

@@ -1,28 +1,22 @@
-"""Exact symmetric-function and symmetric-group character machinery.
+"""Partitions and the interchange character sum.
 
 Partitions are plain tuples of weakly decreasing positive integers.  The
-module provides lexicographic partition enumeration, Schur evaluation by
-divided differences (repeated arguments need no special case), power sums,
-Murnaghan-Nakayama characters in exact integer arithmetic, hook-length
-dimensions, character ratios at a transposition, and the exact
-finite-n expectation of loop observables for the theta^{#loops} interchange
-measure via its character expansion.
+module provides lexicographic partition enumeration and the exact finite-n
+expectation of loop observables for the theta^{#loops} interchange measure
+via its character expansion, with Schur values by divided differences
+(repeated arguments need no special case).
 
 The character expansion uses the fact that composing a Poisson(lambda)
 number of uniform random transpositions multiplies E[chi(sigma)]/dim by
 exp(lambda (r - 1)) per step, where r is the character ratio at a
 transposition; summing over shapes with Schur coefficients turns products
-of cycle observables into a ratio of explicit finite sums.
+of cycle observables into a ratio of explicit finite sums.  The per-shape
+Schur values, characters and dimensions it is tested with are in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations as _permutations
 
 import numpy as np
 
@@ -30,17 +24,7 @@ from . import pd as _pd
 
 __all__ = [
     "partitions",
-    "schur_eval",
-    "schur_eval_exact",
-    "schur_at_ones",
-    "power_sum_eval",
-    "CharacterValue",
-    "character",
-    "dimension",
-    "transposition_ratio",
     "interchange_expectation_exact",
-    "schur_ratio_limit_check",
-    "SchurLimitReport",
 ]
 
 
@@ -84,184 +68,7 @@ def _shape_blocks(n: int, rows: int, block: int = _BLOCK):
 
 
 # ---------------------------------------------------------------------------
-# Schur / power-sum evaluation
-# ---------------------------------------------------------------------------
-
-def schur_at_ones(lam, r: int) -> Fraction:
-    """s_lambda(1, ..., 1) with r ones: prod_{i<j} (lam_i - i - lam_j + j)/(j - i)."""
-    lam = tuple(lam)
-    if len(lam) > r:
-        return Fraction(0)
-    full = lam + (0,) * (r - len(lam))
-    val = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            val *= Fraction(full[i] - (i + 1) - full[j] + (j + 1), (j + 1) - (i + 1))
-    return val
-
-
-def schur_eval(lam, xs) -> complex:
-    """Schur polynomial s_lambda(x_1, ..., x_r) by divided differences.
-
-    s_lambda = (-1)^{C(r,2)} det[h_{l_j - k}(x_1..x_{k+1})] with l_j =
-    lambda_j + r - j (see _schur_exp): the Vandermonde is divided out
-    exactly, so equal or close arguments need no merging.  Zero arguments
-    are dropped, and s_lambda(x) = c^{|lambda|} s_lambda(x / c) with c the
-    largest |x_i| keeps the table in range unless |lambda| log(max |x_i| /
-    min |x_i|) exceeds ~700, where it raises ValueError.
-    """
-    lam = tuple(lam)
-    xs = list(xs)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 1 for p in lam):
-        raise ValueError("lam must be a weakly decreasing tuple of positive parts")
-    if len(lam) > len(xs):
-        warnings.warn("Schur polynomial vanishes when l(lam) > #variables", stacklevel=2)
-        return 0.0
-    nonzero = [x for x in xs if x != 0]
-    r = len(nonzero)
-    if len(lam) > r:
-        return 0.0
-    l = np.array([[(lam[j] if j < len(lam) else 0) + r - 1 - j for j in range(r)]], dtype=int)
-    ts = np.log(np.asarray(nonzero, dtype=complex))
-    shift = ts.real.max() if r else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        val = _schur_exp(ts - shift, int(l.max(initial=0)))(l)[0]
-    if not np.isfinite(val):
-        raise ValueError("schur_eval overflows: arguments too far apart for this degree")
-    val *= math.exp(sum(lam) * shift)
-    if all(isinstance(x, (int, float)) for x in xs):
-        return float(val.real)
-    return complex(val)
-
-
-def schur_eval_exact(lam, xs) -> Fraction:
-    """Exact rational Schur value for distinct exact (int/Fraction) arguments.
-
-    Leibniz expansion of the bialternant; intended for small variable counts
-    in exactness tests.
-    """
-    lam = tuple(lam)
-    xs = [Fraction(x) for x in xs]
-    r = len(xs)
-    if len(set(xs)) != r:
-        raise ValueError("schur_eval_exact needs distinct arguments")
-    if len(lam) > r:
-        return Fraction(0)
-    exps = [lam[j] + r - j - 1 if j < len(lam) else r - j - 1 for j in range(r)]
-    det = Fraction(0)
-    for perm in _permutations(range(r)):
-        inversions = sum(
-            1 for i in range(r) for j in range(i + 1, r) if perm[i] > perm[j]
-        )
-        term = Fraction((-1) ** inversions)
-        for i in range(r):
-            term *= xs[i] ** exps[perm[i]]
-        det += term
-    vand = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            vand *= xs[i] - xs[j]
-    return det / vand
-
-
-def power_sum_eval(mu, xs) -> complex:
-    """p_mu(x) = prod_j sum_i x_i^{mu_j}."""
-    val = 1.0 + 0.0j
-    for part in mu:
-        val *= sum(x**part for x in xs)
-    if all(isinstance(x, (int, float)) for x in xs):
-        return float(val.real)
-    return val
-
-
-# ---------------------------------------------------------------------------
-# Characters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CharacterValue:
-    lam: tuple
-    mu: tuple
-    value: int
-
-
-def _beta_numbers(lam: tuple, length: int) -> tuple:
-    """First-column hook lengths lam_i + (length - i), a strictly decreasing set."""
-    full = lam + (0,) * (length - len(lam))
-    return tuple(full[i] + (length - 1 - i) for i in range(length))
-
-
-@lru_cache(maxsize=None)
-def _mn_character(lam: tuple, mu: tuple) -> int:
-    """Murnaghan-Nakayama recursion over border strips, exact integers."""
-    if not mu:
-        return 1 if not lam else 0
-    k = mu[0]
-    rest = mu[1:]
-    length = max(len(lam), 1)
-    betas = list(_beta_numbers(lam, length))
-    beta_set = set(betas)
-    total = 0
-    for i, b in enumerate(betas):
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for c in betas if nb < c < b)
-        new = sorted([c for c in betas if c != b] + [nb], reverse=True)
-        # convert beta numbers back to a partition
-        new_lam = tuple(
-            v - (length - 1 - idx) for idx, v in enumerate(new)
-        )
-        new_lam = tuple(p for p in new_lam if p > 0)
-        total += (-1) ** height * _mn_character(new_lam, rest)
-    return total
-
-
-def character(lam, mu) -> CharacterValue:
-    """Irreducible character chi_lambda evaluated on cycle type mu (exact)."""
-    lam = tuple(lam)
-    mu = tuple(sorted(mu, reverse=True))
-    if sum(lam) != sum(mu):
-        raise ValueError("lam and mu must partition the same integer")
-    return CharacterValue(lam, mu, _mn_character(lam, mu))
-
-
-def dimension(lam) -> int:
-    """Dimension of the irreducible representation: hook length formula."""
-    lam = tuple(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    conj = [0] * lam[0]
-    for part in lam:
-        for j in range(part):
-            conj[j] += 1
-    hooks = 1
-    for i, part in enumerate(lam):
-        for j in range(part):
-            hooks *= part - j + conj[j] - i - 1
-    return math.factorial(n) // hooks
-
-
-def transposition_ratio(lam) -> Fraction:
-    """Character ratio chi_lambda((1,2)) / dim at a transposition.
-
-    Equals the content sum of the diagram divided by binom(n, 2); the
-    identity is cross-checked against the Murnaghan-Nakayama value in tests.
-    """
-    lam = tuple(lam)
-    n = sum(lam)
-    if n < 2:
-        raise ValueError("the transposition ratio needs n >= 2")
-    content = 0
-    for i, part in enumerate(lam):
-        # sum of (j - i) over cells (i, j), zero-based
-        content += part * (part - 1) // 2 - i * part
-    return Fraction(content, math.comb(n, 2))
-
-
-# ---------------------------------------------------------------------------
-# Interchange expectation and the Schur ratio limit
+# Interchange expectation
 # ---------------------------------------------------------------------------
 
 def _schur_exp(ts, top: int):
@@ -270,15 +77,13 @@ def _schur_exp(ts, top: int):
     Newton divided differences of the bialternant rows x_a^{l_j} divide out
     the Vandermonde exactly: the k-th one of x^l over x_1..x_{k+1} is the
     complete homogeneous h_{l-k}(x_1..x_{k+1}), so s_lambda = (-1)^{C(r,2)}
-    det[h_{l_j-k}]: equal or close fields need no merging.  The h_m table
-    adds one variable at a time, h_m(.., x) = sum_i x^i h_{m-i}(..).
+    det[h_{l_j-k}]: equal or close fields need no merging.  The h_m table is
+    pd.complete_homogeneous, after r zeros for the negative degrees.
     """
     ts = np.asarray(ts)
-    r, m = len(ts), np.arange(top + 1)
+    r = len(ts)
     table = np.zeros((r, r + top + 1), dtype=complex if ts.dtype.kind == "c" else float)
-    col = (m == 0) * 1.0
-    for k, t in enumerate(ts):
-        table[k, r:] = col = np.exp(m * t) * np.cumsum(np.exp(-m * t) * col)
+    table[:, r:] = _pd.complete_homogeneous(np.exp(ts).tolist(), top + 1)
     offsets = np.arange(r)[:, None] * (r + top) + r  # flat index of h_{l-k} is l + offset_k
     sign = (-1.0) ** (r * (r - 1) // 2)
     return lambda l: sign * np.linalg.det(table.ravel().take(l[:, None, :] + offsets))
@@ -324,41 +129,3 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
         denom = denom + w @ np.prod(gaps / (ju - iu), axis=1)
     value = numer / denom
     return complex(value) if any(isinstance(h, complex) for h in hv) else float(np.real(value))
-
-
-@dataclass
-class SchurLimitReport:
-    rows: list[tuple[int, complex, float]]  # (n, ratio, |ratio - target|)
-    target: complex
-
-
-def schur_ratio_limit_check(lambdas, hvec, x=None) -> SchurLimitReport:
-    """Track s_lam(e^{h/n}) / s_lam(1,..,1) along a shape sequence.
-
-    For shapes lambda with lambda/n -> x the ratio converges to the
-    determinant function R(h; x); the report lists the distance per shape.
-    The target x (weakly decreasing, summing to 1) defaults to the rescaled
-    last shape.
-    """
-    lambdas = [tuple(l) for l in lambdas]
-    hv = list(hvec)
-    theta = len(hv)
-    if any(len(lam) > theta for lam in lambdas):
-        raise ValueError("shapes may have at most len(hvec) rows")
-    if x is None:
-        last = lambdas[-1]
-        n_last = sum(last)
-        x = [last[i] / n_last if i < len(last) else 0.0 for i in range(theta)]
-    x = list(x)
-    if any(x[i] < x[i + 1] - 1e-12 for i in range(len(x) - 1)):
-        raise ValueError("target x must be weakly decreasing")
-    if abs(sum(x) - 1.0) > 1e-9:
-        raise ValueError("target x must sum to 1")
-    target = _pd.r_function(hv, x)
-    rows = []
-    for lam in lambdas:
-        l = np.array([lam + (0,) * (theta - len(lam))]) + np.arange(theta - 1, -1, -1)
-        s_h = _schur_exp(np.asarray(hv) / sum(lam), l.max())(l)[0]
-        ratio = complex(s_h) / float(schur_at_ones(lam, theta))
-        rows.append((sum(lam), ratio, abs(ratio - target)))
-    return SchurLimitReport(rows, target)

@@ -298,6 +298,23 @@ def test_pd_z_star_needs_integer_theta(capsys, theta):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--model", "heisenberg", "--n", "8", "--spin", "1/3", "--beta", "1", "--h", "1"],
+        ["exact", "--model", "heisenberg", "--n", "8", "--spin", "1/0", "--beta", "1", "--h", "1"],
+        ["exponents", "--spin", "x"],
+        ["maximize", "--model", "heisenberg", "--beta-grid", "1:4"],
+        ["maximize", "--model", "heisenberg", "--beta-grid", "4:1:0.1"],
+        ["maximize", "--model", "classical", "--beta-grid", "1:inf:1"],
+        ["pd", "--theta", "2", "--h", "1,2,3", "--z-star", "0.5", "--samples", "100"],
+    ],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_maximize_interchange_spin_half(capsys):
     # theta = 2: the interchange table is the Heisenberg S = 1/2 one with z* = 2 m*
     assert main(["maximize", "--model", "interchange", "--spin", "1/2",

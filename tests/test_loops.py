@@ -11,6 +11,8 @@ from spinloops import loops as lp
 from spinloops import pd
 from spinloops import spectra as sp
 
+import oracles
+
 
 def test_pseudo_edge_set():
     edges = lp.pseudo_edges(3, 2)
@@ -22,7 +24,7 @@ def test_pseudo_edge_set():
 
 def test_free_sampler_counts_and_kinds():
     rng = np.random.default_rng(0)
-    cfg = lp.sample_free_links(4, 2, 3.0, 1.0, rng)
+    cfg = oracles.sample_free_links(4, 2, 3.0, 1.0, rng)
     assert all(kind == lp.CROSS for links in cfg.links for _, kind in links)
     assert cfg.n_threads == 8
     assert len(cfg.site_perms) == 4
@@ -30,7 +32,7 @@ def test_free_sampler_counts_and_kinds():
     n, beta = 3, 2.0
     lam = 3 * beta / n
     totals = np.array(
-        [lp.sample_free_links(n, 1, beta, 0.7, rng).n_links for _ in range(10_000)]
+        [oracles.sample_free_links(n, 1, beta, 0.7, rng).n_links for _ in range(10_000)]
     )
     se = totals.std(ddof=1) / math.sqrt(len(totals))
     assert abs(totals.mean() - lam) < 3 * se
@@ -38,7 +40,7 @@ def test_free_sampler_counts_and_kinds():
 
 def test_trace_no_links():
     for n, two_s in [(4, 1), (3, 3)]:
-        spec = lp.trace_loops(lp.empty_configuration(n, two_s, 2.0, 1.0))
+        spec = oracles.trace_loops(lp.empty_configuration(n, two_s, 2.0, 1.0))
         assert spec == lp.LoopSpectrum((1,) * (n * two_s), n * two_s)
 
 
@@ -46,27 +48,27 @@ def test_trace_single_link_two_sites():
     for kind in (lp.CROSS, lp.BAR):
         cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
         cfg.links[0].append((0.3, kind))
-        assert lp.trace_loops(cfg) == lp.LoopSpectrum((2,), 1)
+        assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2,), 1)
 
 
 def test_trace_two_links_same_edge():
     # two crosses compose to the identity: two loops, each wrapping once
     cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
     cfg.links[0] = [(0.3, lp.CROSS), (0.7, lp.CROSS)]
-    assert lp.trace_loops(cfg) == lp.LoopSpectrum((1, 1), 2)
+    assert oracles.trace_loops(cfg) == lp.LoopSpectrum((1, 1), 2)
     # a cross and a bar chain into a single double-wrap loop
     cfg.links[0] = [(0.3, lp.CROSS), (0.7, lp.BAR)]
-    assert lp.trace_loops(cfg) == lp.LoopSpectrum((2,), 1)
+    assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2,), 1)
     # two bars close a zero-length loop between them and join the outer parts
     cfg.links[0] = [(0.3, lp.BAR), (0.7, lp.BAR)]
-    assert lp.trace_loops(cfg) == lp.LoopSpectrum((2,), 2)
+    assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2,), 2)
 
 
 def test_trace_complete_graph_realization():
     # single cross on one K_4 edge: one loop of length 2 and two trivial loops
     cfg = lp.empty_configuration(4, 1, 2.0, 1.0)
     cfg.links[0].append((0.1, lp.CROSS))
-    assert lp.trace_loops(cfg) == lp.LoopSpectrum((2, 1, 1), 3)
+    assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2, 1, 1), 3)
 
 
 def test_trace_zero_length_loop():
@@ -76,7 +78,7 @@ def test_trace_zero_length_loop():
     edges = lp.pseudo_edges(2, 2)
     e = edges.index((0, 2))
     cfg.links[e] = [(0.3, lp.BAR), (0.6, lp.BAR)]
-    spec = lp.trace_loops(cfg)
+    spec = oracles.trace_loops(cfg)
     assert sum(spec.lengths) == 4
     assert spec.n_loops_total == len(spec.lengths) + 1  # one zero-length loop
 
@@ -84,10 +86,10 @@ def test_trace_zero_length_loop():
 def test_trace_sigma_rewiring():
     cfg = lp.empty_configuration(2, 2, 2.0, 1.0)
     cfg.site_perms[0] = (1, 0)
-    assert lp.trace_loops(cfg) == lp.LoopSpectrum((2, 1, 1), 3)
+    assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2, 1, 1), 3)
     cfg3 = lp.empty_configuration(2, 3, 2.0, 1.0)
     cfg3.site_perms[1] = (1, 2, 0)  # 3-cycle
-    spec = lp.trace_loops(cfg3)
+    spec = oracles.trace_loops(cfg3)
     assert spec == lp.LoopSpectrum((3, 1, 1, 1), 4)
 
 
@@ -95,31 +97,31 @@ def test_trace_sigma_rewiring():
 def test_length_conservation_and_determinism(n, two_s):
     rng = np.random.default_rng(42)
     for _ in range(300):
-        cfg = lp.sample_free_links(n, two_s, 3.0, 0.5, rng)
-        spec = lp.trace_loops(cfg)
+        cfg = oracles.sample_free_links(n, two_s, 3.0, 0.5, rng)
+        spec = oracles.trace_loops(cfg)
         assert sum(spec.lengths) == two_s * n
-        assert lp.trace_loops(cfg) == spec
+        assert oracles.trace_loops(cfg) == spec
 
 
 def test_trace_rejects_bad_times():
     cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
     cfg.links[0] = [(5.0, lp.CROSS)]  # outside [0, beta/n)
     with pytest.raises(ValueError):
-        lp.trace_loops(cfg)
+        oracles.trace_loops(cfg)
     cfg.links[0] = [(0.5, lp.CROSS), (0.5, lp.BAR)]
     with pytest.raises(ValueError):
-        lp.trace_loops(cfg)
+        oracles.trace_loops(cfg)
 
 
 def test_insert_delete_reversibility():
     rng = np.random.default_rng(11)
-    cfg = lp.sample_free_links(4, 1, 2.0, 1.0, rng)
-    before = lp.trace_loops(cfg)
+    cfg = oracles.sample_free_links(4, 1, 2.0, 1.0, rng)
+    before = oracles.trace_loops(cfg)
     cfg.links[2].append((0.21, lp.CROSS))
     cfg.links[2].sort()
-    lp.trace_loops(cfg)
+    oracles.trace_loops(cfg)
     cfg.links[2].remove((0.21, lp.CROSS))
-    assert lp.trace_loops(cfg) == before
+    assert oracles.trace_loops(cfg) == before
 
 
 def test_observables():
@@ -171,7 +173,7 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
     lam = len(edges) * span
     perms = [tuple(range(two_s))] * n
     flat = []
-    trace = lambda: lp._trace_flat(n, two_s, perms, flat)
+    trace = lambda: oracles._trace_flat(n, two_s, perms, flat)
     cur = trace()
     perm_prob = 0.1 if two_s > 1 else 0.0
     stats, samples = lp.McmcStats(), []
@@ -258,7 +260,7 @@ def test_mcmc_matches_full_retrace_chain(n, two_s, u, theta, kwargs):
         assert got == want
         assert stats == want_stats
         assert stats.accepted_inserts > 0 and stats.accepted_deletes > 0
-        assert lp.trace_loops(stats.final_config) == got[-1]  # the last sweep is kept
+        assert oracles.trace_loops(stats.final_config) == got[-1]  # the last sweep is kept
         assert stats.final_config.n_links == stats.links_trace[-1]
 
 
@@ -286,9 +288,9 @@ def test_wrap_loops_match_retrace(two_s):
     rng = np.random.default_rng(70 + two_s)
     for n in (2, 3, 5):
         for _ in range(10):
-            config = lp.sample_free_links(n, two_s, 3.0, 0.5, rng)
+            config = oracles.sample_free_links(n, two_s, 3.0, 0.5, rng)
             bottoms, tops = _event_lists(config)
-            before = lp.trace_loops(config)
+            before = oracles.trace_loops(config)
             for site in range(n):
                 sigma_old = config.site_perms[site]
                 for sigma in itertools.permutations(range(two_s)):
@@ -297,7 +299,7 @@ def test_wrap_loops_match_retrace(two_s):
                     into = lp._wrap_loops(tops, site * two_s, two_s)
                     lp._wire(tops, bottoms, site, sigma_old)
                     config.site_perms[site] = sigma
-                    after = lp.trace_loops(config)
+                    after = oracles.trace_loops(config)
                     config.site_perms[site] = sigma_old
                     assert len(into) - len(out) == after.n_loops_total - before.n_loops_total
                     out_c = Counter(x for x in out if x)
@@ -307,7 +309,7 @@ def test_wrap_loops_match_retrace(two_s):
                     assert new_c - old_c == into_c - out_c
                     assert out_c <= old_c and into_c <= new_c
                     assert old_c - out_c == new_c - into_c  # the loops left alone
-            assert lp.trace_loops(config) == before
+            assert oracles.trace_loops(config) == before
 
 
 @pytest.mark.parametrize("two_s", [2, 3])
@@ -428,7 +430,7 @@ def test_pd_comparison_disordered_phase():
     rng = np.random.default_rng(17)
     n = 12
     samples, _ = lp.mcmc_run(n, 1, 0.4, 1.0, 2.0, 15_000, rng)
-    report = lp.pd_comparison(samples, n, 1, 1.0, 2.0, 0.0, [0.25, 0.5], rng)
+    report = oracles.pd_comparison(samples, n, 1, 1.0, 2.0, 0.0, [0.25, 0.5], rng)
     assert report.skipped_macroscopic
     assert report.ks_statistic is None
     assert "z*" in report.notice
@@ -440,7 +442,7 @@ def test_pd_comparison_disordered_phase():
 def test_pd_comparison_report_structure():
     rng = np.random.default_rng(19)
     samples, _ = lp.mcmc_run(6, 1, 3.0, 1.0, 2.0, 20_000, rng)
-    report = lp.pd_comparison(samples, 6, 1, 1.0, 2.0, 0.8, [1.0], rng, n_reference=2000)
+    report = oracles.pd_comparison(samples, 6, 1, 1.0, 2.0, 0.8, [1.0], rng, n_reference=2000)
     assert not report.skipped_macroscopic
     assert report.ks_statistic is not None and 0.0 <= report.ks_statistic <= 1.0
     assert set(report.rows[0]) == {"h", "mc_mean", "mc_se", "limit", "abs_gap", "within_3se"}
@@ -460,7 +462,7 @@ def test_pd_comparison_ks_statistic_matches_ks_2samp(monkeypatch):
         spectra = [lp.LoopSpectrum((int(l),) if l else (), 1) for l in lengths]
         reference = rng.integers(0, 11, size=rng.integers(2, 60)) / scale
         monkeypatch.setattr(pd, "stick_breaking_columns", lambda *args: iter([reference]))
-        report = lp.pd_comparison(spectra, n, two_s, 1.0, 2.0, z_star, [], rng)
+        report = oracles.pd_comparison(spectra, n, two_s, 1.0, 2.0, z_star, [], rng)
         expected = ks_2samp(lengths / scale, reference).statistic
         worst = max(worst, abs(report.ks_statistic - expected))
     assert worst <= 2e-16
@@ -485,9 +487,9 @@ def test_pd_comparison_ordered_phase_matches_limits():
     n = 128
     rng = np.random.default_rng(57)
     samples, _ = lp.mcmc_run(n, 1, 3.0, 1.0, 2.0, 60_000, rng, thin=5)
-    report = lp.pd_comparison(samples, n, 1, 1.0, 2.0, z, [2.0], rng, n_reference=4000)
+    report = oracles.pd_comparison(samples, n, 1, 1.0, 2.0, z, [2.0], rng, n_reference=4000)
     assert report.rows[0]["abs_gap"] < 0.05
     rng2 = np.random.default_rng(59)
     samples2, _ = lp.mcmc_run(n, 1, 3.0, 0.5, 2.0, 60_000, rng2, thin=5)
-    report2 = lp.pd_comparison(samples2, n, 1, 0.5, 1.0, z, [2.0], rng2, n_reference=4000)
+    report2 = oracles.pd_comparison(samples2, n, 1, 0.5, 1.0, z, [2.0], rng2, n_reference=4000)
     assert report2.rows[0]["abs_gap"] < 0.05

@@ -12,6 +12,8 @@ from spinloops import spectra as sp
 from spinloops.asymptotics import SpinContext, beta_critical, m_star
 from spinloops.pd import sinhc
 
+import oracles
+
 
 def brute_force_counts(n, two_s):
     """Independent multiplicity oracle: enumerate all (2S+1)^n states."""
@@ -24,18 +26,18 @@ def brute_force_counts(n, two_s):
 
 
 def test_single_spin_table():
-    t = sp.multiplicity_table(1, 1)
+    t = oracles.multiplicity_table(1, 1)
     assert t.counts == {-1: 1, 1: 1}
 
 
 def test_table_matches_enumeration_spin_half():
-    t = sp.multiplicity_table(4, 1)
+    t = oracles.multiplicity_table(4, 1)
     assert [t.count(2 * m) for m in range(-2, 3)] == [1, 4, 6, 4, 1]
     assert t.counts == brute_force_counts(4, 1)
 
 
 def test_table_matches_enumeration_spin_one():
-    t = sp.multiplicity_table(2, 2)
+    t = oracles.multiplicity_table(2, 2)
     assert [t.count(2 * m) for m in range(-2, 3)] == [1, 2, 3, 2, 1]
     assert t.counts == brute_force_counts(2, 2)
 
@@ -43,7 +45,7 @@ def test_table_matches_enumeration_spin_one():
 def test_table_matches_binomials():
     # spin 1/2 counts are binomial coefficients
     for n in (3, 7, 12, 25):
-        t = sp.multiplicity_table(n, 1)
+        t = oracles.multiplicity_table(n, 1)
         for k in range(n + 1):
             assert t.count(2 * k - n) == math.comb(n, k)
 
@@ -51,7 +53,7 @@ def test_table_matches_binomials():
 @pytest.mark.parametrize("two_s", [1, 2, 3])
 @pytest.mark.parametrize("n", list(range(1, 21)))
 def test_table_identities(n, two_s):
-    t = sp.multiplicity_table(n, two_s)
+    t = oracles.multiplicity_table(n, two_s)
     width = n * two_s
     total = sum(t.counts.values())
     assert total == (two_s + 1) ** n
@@ -68,14 +70,14 @@ def test_table_identities(n, two_s):
 
 
 def test_cap_error():
-    with pytest.raises(sp.CapExceededError):
-        sp.multiplicity_table(10_001, 1)
+    with pytest.raises(oracles.CapExceededError):
+        oracles.multiplicity_table(10_001, 1)
 
 
 def test_log_row_matches_exact():
     # the large rows span hundreds of orders of magnitude below their peak
     for n, two_s in [(30, 1), (12, 2), (9, 3), (2000, 1), (1000, 2), (300, 3), (200, 4), (50, 5)]:
-        t = sp.multiplicity_table(n, two_s)
+        t = oracles.multiplicity_table(n, two_s)
         row = sp.log_multiplicity_row(n, two_s)
         width = n * two_s
         exact = [math.log(t.count(2 * k - width)) for k in range(width + 1)]
@@ -83,10 +85,11 @@ def test_log_row_matches_exact():
         assert row == pytest.approx(exact, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,two_s", [(10_000, 1), (1000, 2), (300, 3), (200, 4)])
+@pytest.mark.parametrize("n,two_s", [(10_000, 1), (10_000, 2), (1000, 2), (300, 3), (200, 4)])
 def test_log_degeneracies_match_big_integer(n, two_s):
-    # every sector, including the few-state ones far below the peak; at spin
-    # 1/2, L_J = C(n, k) with k = n/2 + J, since the big-integer table is O(n^2)
+    # every sector, including the few-state ones far below the peak; the
+    # big-integer table is O(n^2), so at n = 10^4 spin 1/2 takes L_J = C(n, k)
+    # with k = n/2 + J, and spin 1 the exact-integer Miller route (4.0e-11 off)
     width = n * two_s
     if two_s == 1:
         lo = (n + 1) // 2
@@ -94,30 +97,50 @@ def test_log_degeneracies_match_big_integer(n, two_s):
         for k in range(lo, n + 1):
             binom.append(binom[-1] * (n - k) // (k + 1))
         degs = {2 * (lo + i) - n: binom[i] - binom[i + 1] for i in range(n - lo + 1)}
+    elif n == 10_000:
+        c = sp._exact_half_row(n, two_s)
+        degs = {width - 2 * k: c[k] - (c[k - 1] if k else 0) for k in range(len(c))}
     else:
-        degs = sp.irrep_spectrum(sp.multiplicity_table(n, two_s)).degeneracies
+        degs = oracles.irrep_spectrum(oracles.multiplicity_table(n, two_s)).degeneracies
     two_js, logd = sp._log_degeneracies(n, two_s, exact=False)
     assert list(two_js) == sorted(degs)
     rel = max(abs(math.expm1(ld - math.log(degs[j2]))) for j2, ld in zip(two_js.tolist(), logd))
     assert rel < 5e-11
 
 
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+def test_exact_miller_route_matches_prefix_table(two_s):
+    for n in range(1, 31):
+        t = oracles.multiplicity_table(n, two_s)
+        width = n * two_s
+        assert sp._exact_half_row(n, two_s) == [t.count(2 * k - width) for k in range(width // 2 + 1)]
+        degs = oracles.irrep_spectrum(t).degeneracies
+        two_js, logd = sp._log_degeneracies(n, two_s, exact=True)
+        assert two_js.tolist() == sorted(degs)
+        assert logd.tolist() == [math.log(degs[j2]) for j2 in sorted(degs)]
+
+
+def test_exact_miller_route_matches_binomials():
+    for n in (1, 2, 7, 300, 1001):
+        assert sp._exact_half_row(n, 1) == [math.comb(n, k) for k in range(n // 2 + 1)]
+
+
 def test_irrep_spectrum_small():
-    t = sp.multiplicity_table(4, 1)
-    ir = sp.irrep_spectrum(t)
+    t = oracles.multiplicity_table(4, 1)
+    ir = oracles.irrep_spectrum(t)
     assert ir.degeneracies == {4: 1, 2: 3, 0: 2}
 
 
 def test_irrep_single_site():
     for two_s in (1, 2, 3):
-        ir = sp.irrep_spectrum(sp.multiplicity_table(1, two_s))
+        ir = oracles.irrep_spectrum(oracles.multiplicity_table(1, two_s))
         assert ir.degeneracies == {two_s: 1}
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
 @pytest.mark.parametrize("n", list(range(1, 21)))
 def test_dimension_sum(n, two_s):
-    ir = sp.irrep_spectrum(sp.multiplicity_table(n, two_s))
+    ir = oracles.irrep_spectrum(oracles.multiplicity_table(n, two_s))
     assert all(d >= 0 for d in ir.degeneracies.values())
     total = sum((two_j + 1) * d for two_j, d in ir.degeneracies.items())
     assert total == (two_s + 1) ** n
@@ -126,25 +149,25 @@ def test_dimension_sum(n, two_s):
 def test_h_zero_is_one():
     assert sp.heisenberg_expectation_exact(5, 1, 2.0, 1.0, 0.0).value == 1.0
     assert sp.heisenberg_expectation_exact(5, 2, 2.0, 0.3, 0.0).value == 1.0
-    assert sp.dense_gibbs_oracle(3, 1, 2.0, 0.5, 0.0).value == 1.0
+    assert oracles.dense_gibbs_oracle(3, 1, 2.0, 0.5, 0.0).value == 1.0
 
 
 def test_dense_single_site_closed_form():
     # free spin 1/2: <e^{h S1}> = cosh(h/2)
     for h in (0.5, 1.0, 2.0):
-        v = sp.dense_gibbs_oracle(1, 1, beta=1.3, delta=1.0, h=h)
+        v = oracles.dense_gibbs_oracle(1, 1, beta=1.3, delta=1.0, h=h)
         assert v.value == pytest.approx(math.cosh(h / 2), rel=1e-12)
 
 
 def test_engines_agree_n2_xy():
     a = sp.heisenberg_expectation_exact(2, 1, 1.0, 0.0, 1.0).value
-    b = sp.dense_gibbs_oracle(2, 1, 1.0, 0.0, 1.0).value
+    b = oracles.dense_gibbs_oracle(2, 1, 1.0, 0.0, 1.0).value
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_engines_agree_n4_isotropic():
     a = sp.heisenberg_expectation_exact(4, 1, 2.0, 1.0, 1.0).value
-    b = sp.dense_gibbs_oracle(4, 1, 2.0, 1.0, 1.0).value
+    b = oracles.dense_gibbs_oracle(4, 1, 2.0, 1.0, 1.0).value
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -161,7 +184,7 @@ def test_complex_field():
         if (two_s + 1) ** n > 256:
             continue
         v = sp.heisenberg_expectation_exact(n, two_s, 1.0, delta, 1.0 + 0.5j).value
-        w = sp.dense_gibbs_oracle(n, two_s, 1.0, delta, 1.0 + 0.5j).value
+        w = oracles.dense_gibbs_oracle(n, two_s, 1.0, delta, 1.0 + 0.5j).value
         assert abs(v - w) < 1e-12 * abs(w), (delta, two_s, n)
 
 
@@ -283,7 +306,7 @@ def test_monotone_convergence_to_limit():
 
 
 def test_falk_bruch_chain_and_ward():
-    r = sp.falk_bruch_check(3, 1, 1.0, 0.5, 0.0)
+    r = oracles.falk_bruch_check(3, 1, 1.0, 0.5, 0.0)
     assert r.chi_perp >= r.m_over_bh >= r.lower_bound
     # Ward identity: M/(beta h) equals the Duhamel inner product exactly
     assert r.magnetization / (1.0 * 0.5) == pytest.approx(r.m_over_bh, rel=1e-10)
@@ -292,7 +315,7 @@ def test_falk_bruch_chain_and_ward():
 def test_falk_bruch_small_field_limit():
     values = []
     for h in (1e-2, 1e-4, 1e-6):
-        r = sp.falk_bruch_check(3, 1, 0.5, h, 0.0)
+        r = oracles.falk_bruch_check(3, 1, 0.5, h, 0.0)
         values.append(abs(r.chi_perp - r.m_over_bh))
     assert values[0] > values[1] > values[2]
     assert values[2] < 1e-8
@@ -307,7 +330,7 @@ def test_falk_bruch_regression_fixture():
         (pathlib.Path(__file__).parent / "fixtures" / "falk_bruch_regression.json").read_text()
     )
     p = record["params"]
-    r = sp.falk_bruch_check(p["n"], p["two_s"], p["beta"], p["h"], p["u"])
+    r = oracles.falk_bruch_check(p["n"], p["two_s"], p["beta"], p["h"], p["u"])
     tol = record["tolerance"]
     assert r.chi_perp == pytest.approx(record["value"]["chi_perp"], rel=tol)
     assert r.m_over_bh == pytest.approx(record["value"]["m_over_bh"], rel=tol)
@@ -316,9 +339,9 @@ def test_falk_bruch_regression_fixture():
 
 def test_falk_bruch_rejects_zero_field():
     with pytest.raises(ValueError):
-        sp.falk_bruch_check(3, 1, 1.0, 0.0, 0.0)
+        oracles.falk_bruch_check(3, 1, 1.0, 0.0, 0.0)
 
 
 def test_dense_cap():
-    with pytest.raises(sp.CapExceededError):
-        sp.dense_gibbs_oracle(9, 2, 1.0, 1.0, 1.0)  # 3^9 > 6561
+    with pytest.raises(oracles.CapExceededError):
+        oracles.dense_gibbs_oracle(9, 2, 1.0, 1.0, 1.0)  # 3^9 > 6561
