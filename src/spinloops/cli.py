@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
             print(f"error: interchange needs {args.theta} fields", file=sys.stderr)
             return EXIT_USAGE
         q_table = {}
-        observable = lambda s: float(np.real(loops.observable_q(s, hvec, args.n, q_table)))
+        observable = lambda s: loops.observable_q(s, hvec, args.n, q_table).real
     else:
         if len(args.h) != 1:
             print("error: heisenberg/xy take a scalar --h", file=sys.stderr)
@@ -128,10 +128,10 @@ def cmd_simulate(args) -> int:
             if not 0.0 <= u < 1.0:
                 print("error: the xy model needs --u in [0, 1)", file=sys.stderr)
                 return EXIT_USAGE
-        h = float(args.h[0])
-        observable = lambda s: loops.observable_cosh(s, h * two_s / 2, args.n, two_s)
+        h, cosh_table = float(args.h[0]), {}
+        observable = lambda s: loops.observable_cosh(s, h * two_s / 2, args.n, two_s, cosh_table)
     seeds = np.random.SeedSequence(args.seed).spawn(args.chains)
-    all_rows = []
+    runs = []  # (samples, observable trace) per chain
     chain_stats = []
     for chain, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -150,9 +150,8 @@ def cmd_simulate(args) -> int:
                 "accept_perm": stats.accepted_perm_moves / max(1, stats.proposed_perm_moves),
             }
         )
-        for idx, (spectrum, obs) in enumerate(zip(samples, stats.observable_trace)):
-            all_rows.append((chain, idx, spectrum.n_loops_total, obs, spectrum.lengths))
-    pooled = [r[3] for r in all_rows]
+        runs.append((samples, stats.observable_trace))
+    pooled = [obs for _, trace in runs for obs in trace]
     pooled_mean, pooled_se = loops.batch_means_se(pooled)
     meta = {
         "command": "simulate",
@@ -179,12 +178,19 @@ def cmd_simulate(args) -> int:
         meta_path = os.path.join(out_dir, f"{args.prefix}meta.json")
         with open(csv_path, "w", newline="") as fh:
             fh.write("chain,sweep,n_loops,observable,lengths\n")
-            sample, text = None, ""
-            for chain, idx, n_loops, obs, lengths in all_rows:
-                if (n_loops, obs, lengths) != sample:  # format each run of equal samples once
-                    sample = (n_loops, obs, lengths)
-                    text = f"{n_loops},{_float_repr(obs)},{','.join(map(str, lengths))}\n"
-                fh.write(f"{chain},{idx},{text}")
+            digits = [str(k) for k in range(args.n * two_s + 1)]
+            rows, sample, text = [], None, ""
+            for chain, (samples, trace) in enumerate(runs):
+                for idx, (spectrum, obs) in enumerate(zip(samples, trace)):
+                    if spectrum is not sample:  # a chain keeps one spectrum until its loops change
+                        sample = spectrum
+                        lengths = ",".join([digits[k] for k in spectrum.lengths])
+                        text = f"{spectrum.n_loops_total},{_float_repr(obs)},{lengths}\n"
+                    rows.append(f"{chain},{idx},{text}")
+                    if len(rows) == 4096:
+                        fh.write("".join(rows))
+                        rows.clear()
+            fh.write("".join(rows))
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -236,12 +242,10 @@ def _parse_grid(text: str) -> list[float]:
     lo, hi, step = (float(x) for x in text.split(":"))
     if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
         raise ValueError("grid must be lo:hi:step with finite lo <= hi and step > 0")
-    out = []
-    v = lo
-    while v <= hi + 1e-12:
-        out.append(round(v, 12))
-        v += step
-    return out
+    last = (hi - lo) / step + 1e-9  # the points are lo + k step, k <= last
+    if not last < 10**6:
+        raise ValueError("grid must have at most 10^6 points")
+    return [round(lo + k * step, 12) for k in range(math.floor(last) + 1)]
 
 
 def cmd_maximize(args) -> int:
@@ -274,6 +278,9 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_pd(args) -> int:
+    if not args.theta > 0:
+        print("error: --theta must be positive", file=sys.stderr)
+        return EXIT_USAGE
     if args.samples < 2:  # the standard error needs two samples
         print("error: --samples must be >= 2", file=sys.stderr)
         return EXIT_USAGE

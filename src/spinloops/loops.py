@@ -24,18 +24,20 @@ pseudo-edge, uniform time, kind cross with probability u, is accepted with
 min(1, theta^{dL} Lambda/(k+1)); a deletion of a uniform link with
 min(1, theta^{dL} k/Lambda); a sigma_i resample with min(1, theta^{dL}).
 The kind proposal probabilities (u, 1-u) cancel against the marked Poisson
-intensities.  The chain keeps its loops incrementally (the continuous-time
-loop bookkeeping of Beard & Wiese, PRL 1996): threads hold time-ordered
-linked event lists, and a link birth or death changes the loop count by -1,
-0 or +1, decided by one walk along the loop through one of its endpoints.
-Points on different loops merge (-1); on one loop, a cross met going the
-same way or a bar met going the opposite way splits it (+1), anything else
-reroutes it (0).  A deletion is the same test with the link taken out.  The
-walk also counts the marked segments, so the loop lengths follow; the second
-loop is walked only when a move that changes the count is accepted.  A
-sigma_i resample walks the loops through site i's 2S wrap points before and
-after rewiring.  Every draw comes from one source, _uniforms(rng), which takes
-rng.random in blocks; an integer below m is int(u m), within m 2^-53 of uniform.
+intensities.  The chain keeps its loops incrementally (Beard & Wiese, PRL
+1996): threads hold time-ordered linked event lists, and every segment holds
+its loop's record (length, segment count) and a sense, whether the loop's
+canonical traversal crosses it going up.  A link birth or death reads dL off
+these in O(1): points on different loops merge (-1); on one loop, a cross
+between equal senses or a bar between opposite ones splits it (+1), else
+reroutes it (0); a link goes by a split when the senses just below and above
+one of its ends agree.  A rejected move walks nothing.  An accepted merge
+relabels the loop with fewer segments; a split or reroute walks the two arcs
+at the link in turn until one closes and relabels or reverses only that one
+(Even & Shiloach, J. ACM 1981).  A sigma_i resample reads the old loops off
+site i's 2S wrap segments and walks the new ones once.  Every draw comes from
+_uniforms(rng), which takes rng.random in blocks; an integer below m is
+int(u m), within m 2^-53 of uniform.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +119,7 @@ class LoopConfiguration:
         return sum(len(l) for l in self.links)
 
 
-@dataclass(frozen=True)
-class LoopSpectrum:
+class LoopSpectrum(NamedTuple):
     """Positive loop lengths in decreasing order; total includes zero-length loops."""
 
     lengths: tuple[int, ...]
@@ -161,13 +163,23 @@ class _Event:
     partner on the other thread.  The wrap is stored as a cross: the top
     sentinel of thread (i, a) partners the bottom sentinel of (i, sigma_i(a)).
     A segment is named by the event at its lower end, and `marked` is 1 when
-    that segment holds its thread's time-0 point (just below time 0).
+    that segment holds its thread's time-0 point (just below time 0); `loop`
+    and `sense` are its loop's record and sense (see the module docstring).
     """
 
-    __slots__ = ("time", "kind", "thread", "marked", "partner", "up", "down")
+    __slots__ = ("time", "kind", "thread", "marked", "partner", "up", "down", "loop", "sense")
 
     def __init__(self, time: float, kind: int, thread: int, marked: int = 0):
         self.time, self.kind, self.thread, self.marked = time, kind, thread, marked
+
+
+class _Loop:
+    """A loop's record: its length (marked segments) and its segment count."""
+
+    __slots__ = ("marks", "segs")
+
+    def __init__(self, marks: int, segs: int):
+        self.marks, self.segs = marks, segs
 
 
 def _below(bottom: _Event, t: float) -> _Event | None:
@@ -201,59 +213,80 @@ def _wire(tops: list, bottoms: list, site: int, sigma: tuple) -> None:
         bottoms[base + b].partner = tops[base + a]
 
 
-def _walk(x: _Event, up: bool, stop_a: _Event, stop_b: _Event):
-    """Follow a loop from inside segment x until it enters stop_a or stop_b.
+def _race(s: _Event, s_up: bool, r: _Event, r_up: bool) -> list[_Event]:
+    """Walk from segments s and r in turn, leaving each upward if s_up (r_up), until one enters a stop.
 
-    Returns the segment entered, the direction on entry (True = up) and the
-    marks of the segments passed in between.  A cross keeps the direction
-    across its link, a bar (kind 1) reverses it.
+    Stops are segments whose loop the caller set to None.  Returns the walk
+    that got there first, start and stop included.  A step crosses the end
+    it reaches: a cross keeps the direction, a bar (kind 1) reverses it.
     """
-    marks = 0
+    arc_s, arc_r = [s], [r]
+    push_s, push_r = arc_s.append, arc_r.append
+    x, y = s, r
     while True:
-        if up:
-            f = x.up.partner
-            if f.kind:
-                x, up = f.down, False
-            else:
-                x = f
-        else:
-            f = x.partner
-            if f.kind:
-                x, up = f, True
-            else:
-                x = f.down
-        if x is stop_a or x is stop_b:
-            return x, up, marks
-        marks += x.marked
+        f = x.up.partner if s_up else x.partner
+        s_up = s_up != f.kind
+        x = f if s_up else f.down
+        push_s(x)
+        if x.loop is None:
+            return arc_s
+        f = y.up.partner if r_up else y.partner
+        r_up = r_up != f.kind
+        y = f if r_up else f.down
+        push_r(y)
+        if y.loop is None:
+            return arc_r
 
 
-def _probe(a: _Event, b: _Event, t: float, kind: int):
-    """Effect of a link of `kind` at time t joining segments a and b.
+def _merge(s: _Event, r: _Event, flip: bool, lengths: list[int]) -> _Loop:
+    """Join the loops of s and r under one record; the caller adds the change in segments.
 
-    Walks up from the point at t in a.  Returns (d_loops, la, up):
-    d_loops = -1 if the walk returns to a first (two loops, which the link
-    merges; la is the length of a's loop); otherwise it meets b's point,
-    going up or down, and the link splits the loop (+1) for a cross met
-    going up or a bar met going down, else reroutes it (0); la is then the
-    length from a's point to b's point.
+    The loop with fewer segments is walked (the steps of _race) and
+    relabelled, its senses reversed if flip.
     """
-    x, up, marks = _walk(a, True, a, b)
-    if x is a:
-        return -1, marks + a.marked, up
-    above_a = a.marked if t < 0.0 else 0
-    above_b = b.marked if t < 0.0 else 0
-    la = above_a + marks + (b.marked - above_b if up else above_b)
-    return (1 if up == (kind == CROSS) else 0), la, up
+    if s.loop.segs > r.loop.segs:
+        s, r = r, s
+    small, big = s.loop, r.loop
+    x, up = s, True
+    while True:
+        f = x.up.partner if up else x.partner
+        up = up != f.kind
+        x = f if up else f.down
+        x.loop = big
+        if flip:
+            x.sense = not x.sense
+        if x is s:
+            break
+    _regroup(lengths, (small.marks, big.marks), (small.marks + big.marks,))
+    big.marks += small.marks
+    big.segs += small.segs
+    return big
 
 
-def _other_length(a: _Event, b: _Event, t: float, d_loops: int, up: bool) -> int:
-    """Length of the second loop of a _probe: b's loop, or b's point back to a's."""
-    if d_loops < 0:
-        return _walk(b, True, b, b)[2] + b.marked
-    above_a = a.marked if t < 0.0 else 0
-    above_b = b.marked if t < 0.0 else 0
-    rest_b = above_b if up else b.marked - above_b
-    return rest_b + _walk(b, up, a, a)[2] + a.marked - above_a
+def _resolve(x: _Event, y: _Event, r: _Event, split: bool, gone: int, lengths: list[int]) -> None:
+    """Relabel for a link x-y on one loop, just added or about to go.
+
+    The loop's two arcs between the link's four segments, one leaving x
+    upward and one leaving r (x.down or y.down) downward, are raced.  If the
+    move splits the loop, each arc is a loop after it, senses as they are,
+    and the shorter gets a new record, less the `gone` segments the move
+    deletes.  Otherwise the link joins the arcs the other way round, and the
+    shorter is reversed.
+    """
+    a, b, loop = x.down, y.down, r.loop
+    a.loop = b.loop = x.loop = y.loop = None  # the stops
+    arc = _race(x, True, r, False)
+    a.loop = b.loop = x.loop = y.loop = loop
+    if not split:
+        for z in arc:
+            z.sense = not z.sense
+        return
+    new = _Loop(sum([z.marked for z in arc]), len(arc) - gone)
+    for z in arc:
+        z.loop = new
+    _regroup(lengths, (loop.marks,), (loop.marks - new.marks, new.marks))
+    loop.marks -= new.marks
+    loop.segs -= new.segs
 
 
 def _regroup(lengths: list[int], old, new) -> None:
@@ -284,28 +317,31 @@ def _permutation(draw, m: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _wrap_loops(tops: list, base: int, two_s: int) -> list[int]:
-    """Length of each loop through the wrap segments tops[base + a].down, zeros included."""
-    wraps = [tops[base + a].down for a in range(two_s)]
-    pending = set(wraps)
-    out = []
-    for x0 in wraps:
-        if x0 not in pending:
-            continue
-        x, up, marks = x0, True, 0
-        while True:  # the steps of _walk
-            if up:
-                f = x.up.partner
-                x, up = (f.down, False) if f.kind else (f, True)
-            else:
-                f = x.partner
-                x, up = (f, True) if f.kind else (f.down, False)
-            pending.discard(x)
-            marks += x.marked
-            if x is x0:
-                break
-        out.append(marks)
-    return out
+def _rewire(tops: list, bottoms: list, site: int, sigma: tuple) -> tuple[set, list]:
+    """Wire site's wrap to sigma; the records of the loops through it before and after.
+
+    Each new loop is walked once (the steps of _race) from its first wrap
+    segment, and takes the walk's directions as its senses.
+    """
+    wraps = [tops[site * len(sigma) + a].down for a in range(len(sigma))]
+    old = {x.loop for x in wraps}
+    _wire(tops, bottoms, site, sigma)
+    new = []
+    for s in wraps:
+        if s.loop in old:
+            loop = _Loop(0, 0)
+            new.append(loop)
+            x, up = s, True
+            while True:
+                x.loop, x.sense = loop, up
+                loop.marks += x.marked
+                loop.segs += 1
+                f = x.up.partner if up else x.partner
+                up = up != f.kind
+                x = f if up else f.down
+                if x is s:
+                    break
+    return old, new
 
 
 def mcmc_run(
@@ -333,8 +369,10 @@ def mcmc_run(
     truncates the target measure and is used by the finite-state-space
     validation tests.
     """
-    if theta < 1.0:
-        raise ValueError("theta must be >= 1 (smaller weights are not needed here)")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError("beta must be finite and positive")
+    if not 1.0 <= theta < math.inf:
+        raise ValueError("theta must be finite and >= 1 (smaller weights are not needed here)")
     if n_sweeps < 1:
         raise ValueError("n_sweeps must be positive")
     if burn_in is None:
@@ -354,11 +392,11 @@ def mcmc_run(
     bottoms = [_Event(-math.inf, CROSS, v, 1) for v in range(n_threads)]
     tops = [_Event(math.inf, CROSS, v) for v in range(n_threads)]
     for bottom, top in zip(bottoms, tops):
-        bottom.up, top.down = top, bottom
+        # the empty configuration: every thread closes on itself through one marked point
+        bottom.up, top.down, bottom.loop, bottom.sense = top, bottom, _Loop(1, 1), True
     for site in range(n):
         _wire(tops, bottoms, site, perms[site])
     flat: list[_Event] = []  # the lower-thread end of every link, for uniform deletion
-    # the empty configuration: every thread closes on itself through one marked point
     lengths = [1] * n_threads  # ascending; rebuilt into `spectrum` on demand
     n_loops = n_threads
     spectrum = LoopSpectrum(tuple(lengths), n_loops)
@@ -380,16 +418,14 @@ def mcmc_run(
             stats.proposed_perm_moves += 1
             site = int(draw() * n)
             sigma = _permutation(draw, two_s)
-            old = _wrap_loops(tops, site * two_s, two_s)
-            _wire(tops, bottoms, site, sigma)
-            new = _wrap_loops(tops, site * two_s, two_s)
+            old, new = _rewire(tops, bottoms, site, sigma)
             if accept(len(new) - len(old), 0.0):
-                _regroup(lengths, old, new)
+                _regroup(lengths, [loop.marks for loop in old], [loop.marks for loop in new])
                 n_loops += len(new) - len(old)
                 perms[site], spectrum = sigma, None
                 stats.accepted_perm_moves += 1
             else:
-                _wire(tops, bottoms, site, perms[site])
+                _rewire(tops, bottoms, site, perms[site])
         elif r < perm_prob + 0.5 * (1.0 - perm_prob):
             stats.proposed_inserts += 1
             k = len(flat)
@@ -401,18 +437,21 @@ def mcmc_run(
                 a, b = _below(bottoms[v], t), _below(bottoms[w], t)
                 # a time already taken on either thread has probability zero; reject
                 if a is not None and b is not None:
-                    d_loops, la, up = _probe(a, b, t, kind)
+                    one, split = a.loop is b.loop, (a.sense == b.sense) == (kind == CROSS)
+                    d_loops = int(split) if one else -1
                     if accept(d_loops, math.log(lam / (k + 1))):
-                        if d_loops:
-                            lb = _other_length(a, b, t, d_loops, up)
-                            old, new = ((la, lb), (la + lb,)) if d_loops < 0 else ((la + lb,), (la, lb))
-                            _regroup(lengths, old, new)
-                            n_loops += d_loops
-                            spectrum = None
+                        loop = a.loop if one else _merge(a, b, not split, lengths)
                         x, y = _Event(t, kind, v), _Event(t, kind, w)
                         x.partner, y.partner = y, x
                         _attach(x, a)
                         _attach(y, b)
+                        x.loop, x.sense, y.loop, y.sense = loop, a.sense, loop, b.sense
+                        loop.segs += 2
+                        if one:
+                            _resolve(x, y, a, d_loops, 0, lengths)
+                        if d_loops:
+                            n_loops += d_loops
+                            spectrum = None
                         flat.append(x)
                         stats.accepted_inserts += 1
         else:
@@ -424,22 +463,22 @@ def mcmc_run(
                 flat[j], flat[-1] = flat[-1], flat[j]
                 x = flat[-1]
                 y = x.partner
-                _detach(x)
-                _detach(y)
                 a, b = x.down, y.down
-                d_loops, la, up = _probe(a, b, x.time, x.kind)
-                if accept(-d_loops, math.log(k / lam)):
+                one = a.loop is x.loop
+                d_loops = int(a.sense == x.sense) if one else -1
+                if accept(d_loops, math.log(k / lam)):
+                    loop = a.loop if one else _merge(a, x, a.sense != x.sense, lengths)
+                    if one:  # x's arc holds a when the removal splits the loop; each arc holds x or y
+                        _resolve(x, y, b if d_loops else a, d_loops, 1, lengths)
+                    loop.segs -= 2
+                    _detach(x)
+                    _detach(y)
+                    x.partner = None  # no cycle left: both ends are freed without the cyclic collector
                     if d_loops:
-                        lb = _other_length(a, b, x.time, d_loops, up)
-                        old, new = ((la, lb), (la + lb,)) if d_loops > 0 else ((la + lb,), (la, lb))
-                        _regroup(lengths, old, new)
-                        n_loops -= d_loops
+                        n_loops += d_loops
                         spectrum = None
                     flat.pop()
                     stats.accepted_deletes += 1
-                else:
-                    _attach(x, a)
-                    _attach(y, b)
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             if spectrum is None:
                 spectrum = LoopSpectrum(tuple(reversed(lengths)), n_loops)
@@ -463,12 +502,18 @@ def mcmc_run(
 # Observables
 # ---------------------------------------------------------------------------
 
-def observable_cosh(spectrum: LoopSpectrum, h: float, n: int, two_s: int) -> float:
-    """prod_i cosh(h l_i / (2 S n)), the rescaled loop generating function."""
-    denom = two_s * n
+def observable_cosh(spectrum: LoopSpectrum, h: float, n: int, two_s: int, table: dict | None = None) -> float:
+    """prod_i cosh(h l_i / (2 S n)), the rescaled loop generating function.
+
+    `table` maps a loop length to its factor, as in observable_q.
+    """
+    table = {} if table is None else table
     out = 1.0
     for length in spectrum.lengths:
-        out *= math.cosh(h * length / denom)
+        c = table.get(length)
+        if c is None:
+            c = table[length] = math.cosh(h * length / (two_s * n))
+        out *= c
     return out
 
 

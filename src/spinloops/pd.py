@@ -212,7 +212,9 @@ def pd_q_expectation_mc(
     """Monte Carlo mean and standard error of prod_i q_h(z* X_i) under PD(theta).
 
     The product runs over stick columns in real arithmetic for real fields
-    and in complex arithmetic otherwise; for complex fields the mean is
+    and in complex arithmetic otherwise, and each column touches only the
+    rows still breaking (a dead row's factor is exactly 1); the theta terms
+    of a factor are added in order.  For complex fields the mean is
     complex and the standard error is that of the complex mean,
     sqrt((var Re + var Im) / n).  Only integer theta >= 2 is admitted;
     the closed form this is checked against is specific to integer theta
@@ -231,7 +233,12 @@ def pd_q_expectation_mc(
         return 1.0, 0.0
     vals = np.ones(n_samples, dtype=hv.dtype)
     for col in stick_breaking_columns(theta, n_samples, rng, truncation):
-        vals *= np.exp(np.multiply.outer(z_star * col, hv)).sum(axis=1) / theta
+        live = np.flatnonzero(col)
+        zx = z_star * col[live]
+        terms = np.exp(zx * hv[0])
+        for h in hv[1:]:
+            terms += np.exp(zx * h)
+        vals[live] *= terms / theta
     mean = vals.mean()
     se = float(np.sqrt(vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / math.sqrt(n_samples))
     return (complex(mean) if np.iscomplexobj(vals) else float(mean)), se

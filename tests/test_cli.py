@@ -10,7 +10,7 @@ import pytest
 
 import spinloops
 from spinloops import loops, pd
-from spinloops.cli import _float_repr, main, parse_h_list, parse_spin
+from spinloops.cli import _float_repr, _parse_grid, main, parse_h_list, parse_spin
 
 
 def test_parse_spin():
@@ -21,6 +21,25 @@ def test_parse_spin():
         parse_spin("2/3")
     with pytest.raises(ValueError):
         parse_spin("-1/2")
+
+
+def test_parse_grid_points_are_lo_plus_k_step():
+    def accumulated(text):  # the grid as v += step builds it
+        lo, hi, step = (float(x) for x in text.split(":"))
+        out, v = [], lo
+        while v <= hi + 1e-12:
+            out.append(round(v, 12))
+            v += step
+        return out
+
+    for text in ("1:4:0.1", "1:3:0.1", "2:4:0.1", "1.8:2.4:0.2"):
+        assert _parse_grid(text) == accumulated(text)
+    fine = _parse_grid("0:100:0.01")
+    assert len(fine) == 10_001 and fine[-1] == 100.0
+    assert fine == [round(k / 100, 12) for k in range(10_001)]
+    coarse = _parse_grid("0:1000:0.1")
+    assert len(coarse) == 10_001 and coarse[-1] == 1000.0
+    assert accumulated("0:1000:0.1")[-1] < 1000.0  # the accumulated grid misses its end
 
 
 def test_parse_h_list():
@@ -140,17 +159,33 @@ def test_simulate_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch):
     runs = []
     run_chain = loops.mcmc_run
     monkeypatch.setattr(loops, "mcmc_run", lambda *a, **k: runs.append(run_chain(*a, **k)) or runs[-1])
-    rc = main(["simulate", "--model", "heisenberg", "--n", "5", "--spin", "3/2", "--beta", "2",
-               "--sweeps", "3000", "--chains", "2", "--seed", "13", "--out", str(tmp_path)])
-    assert rc == 0
-    capsys.readouterr()
-    lines = ["chain,sweep,n_loops,observable,lengths"]
-    for chain, (samples, stats) in enumerate(runs):
-        for idx, (s, obs) in enumerate(zip(samples, stats.observable_trace)):
-            tail = ",".join(str(x) for x in s.lengths)
-            lines.append(f"{chain},{idx},{s.n_loops_total},{_float_repr(obs)},{tail}")
-    assert len(runs) == 2 and len(lines) == 1 + 2 * 2400
-    assert (tmp_path / "run_spectra.csv").read_text() == "\n".join(lines) + "\n"
+    for model, rows in [
+        (["--model", "heisenberg", "--spin", "3/2"], 2400),
+        (["--model", "xy", "--u", "0.3", "--thin", "3"], 800),
+        (["--model", "interchange", "--theta", "3", "--h", "0.7,-0.2,0.1", "--burn-in", "500"], 2500),
+        (["--model", "xy", "--spin", "1", "--thin", "3", "--burn-in", "0"], 1000),
+    ]:
+        runs.clear()
+        rc = main(["simulate", "--n", "5", "--beta", "2", "--sweeps", "3000", "--chains", "2",
+                   "--seed", "13", "--out", str(tmp_path)] + model)
+        assert rc == 0
+        capsys.readouterr()
+        lines = ["chain,sweep,n_loops,observable,lengths"]
+        for chain, (samples, stats) in enumerate(runs):
+            for idx, (s, obs) in enumerate(zip(samples, stats.observable_trace)):
+                tail = ",".join(str(x) for x in s.lengths)
+                lines.append(f"{chain},{idx},{s.n_loops_total},{_float_repr(obs)},{tail}")
+        assert len(runs) == 2 and len(lines) == 1 + 2 * rows
+        assert (tmp_path / "run_spectra.csv").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0"])
+def test_simulate_rejects_bad_beta(tmp_path, capsys, beta):
+    rc = main(["simulate", "--model", "heisenberg", "--n", "4", "--beta", beta,
+               "--sweeps", "100", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "beta must be finite and positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_schema(tmp_path, capsys):
@@ -289,6 +324,15 @@ def test_pd_samples_usage_error(capsys, samples):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("theta", ["0", "-1", "nan"])
+def test_pd_theta_must_be_positive(capsys, theta):
+    rc = main(["pd", "--theta", theta, "--h", "1", "--samples", "100"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: --theta must be positive" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("theta", ["2.5", "1"])
 def test_pd_z_star_needs_integer_theta(capsys, theta):
     rc = main(["pd", "--theta", theta, "--h", "1", "--z-star", "0.5", "--samples", "100"])
@@ -308,6 +352,8 @@ def test_pd_z_star_needs_integer_theta(capsys, theta):
         ["maximize", "--model", "heisenberg", "--beta-grid", "4:1:0.1"],
         ["maximize", "--model", "classical", "--beta-grid", "1:inf:1"],
         ["pd", "--theta", "2", "--h", "1,2,3", "--z-star", "0.5", "--samples", "100"],
+        ["maximize", "--model", "classical", "--beta-grid", "0:1:1e-320"],
+        ["maximize", "--model", "classical", "--beta-grid", "0:1e7:1"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):

@@ -146,8 +146,15 @@ def test_observables():
 
 def test_mcmc_rejects_small_theta():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        lp.mcmc_run(3, 1, 1.0, 1.0, 0.5, 100, rng)
+    for theta in (0.5, math.nan, math.inf):  # nan ran as theta = 1 before
+        with pytest.raises(ValueError):
+            lp.mcmc_run(3, 1, 1.0, 1.0, theta, 100, rng)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 0.0])
+def test_mcmc_rejects_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite and positive"):
+        lp.mcmc_run(3, 1, beta, 1.0, 2.0, 100, np.random.default_rng(0))
 
 
 def test_mcmc_rejects_bad_burn_in_and_thin():
@@ -245,6 +252,11 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
         (8, 1, 1.0, 2.0, {"max_links": 3}),
         (10, 2, 0.8, 2.0, {"burn_in": 0, "thin": 3}),
         (20, 1, 1.0, 2.0, {"burn_in": 1999, "thin": 7}),
+        (4, 4, 0.6, 2.0, {}),
+        (12, 1, 0.0, 2.0, {}),
+        (6, 2, 0.0, 3.0, {}),
+        (20, 1, 0.5, 3.0, {}),
+        (200, 1, 0.8, 2.0, {}),
     ],
 )
 def test_mcmc_matches_full_retrace_chain(n, two_s, u, theta, kwargs):
@@ -264,8 +276,52 @@ def test_mcmc_matches_full_retrace_chain(n, two_s, u, theta, kwargs):
         assert stats.final_config.n_links == stats.links_trace[-1]
 
 
+@pytest.mark.parametrize("n, two_s, u, theta", [(8, 1, 0.5, 2.0), (5, 2, 0.0, 3.0), (4, 3, 0.6, 2.0)])
+def test_mcmc_loop_records_match_a_fresh_walk(n, two_s, u, theta, monkeypatch):
+    # every live segment's loop record and sense, as the chain leaves them,
+    # against a walk of the final configuration's loops
+    events = []
+
+    class Event(lp._Event):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            events.append(self)
+
+    monkeypatch.setattr(lp, "_Event", Event)
+    for seed in (5, 6):
+        events.clear()
+        _, stats = lp.mcmc_run(n, two_s, 3.0, u, theta, 4000, np.random.default_rng(seed))
+        # bottom sentinels and the ends of links still in place
+        live = [x for x in events if x.time == -math.inf or
+                (x.time < math.inf and x.partner is not None and x.partner.partner is x)]
+        assert len(live) == n * two_s + 2 * stats.final_config.n_links
+        records, seen = set(), set()
+        for start in live:
+            if start in seen:
+                continue
+            walk, x, up = [], start, True
+            while not walk or x is not start:
+                walk.append((x, up))
+                f = x.up.partner if up else x.partner
+                up = up != f.kind
+                x = f if up else f.down
+            seen.update(x for x, _ in walk)
+            loop = start.loop
+            assert loop not in records and all(x.loop is loop for x, _ in walk)
+            assert (loop.marks, loop.segs) == (sum(x.marked for x, _ in walk), len(walk))
+            assert len({x.sense == up for x, up in walk}) == 1
+            records.add(loop)
+        assert seen == set(live)
+
+
 def _event_lists(config):
-    """The chain's thread event lists (sentinels, link ends, wrap) for a configuration."""
+    """The chain's thread event lists (sentinels, link ends, wrap) for a configuration.
+
+    Every loop through a wrap segment carries a record; the others, which
+    no sigma move touches, are left unlabelled.
+    """
     bottoms = [lp._Event(-math.inf, lp.CROSS, v, 1) for v in range(config.n_threads)]
     tops = [lp._Event(math.inf, lp.CROSS, v) for v in range(config.n_threads)]
     for bottom, top in zip(bottoms, tops):
@@ -278,13 +334,17 @@ def _event_lists(config):
             lp._attach(y, lp._below(bottoms[w], t))
     for site, sigma in enumerate(config.site_perms):
         lp._wire(tops, bottoms, site, sigma)
+    for top in tops:
+        top.down.loop = None
+    for site, sigma in enumerate(config.site_perms):
+        lp._rewire(tops, bottoms, site, sigma)
     return bottoms, tops
 
 
 @pytest.mark.parametrize("two_s", [2, 3, 4])
 def test_wrap_loops_match_retrace(two_s):
-    # a sigma_i move: the loops walked through site i's wrap points before and
-    # after rewiring are exactly the loops two full retraces tell apart
+    # a sigma_i move: the records at site i's wrap segments before rewiring and
+    # the loops walked after it are exactly the loops two full retraces tell apart
     rng = np.random.default_rng(70 + two_s)
     for n in (2, 3, 5):
         for _ in range(10):
@@ -294,10 +354,12 @@ def test_wrap_loops_match_retrace(two_s):
             for site in range(n):
                 sigma_old = config.site_perms[site]
                 for sigma in itertools.permutations(range(two_s)):
-                    out = lp._wrap_loops(tops, site * two_s, two_s)
-                    lp._wire(tops, bottoms, site, sigma)
-                    into = lp._wrap_loops(tops, site * two_s, two_s)
-                    lp._wire(tops, bottoms, site, sigma_old)
+                    old, new = lp._rewire(tops, bottoms, site, sigma)
+                    back_old, back = lp._rewire(tops, bottoms, site, sigma_old)
+                    assert set(new) == back_old
+                    out, into = [x.marks for x in old], [x.marks for x in new]
+                    assert sorted(out) == sorted(x.marks for x in back)
+                    assert sum(x.segs for x in old) == sum(x.segs for x in new)
                     config.site_perms[site] = sigma
                     after = oracles.trace_loops(config)
                     config.site_perms[site] = sigma_old

@@ -289,6 +289,22 @@ def test_pd_q_expectation_mc_complex_fields():
     assert abs(mean - closed) < 3 * se
 
 
+def test_pd_q_expectation_mc_matches_outer_kernel():
+    # live rows and theta vector exps against the (samples, theta) matrix
+    # kernel: bit for bit where numpy sums a matrix row in order (real fields,
+    # and complex ones up to theta = 3); from 4 complex entries on it adds
+    # them pairwise, which moves only the last bits
+    for theta in range(2, 7):
+        fields = [list(np.linspace(1.0, -0.5, theta)), [0.6 + 0.8j, -0.3, 0.2 - 0.4j, 0.1j, 0.5, -1j][:theta]]
+        for hv, z_star in itertools.product(fields, (0.1, 0.5, 1.0)):
+            got = pd.pd_q_expectation_mc(theta, hv, z_star, 4000, np.random.default_rng(theta))
+            want = oracles.pd_q_expectation_mc_outer(theta, hv, z_star, 4000, np.random.default_rng(theta))
+            if isinstance(hv[0], complex) and theta > 3:
+                assert got == pytest.approx(want, rel=1e-14)
+            else:
+                assert got == want
+
+
 def test_ewens_small_cases():
     rng = np.random.default_rng(5)
     assert oracles.ewens_sample(1, 2.0, rng).cycle_type == (1,)
