@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
             print(f"error: interchange needs {args.theta} fields", file=sys.stderr)
             return EXIT_USAGE
         q_table = {}
-        observable = lambda s: loops.observable_q(s, hvec, args.n, q_table).real
+        observable = lambda s: loops.observable_q(s, hvec, args.n, q_table)
     else:
         if len(args.h) != 1:
             print("error: heisenberg/xy take a scalar --h", file=sys.stderr)
@@ -130,6 +130,8 @@ def cmd_simulate(args) -> int:
                 return EXIT_USAGE
         h, cosh_table = float(args.h[0]), {}
         observable = lambda s: loops.observable_cosh(s, h * two_s / 2, args.n, two_s, cosh_table)
+    if not all(map(math.isfinite, args.h)):
+        raise ValueError("--h must be finite")
     seeds = np.random.SeedSequence(args.seed).spawn(args.chains)
     runs = []  # (samples, observable trace) per chain
     chain_stats = []
@@ -179,13 +181,15 @@ def cmd_simulate(args) -> int:
         with open(csv_path, "w", newline="") as fh:
             fh.write("chain,sweep,n_loops,observable,lengths\n")
             digits = [str(k) for k in range(args.n * two_s + 1)]
-            rows, sample, text = [], None, ""
+            rows = []
             for chain, (samples, trace) in enumerate(runs):
+                texts = {}  # id -> row tail; mcmc_run keeps one object per distinct spectrum
                 for idx, (spectrum, obs) in enumerate(zip(samples, trace)):
-                    if spectrum is not sample:  # a chain keeps one spectrum until its loops change
-                        sample = spectrum
+                    text = texts.get(id(spectrum))
+                    if text is None:
                         lengths = ",".join([digits[k] for k in spectrum.lengths])
                         text = f"{spectrum.n_loops_total},{_float_repr(obs)},{lengths}\n"
+                        texts[id(spectrum)] = text
                     rows.append(f"{chain},{idx},{text}")
                     if len(rows) == 4096:
                         fh.write("".join(rows))
@@ -290,14 +294,17 @@ def cmd_pd(args) -> int:
     if args.z_star is not None and len(args.h) > args.theta:
         print("error: --z-star takes at most --theta fields in --h", file=sys.stderr)
         return EXIT_USAGE
+    if not all(map(math.isfinite, args.h)):
+        raise ValueError("--h must be finite")
     rng = np.random.default_rng(args.seed)
+    # every cosh check reduces the same stick stream, one row per field
+    prods = np.ones((len(args.h), args.samples))
+    for col in pd.stick_breaking_columns(args.theta, args.samples, rng):
+        prods *= np.cosh(np.multiply.outer(args.h, col))
     print("check,h_or_z,series_or_closed,mc_mean,mc_se,verdict")
     ok = True
-    for h in args.h:
+    for h, vals in zip(args.h, prods):
         series = pd.pd_cosh_series(args.theta, h)
-        vals = np.ones(args.samples)
-        for col in pd.stick_breaking_columns(args.theta, args.samples, rng):
-            vals *= np.cosh(h * col)
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         verdict = "pass" if abs(mean - series) <= 3 * se else "FAIL"
@@ -374,8 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument(
         "--h", type=parse_h_list, default=[1.0],
-        help="comma-separated fields, one cosh check each; with --z-star also the "
-        "q-product fields, zero-padded to --theta entries (more is a usage error)",
+        help="comma-separated finite fields, one cosh check each, all reduced from one "
+        "stick-breaking stream (so the rows are correlated; memory grows as fields x "
+        "samples); with --z-star also the q-product fields, zero-padded to --theta "
+        "entries (more is a usage error)",
     )
     p.add_argument("--z-star", type=float, default=None, dest="z_star")
     p.add_argument("--samples", type=int, default=100_000)

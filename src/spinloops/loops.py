@@ -37,7 +37,13 @@ at the link in turn until one closes and relabels or reverses only that one
 (Even & Shiloach, J. ACM 1981).  A sigma_i resample reads the old loops off
 site i's 2S wrap segments and walks the new ones once.  Every draw comes from
 _uniforms(rng), which takes rng.random in blocks; an integer below m is
-int(u m), within m 2^-53 of uniform.
+int(u m), within m 2^-53 of uniform.  A drawn edge index is decoded from the
+per-site offsets of the pseudo-edge order; the chain never lists the edges.
+
+Samples.  A chain keeps returning to spectra it has seen, so mcmc_run interns
+the retained spectra of a run: equal ones are one object, and the observable
+is evaluated once per distinct spectrum.  The observables multiply one
+factor per loop, each taken from a per-run table of loop lengths.
 """
 
 from __future__ import annotations
@@ -145,7 +151,7 @@ def empty_configuration(n: int, two_s: int, beta: float, u: float) -> LoopConfig
         raise ValueError("need n >= 2 sites")
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    n_edges = len(pseudo_edges(n, two_s))
+    n_edges = n * (n - 1) // 2 * two_s * two_s
     return LoopConfiguration(
         n, two_s, beta, u, [[] for _ in range(n_edges)], [tuple(range(two_s))] * n
     )
@@ -281,9 +287,11 @@ def _resolve(x: _Event, y: _Event, r: _Event, split: bool, gone: int, lengths: l
         for z in arc:
             z.sense = not z.sense
         return
-    new = _Loop(sum([z.marked for z in arc]), len(arc) - gone)
+    new, marks = _Loop(0, len(arc) - gone), 0
     for z in arc:
         z.loop = new
+        marks += z.marked
+    new.marks = marks
     _regroup(lengths, (loop.marks,), (loop.marks - new.marks, new.marks))
     loop.marks -= new.marks
     loop.segs -= new.segs
@@ -363,7 +371,9 @@ def mcmc_run(
     starting from the empty configuration.  Returns the retained post-burn-in
     spectra (every `thin`-th sweep) and move statistics, with the final
     configuration in stats.final_config; burn_in defaults to 20% of
-    n_sweeps.  `observable` is evaluated once per distinct retained spectrum.
+    n_sweeps.  Retained spectra are interned within the run: equal ones are
+    the same object, and `observable` is evaluated exactly once per distinct
+    retained spectrum, its value reused for every later visit.
     All randomness comes from rng.random in blocks (see _uniforms).
     max_links caps the link count (proposals beyond it are rejected), which
     truncates the target measure and is used by the finite-state-space
@@ -384,8 +394,10 @@ def mcmc_run(
     config = empty_configuration(n, two_s, beta, u)
     lo, hi = config.interval
     span = hi - lo
-    edges = pseudo_edges(n, two_s)
-    n_edges = len(edges)
+    block = two_s * two_s  # edges between two sites
+    # index in pseudo_edges(n, two_s) of site i's first edge (to sites j > i)
+    offsets = [block * (i * (2 * n - i - 1) // 2) for i in range(n)]
+    n_edges = len(config.links)
     lam = n_edges * span
     perms = config.site_perms
     n_threads = n * two_s
@@ -399,47 +411,51 @@ def mcmc_run(
     flat: list[_Event] = []  # the lower-thread end of every link, for uniform deletion
     lengths = [1] * n_threads  # ascending; rebuilt into `spectrum` on demand
     n_loops = n_threads
-    spectrum = LoopSpectrum(tuple(lengths), n_loops)
+    spectrum = None  # the current spectrum once built, until the loops change
+    interned: dict[LoopSpectrum, tuple[LoopSpectrum, float]] = {}  # spectrum -> (kept object, value)
     perm_prob = 0.1 if two_s > 1 else 0.0
+    insert_below = perm_prob + 0.5 * (1.0 - perm_prob)
     stats = McmcStats()
     samples: list[LoopSpectrum] = []
     keep, keep_links, keep_value = samples.append, stats.links_trace.append, stats.observable_trace.append
-    observed, value = None, 0.0
+    value = 0.0
     log_theta = math.log(theta) if theta > 1.0 else 0.0
     draw = _uniforms(rng).__next__
-
-    def accept(d_loops: int, log_factor: float) -> bool:
-        log_ratio = d_loops * log_theta + log_factor
-        return log_ratio >= 0.0 or draw() < math.exp(log_ratio)
-
+    exp, log, bisect_right = math.exp, math.log, bisect.bisect_right
+    n_ins = n_del = n_perm = acc_ins = acc_del = acc_perm = 0
+    next_keep = burn_in
     for sweep in range(n_sweeps):
         r = draw()
         if r < perm_prob:
-            stats.proposed_perm_moves += 1
+            n_perm += 1
             site = int(draw() * n)
             sigma = _permutation(draw, two_s)
             old, new = _rewire(tops, bottoms, site, sigma)
-            if accept(len(new) - len(old), 0.0):
+            log_ratio = (len(new) - len(old)) * log_theta
+            if log_ratio >= 0.0 or draw() < exp(log_ratio):
                 _regroup(lengths, [loop.marks for loop in old], [loop.marks for loop in new])
                 n_loops += len(new) - len(old)
                 perms[site], spectrum = sigma, None
-                stats.accepted_perm_moves += 1
+                acc_perm += 1
             else:
                 _rewire(tops, bottoms, site, perms[site])
-        elif r < perm_prob + 0.5 * (1.0 - perm_prob):
-            stats.proposed_inserts += 1
+        elif r < insert_below:
+            n_ins += 1
             k = len(flat)
             if max_links is None or k < max_links:
                 e = int(draw() * n_edges)
                 t = lo + span * draw()
                 kind = CROSS if draw() < u else BAR
-                v, w = edges[e]
+                i = bisect_right(offsets, e) - 1  # e joins site i to site i + 1 + j
+                j, ab = divmod(e - offsets[i], block)
+                v, w = i * two_s + ab // two_s, (i + 1 + j) * two_s + ab % two_s
                 a, b = _below(bottoms[v], t), _below(bottoms[w], t)
                 # a time already taken on either thread has probability zero; reject
                 if a is not None and b is not None:
                     one, split = a.loop is b.loop, (a.sense == b.sense) == (kind == CROSS)
                     d_loops = int(split) if one else -1
-                    if accept(d_loops, math.log(lam / (k + 1))):
+                    log_ratio = d_loops * log_theta + log(lam / (k + 1))
+                    if log_ratio >= 0.0 or draw() < exp(log_ratio):
                         loop = a.loop if one else _merge(a, b, not split, lengths)
                         x, y = _Event(t, kind, v), _Event(t, kind, w)
                         x.partner, y.partner = y, x
@@ -453,9 +469,9 @@ def mcmc_run(
                             n_loops += d_loops
                             spectrum = None
                         flat.append(x)
-                        stats.accepted_inserts += 1
+                        acc_ins += 1
         else:
-            stats.proposed_deletes += 1
+            n_del += 1
             k = len(flat)
             if k > 0:
                 j = int(draw() * k)
@@ -466,7 +482,8 @@ def mcmc_run(
                 a, b = x.down, y.down
                 one = a.loop is x.loop
                 d_loops = int(a.sense == x.sense) if one else -1
-                if accept(d_loops, math.log(k / lam)):
+                log_ratio = d_loops * log_theta + log(k / lam)
+                if log_ratio >= 0.0 or draw() < exp(log_ratio):
                     loop = a.loop if one else _merge(a, x, a.sense != x.sense, lengths)
                     if one:  # x's arc holds a when the removal splits the loop; each arc holds x or y
                         _resolve(x, y, b if d_loops else a, d_loops, 1, lengths)
@@ -478,20 +495,29 @@ def mcmc_run(
                         n_loops += d_loops
                         spectrum = None
                     flat.pop()
-                    stats.accepted_deletes += 1
-        if sweep >= burn_in and (sweep - burn_in) % thin == 0:
+                    acc_del += 1
+        if sweep == next_keep:
+            next_keep += thin
             if spectrum is None:
-                spectrum = LoopSpectrum(tuple(reversed(lengths)), n_loops)
+                spectrum = tuple.__new__(LoopSpectrum, (tuple(reversed(lengths)), n_loops))
+                seen = interned.get(spectrum)
+                if seen is None:
+                    if observable is not None:
+                        value = float(observable(spectrum))
+                    interned[spectrum] = spectrum, value
+                else:
+                    spectrum, value = seen
             keep(spectrum)
             keep_links(len(flat))
             if observable is not None:
-                if spectrum is not observed and spectrum != observed:
-                    observed, value = spectrum, float(observable(spectrum))
                 keep_value(value)
     stats.sweeps = n_sweeps
-    index = {vw: e for e, vw in enumerate(edges)}
+    stats.proposed_inserts, stats.proposed_deletes, stats.proposed_perm_moves = n_ins, n_del, n_perm
+    stats.accepted_inserts, stats.accepted_deletes, stats.accepted_perm_moves = acc_ins, acc_del, acc_perm
     for x in flat:
-        config.links[index[x.thread, x.partner.thread]].append((x.time, x.kind))
+        i, a = divmod(x.thread, two_s)
+        j, b = divmod(x.partner.thread, two_s)
+        config.links[offsets[i] + (j - i - 1) * block + a * two_s + b].append((x.time, x.kind))
     for links in config.links:
         links.sort()
     stats.final_config = config
@@ -508,31 +534,28 @@ def observable_cosh(spectrum: LoopSpectrum, h: float, n: int, two_s: int, table:
     `table` maps a loop length to its factor, as in observable_q.
     """
     table = {} if table is None else table
-    out = 1.0
-    for length in spectrum.lengths:
-        c = table.get(length)
-        if c is None:
-            c = table[length] = math.cosh(h * length / (two_s * n))
-        out *= c
-    return out
+    try:
+        return math.prod(map(table.__getitem__, spectrum.lengths), start=1.0)
+    except KeyError:
+        table.update((m, math.cosh(h * m / (two_s * n))) for m in spectrum.lengths if m not in table)
+        return observable_cosh(spectrum, h, n, two_s, table)
 
 
-def observable_q(spectrum: LoopSpectrum, hvec, n: int, table: dict | None = None) -> complex:
-    """prod_i q_h(l_i / n) for the interchange loop model.
+def observable_q(spectrum: LoopSpectrum, hvec, n: int, table: dict | None = None) -> complex | float:
+    """prod_i q_h(l_i / n) for the interchange loop model; a float for real fields.
 
     `table` maps a loop length l to q_h(l / n); pass one dict per (hvec, n)
-    to evaluate each length once over a run instead of once per loop.
+    to evaluate each length once over a run instead of once per loop.  Its
+    entry at length 0 is the product's unit q_h(0) = 1: 1.0 for real fields,
+    1 + 0j otherwise.  The factors are multiplied in the order of the lengths.
     """
     table = {} if table is None else table
-    out = 1.0 + 0.0j
-    for length in spectrum.lengths:
-        q = table.get(length)
-        if q is None:
-            q = table[length] = _pd.q_eval(hvec, length / n)
-        out *= q
-    if all(isinstance(h, (int, float)) for h in hvec):
-        return out.real
-    return out
+    try:
+        return math.prod(map(table.__getitem__, spectrum.lengths), start=table[0])
+    except KeyError:
+        table[0] = 1.0 if all(isinstance(h, (int, float)) for h in hvec) else 1.0 + 0.0j
+        table.update((m, _pd.q_eval(hvec, m / n)) for m in spectrum.lengths if m not in table)
+        return observable_q(spectrum, hvec, n, table)
 
 
 def batch_means_se(values, n_batches: int = 32) -> tuple[float, float]:

@@ -181,8 +181,8 @@ def heisenberg_expectation_exact(
     """
     if n < 1 or two_s < 1:
         raise ValueError("need n >= 1 and two_s >= 1")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError("beta must be finite and positive")
     if not -1.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [-1, 1]")
     if h == 0:

@@ -108,6 +108,8 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
         raise ValueError("n must be >= 1")
     if theta < 1:
         raise ValueError("theta must be >= 1")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError("beta must be finite and positive")
     hv = list(hvec)
     if len(hv) != theta:
         raise ValueError(f"hvec must have length theta = {theta}")

@@ -530,6 +530,24 @@ def sample_free_links(
     return config
 
 
+def observable_cosh_per_loop(spectrum: LoopSpectrum, h: float, n: int, two_s: int) -> float:
+    """prod_i cosh(h l_i / (2 S n)), one factor per loop multiplied into 1.0 in order."""
+    out = 1.0
+    for length in spectrum.lengths:
+        out *= math.cosh(h * length / (two_s * n))
+    return out
+
+
+def observable_q_per_loop(spectrum: LoopSpectrum, hvec, n: int) -> complex | float:
+    """prod_i q_h(l_i / n) multiplied into 1 + 0j in order; the real part for real fields."""
+    out = 1.0 + 0.0j
+    for length in spectrum.lengths:
+        out *= _pd.q_eval(hvec, length / n)
+    if all(isinstance(h, (int, float)) for h in hvec):
+        return out.real
+    return out
+
+
 def trace_loops(config: LoopConfiguration) -> LoopSpectrum:
     """Deterministic loop decomposition of a configuration.
 

@@ -315,6 +315,14 @@ def test_pd_command_verdicts(capsys):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+def test_pd_cosh_rows_share_one_stick_stream(capsys):
+    # every cosh check reduces the same sticks, so equal fields give equal rows
+    rc = main(["pd", "--theta", "2", "--h", "1,1", "--samples", "2000", "--seed", "3"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc in (0, 3) and len(lines) == 3
+    assert lines[1] == lines[2] and lines[1].startswith("cosh,1.0,")
+
+
 @pytest.mark.parametrize("samples", ["0", "1"])
 def test_pd_samples_usage_error(capsys, samples):
     rc = main(["pd", "--theta", "2", "--h", "1", "--samples", samples, "--seed", "5"])
@@ -359,6 +367,36 @@ def test_pd_z_star_needs_integer_theta(capsys, theta):
 def test_malformed_arguments_are_usage_errors(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--model", "interchange", "--n", "10", "--theta", "3", "--beta", "nan", "--h", "1,0,0"],
+        ["exact", "--model", "interchange", "--n", "10", "--theta", "3", "--beta", "inf", "--h", "1,0,0"],
+        ["exact", "--model", "interchange", "--n", "10", "--theta", "3", "--beta", "-1", "--h", "1,0,0"],
+        ["exact", "--model", "heisenberg", "--n", "4", "--beta", "nan", "--h", "1"],
+        ["exact", "--model", "heisenberg", "--n", "4", "--beta", "inf", "--h", "1"],
+        ["exact", "--model", "xy", "--n", "4", "--beta", "nan", "--h", "1"],
+        ["pd", "--theta", "2", "--h", "inf", "--samples", "100"],
+        ["pd", "--theta", "2", "--h", "1,nan", "--samples", "100"],
+        ["pd", "--theta", "3", "--h", "1,-inf", "--z-star", "0.5", "--samples", "100"],
+    ],
+)
+def test_non_finite_inputs_fail_before_any_output(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("model", [["--model", "heisenberg", "--h", "nan"], ["--model", "xy", "--h", "inf"],
+                                   ["--model", "interchange", "--theta", "2", "--h", "1,-inf"]])
+def test_simulate_rejects_non_finite_field(tmp_path, capsys, model):
+    rc = main(["simulate", "--n", "4", "--beta", "1", "--sweeps", "100", "--seed", "1",
+               "--out", str(tmp_path)] + model)
+    assert rc == 3
+    assert "--h must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_maximize_interchange_spin_half(capsys):

@@ -144,6 +144,41 @@ def test_observables():
     assert qv == pytest.approx(float(np.real(target)), rel=1e-13)
 
 
+def _random_spectra(rng, total, count):
+    """count random spectra whose lengths sum to total, in decreasing order."""
+    out = []
+    for _ in range(count):
+        cuts = np.sort(rng.choice(np.arange(1, total), size=rng.integers(0, min(total, 12)), replace=False))
+        lengths = np.diff(np.concatenate(([0], cuts, [total])))
+        out.append(lp.LoopSpectrum(tuple(sorted(lengths.tolist(), reverse=True)), len(lengths) + 1))
+    return out
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+def test_observable_cosh_equals_per_loop_product_bit_for_bit(two_s):
+    rng = np.random.default_rng(two_s)
+    n, h, table = 37, 1.7 * two_s / 2, {}
+    for spec in _random_spectra(rng, n * two_s, 300):
+        want = oracles.observable_cosh_per_loop(spec, h, n, two_s)
+        assert lp.observable_cosh(spec, h, n, two_s, table) == want  # the run's table, filled as it goes
+        assert lp.observable_cosh(spec, h, n, two_s) == want
+        assert type(lp.observable_cosh(spec, h, n, two_s, table)) is float
+
+
+@pytest.mark.parametrize("hvec", [[1.0, 0.0, 0.0], [0.7, -0.2, 0.1, 2.5], [0.5 + 1.0j, -0.3j, 0.0],
+                                  [1.0 - 0.5j, 2.0]])
+def test_observable_q_equals_per_loop_product_bit_for_bit(hvec):
+    rng = np.random.default_rng(len(hvec))
+    n, table = 29, {}
+    for spec in _random_spectra(rng, n, 300):
+        want = oracles.observable_q_per_loop(spec, hvec, n)
+        for got in (lp.observable_q(spec, hvec, n, table), lp.observable_q(spec, hvec, n)):
+            assert type(got) is type(want)
+            assert (got.real, got.imag) == (want.real, want.imag)
+            assert [math.copysign(1.0, x) for x in (got.real, got.imag)] == [
+                math.copysign(1.0, x) for x in (want.real, want.imag)]
+
+
 def test_mcmc_rejects_small_theta():
     rng = np.random.default_rng(0)
     for theta in (0.5, math.nan, math.inf):  # nan ran as theta = 1 before
@@ -415,13 +450,21 @@ def test_mcmc_draws_from_generator_in_blocks():
 
 
 def test_mcmc_observable_once_per_distinct_spectrum():
-    seen = []
-    observable = lambda s: seen.append(s) or float(len(seen))
-    samples, stats = lp.mcmc_run(8, 1, 2.0, 1.0, 2.0, 2000, np.random.default_rng(8),
-                                 observable=observable)
-    assert all(a != b for a, b in zip(seen, seen[1:]))
-    assert len(seen) == 1 + sum(a != b for a, b in zip(samples, samples[1:]))
-    assert len(set(stats.observable_trace)) == len(seen) < len(samples)
+    # each distinct retained spectrum is observed exactly once, equal
+    # retained spectra are one object, and every sample carries its value
+    for thin in (1, 3):
+        seen = []
+        observable = lambda s: seen.append(s) or float(len(seen))
+        samples, stats = lp.mcmc_run(8, 1, 2.0, 1.0, 2.0, 2000, np.random.default_rng(8),
+                                     thin=thin, observable=observable)
+        distinct = set(samples)
+        assert len(seen) == len(set(seen)) == len(distinct) < len(samples)
+        assert set(seen) == distinct
+        assert len({id(s) for s in samples}) == len(distinct)
+        # the chain leaves a spectrum and comes back to it
+        assert sum(a != b for a, b in zip(samples, samples[1:])) > 10 * len(distinct)
+        value = {id(s): k + 1.0 for k, s in enumerate(seen)}
+        assert stats.observable_trace == [value[id(s)] for s in samples]
 
 
 def test_mcmc_poisson_equilibrium():
