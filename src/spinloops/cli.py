@@ -16,11 +16,12 @@ chain count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,17 +31,20 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+_SPIN = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")  # sign, digits, /q or .decimals
 
 
 def parse_spin(text: str) -> int:
-    """Spin quantum number string ("1/2", "1", "3/2") to two_s."""
-    try:
-        two_s = Fraction(text) * 2
-    except ZeroDivisionError:  # "1/0": argparse reports only ValueError as a usage error
-        two_s = Fraction(0)
-    if two_s.denominator != 1 or two_s <= 0:
+    """Spin string ("1/2", "1", "3/2", "0.5") to two_s, in integer arithmetic
+    (the fractions module would add decimal's import to every start-up)."""
+    match = _SPIN.fullmatch(text)
+    sign, whole, denom, decimals = match.groups() if match else ("", "", "0", None)
+    num = int(whole + (decimals or "") or "0")
+    den = 10 ** len(decimals) if decimals is not None else int(denom or "1")
+    two_s = 2 * num // den if den and 2 * num % den == 0 else 0
+    if sign == "-" or two_s <= 0:
         raise ValueError(f"spin must be a positive half-integer, got {text}")
-    return int(two_s)
+    return two_s
 
 
 def parse_h_list(text: str) -> list[float]:
@@ -59,6 +63,8 @@ def _heisenberg_limit(beta: float, h: float, delta: float, ctx) -> float:
 
 
 def cmd_exact(args) -> int:
+    if not all(map(math.isfinite, args.h)):
+        raise ValueError("--h must be finite")
     rows = []
     if args.model in ("heisenberg", "xy"):
         if len(args.h) != 1:
@@ -297,13 +303,16 @@ def cmd_pd(args) -> int:
     if not all(map(math.isfinite, args.h)):
         raise ValueError("--h must be finite")
     rng = np.random.default_rng(args.seed)
-    # every cosh check reduces the same stick stream, one row per field
-    prods = np.ones((len(args.h), args.samples))
+    # all cosh checks share one stick stream; one row per distinct field, zero's is ones (cosh 0 = 1)
+    fields = list(dict.fromkeys(h for h in args.h if h != 0.0))
+    prods = np.ones((len(fields), args.samples))
     for col in pd.stick_breaking_columns(args.theta, args.samples, rng):
-        prods *= np.cosh(np.multiply.outer(args.h, col))
+        prods *= np.cosh(np.multiply.outer(fields, col))
+    rows = dict(zip(fields, prods))
     print("check,h_or_z,series_or_closed,mc_mean,mc_se,verdict")
     ok = True
-    for h, vals in zip(args.h, prods):
+    for h in args.h:
+        vals = rows[h] if h else np.ones(args.samples)
         series = pd.pd_cosh_series(args.theta, h)
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
@@ -327,7 +336,10 @@ def cmd_pd(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every caller
+    (main included), so it must not be mutated; each parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="spinloops",
         description="mean-field quantum spin models and their random loop soups",
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=int, default=3)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--u", type=float, default=0.5)
-    p.add_argument("--h", type=parse_h_list, default=[1.0])
+    p.add_argument("--h", type=parse_h_list, default="1")
     p.add_argument("--sweeps", type=int, default=100_000)
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     p.add_argument("--thin", type=int, default=1)
@@ -380,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pd", help="Poisson-Dirichlet identities: series vs Monte Carlo")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument(
-        "--h", type=parse_h_list, default=[1.0],
+        "--h", type=parse_h_list, default="1",
         help="comma-separated finite fields, one cosh check each, all reduced from one "
-        "stick-breaking stream (so the rows are correlated; memory grows as fields x "
-        "samples); with --z-star also the q-product fields, zero-padded to --theta "
+        "stick-breaking stream (so the rows are correlated; memory grows as distinct "
+        "non-zero fields x samples); with --z-star also the q-product fields, zero-padded to --theta "
         "entries (more is a usage error)",
     )
     p.add_argument("--z-star", type=float, default=None, dest="z_star")
@@ -394,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; returns its exit code.  Parses with the shared build_parser()."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -430,15 +430,18 @@ def mcmc_run(
             n_perm += 1
             site = int(draw() * n)
             sigma = _permutation(draw, two_s)
-            old, new = _rewire(tops, bottoms, site, sigma)
-            log_ratio = (len(new) - len(old)) * log_theta
-            if log_ratio >= 0.0 or draw() < exp(log_ratio):
-                _regroup(lengths, [loop.marks for loop in old], [loop.marks for loop in new])
-                n_loops += len(new) - len(old)
-                perms[site], spectrum = sigma, None
+            if sigma == perms[site]:  # a no-op: theta^0 = 1 accepts it without a draw
                 acc_perm += 1
             else:
-                _rewire(tops, bottoms, site, perms[site])
+                old, new = _rewire(tops, bottoms, site, sigma)
+                log_ratio = (len(new) - len(old)) * log_theta
+                if log_ratio >= 0.0 or draw() < exp(log_ratio):
+                    _regroup(lengths, [loop.marks for loop in old], [loop.marks for loop in new])
+                    n_loops += len(new) - len(old)
+                    perms[site], spectrum = sigma, None
+                    acc_perm += 1
+                else:
+                    _rewire(tops, bottoms, site, perms[site])
         elif r < insert_below:
             n_ins += 1
             k = len(flat)

@@ -17,9 +17,9 @@ the ratios L_{M,n} / L_{M-1,n}, so no sector underflows, or in exact
 integers on request.  For Delta = 1 each sector contributes a sinh-ratio
 character; for Delta < 1 the diagonal of e^{t Sigma1} in each sector is a
 Wigner small-d function at imaginary angle, summed by a Jacobi three-term
-recurrence.  The tests set it against oracles in tests/oracles.py: the
-big-integer multiplicity table and a dense Kronecker-product eigensolve
-that knows nothing about angular momentum sectors.
+recurrence in blocks of steps.  The tests set it against oracles in
+tests/oracles.py: the big-integer multiplicity table, a dense Kronecker
+eigensolve blind to angular momentum sectors, and the per-step recurrence.
 
 Half-integers are carried as doubled integers (2M, 2J, 2S) throughout; all
 sector sums share a common subtracted maximum exponent so that e^{beta n}
@@ -131,6 +131,7 @@ def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float):
     (Wigner small-d at imaginary angle).  The Jacobi three-term recurrence
     runs in k = J - |M|, vectorised over b = 2|M|, and is written in
     u = cosh t - 1 = 2 sinh(t/2)^2 so that no digits are lost for small t.
+    Coefficients are built in 2-D blocks of up to 64 k rows and 2^15 entries.
     """
     b = np.arange(width % 2, width + 1, 2).astype(float)
     m = len(b)
@@ -142,16 +143,30 @@ def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float):
     p_cur = 1.0 + 0.5 * (b + 2.0) * u
     sector_t = coef * p_prev
     sector_t[1:] += coef[:-1] * p_cur[:-1]
-    for k in range(2, m):
-        bk = b[: m - k]
-        c = 2.0 * k + bk
-        cc = c * (c - 2.0)
-        p_next = (
-            (c - 1.0) * ((cc - bk * bk) + cc * u) * p_cur[: m - k]
-            - 2.0 * (k - 1.0) * (k + bk - 1.0) * c * p_prev[: m - k]
-        ) / (2.0 * k * (k + bk) * (c - 2.0))
-        sector_t[k:] += coef[: m - k] * p_next
-        p_prev, p_cur = p_cur[: m - k], p_next
+    rows = min(64, 2**15 // m)
+    for k0 in range(2, m, rows if rows >= 16 else 1):
+        bk = b[: m - k0]
+        if rows < 16:  # 2J >= 2^12: few rows cost more in cache than they save in calls
+            c = 2.0 * k0 + bk
+            cc = c * (c - 2.0)
+            p_next = (
+                (c - 1.0) * ((cc - bk * bk) + cc * u) * p_cur[: m - k0]
+                - 2.0 * (k0 - 1.0) * (k0 + bk - 1.0) * c * p_prev[: m - k0]
+            ) / (2.0 * k0 * (k0 + bk) * (c - 2.0))
+            sector_t[k0:] += coef[: m - k0] * p_next
+            p_prev, p_cur = p_cur[: m - k0], p_next
+        else:
+            ks = np.arange(k0, min(k0 + rows, m), dtype=float)[:, None]
+            c = 2.0 * ks + bk
+            cc = c * (c - 2.0)
+            x = (c - 1.0) * ((cc - bk * bk) + cc * u)
+            y = 2.0 * (ks - 1.0) * (ks + bk - 1.0) * c
+            z = 2.0 * ks * (ks + bk) * (c - 2.0)
+            for row, k in enumerate(range(k0, k0 + len(ks))):
+                w = m - k
+                p_next = (x[row, :w] * p_cur[:w] - y[row, :w] * p_prev[:w]) / z[row, :w]
+                sector_t[k:] += coef[:w] * p_next
+                p_prev, p_cur = p_cur[:w], p_next
     return sector_s, sector_t
 
 

@@ -183,6 +183,35 @@ def dense_gibbs_oracle(
     return GibbsValue(value, n, two_s, beta, float(delta), h)
 
 
+def anisotropic_sector_sums_per_step(width: int, gamma: float, t: complex | float):
+    """spectra._anisotropic_sector_sums with its Jacobi recurrence stepped one k at a time.
+
+    Builds each step's coefficients for that k alone, in the same operations
+    and order as the engine's blocked step, so the two agree bit for bit.
+    """
+    b = np.arange(width % 2, width + 1, 2).astype(float)
+    m = len(b)
+    coef = np.where(b > 0, 2.0, 1.0) * np.exp(-0.25 * gamma * b * b)
+    sector_s = np.cumsum(coef)
+    coef = coef * np.cosh(0.5 * t) ** b
+    u = 2.0 * np.sinh(0.5 * t) ** 2
+    p_prev = np.ones(m)
+    p_cur = 1.0 + 0.5 * (b + 2.0) * u
+    sector_t = coef * p_prev
+    sector_t[1:] += coef[:-1] * p_cur[:-1]
+    for k in range(2, m):
+        bk = b[: m - k]
+        c = 2.0 * k + bk
+        cc = c * (c - 2.0)
+        p_next = (
+            (c - 1.0) * ((cc - bk * bk) + cc * u) * p_cur[: m - k]
+            - 2.0 * (k - 1.0) * (k + bk - 1.0) * c * p_prev[: m - k]
+        ) / (2.0 * k * (k + bk) * (c - 2.0))
+        sector_t[k:] += coef[: m - k] * p_next
+        p_prev, p_cur = p_cur[: m - k], p_next
+    return sector_s, sector_t
+
+
 def falk_bruch_check(n: int, two_s: int, beta: float, h: float, u: float = 0.0) -> FalkBruchResult:
     """Magnetization / Duhamel / transverse-susceptibility inequality chain.
 

@@ -6,21 +6,29 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 import spinloops
 from spinloops import loops, pd
-from spinloops.cli import _float_repr, _parse_grid, main, parse_h_list, parse_spin
+from spinloops.cli import _float_repr, _parse_grid, build_parser, main, parse_h_list, parse_spin
 
 
 def test_parse_spin():
-    assert parse_spin("1/2") == 1
-    assert parse_spin("1") == 2
-    assert parse_spin("3/2") == 3
-    with pytest.raises(ValueError):
-        parse_spin("2/3")
-    with pytest.raises(ValueError):
-        parse_spin("-1/2")
+    # integer arithmetic against Fraction(text) * 2; perfbench passes "1/2", "1" and "3/2"
+    for text in ["1/2", "1", "3/2", "0.5", "2/4", " 1/2 ", "+3/2", ".5", "1.", "2.50",
+                 "2/3", "-1/2", "0", "1/0", "abc", "", "0.25", "1 /2", "1/2/2", "/2", "-0", " "]:
+        try:
+            two_s = Fraction(text) * 2
+        except (ValueError, ZeroDivisionError):
+            two_s = Fraction(0)
+        if two_s.denominator == 1 and two_s > 0:
+            assert parse_spin(text) == two_s, text
+        else:
+            with pytest.raises(ValueError):
+                parse_spin(text)
+    assert [parse_spin(t) for t in ("1/2", "1", "3/2")] == [1, 2, 3]
 
 
 def test_parse_grid_points_are_lo_plus_k_step():
@@ -306,6 +314,57 @@ def test_import_pulls_no_third_party_package_but_numpy():
     assert top == {"numpy", "spinloops"}
 
 
+def test_import_cli_loads_no_scipy_mpmath_or_fractions():
+    # fractions pulls in decimal; scipy and mpmath are test-only
+    code = "import sys, spinloops.cli; print(sorted({'scipy', 'mpmath', 'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinloops.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_build_parser_is_shared():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_the_parser_clean(capsys):
+    argv = ["exact", "--model", "xy", "--n", "20", "--beta", "3", "--h", "1"]
+    assert main(argv) == 0
+    alone = capsys.readouterr()
+    assert main(["exact", "--model", "xy", "--n", "x", "--beta", "3", "--h", "1"]) == 2
+    assert main(["pd", "--theta", "2", "--bogus"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == alone
+
+
+def test_one_process_prints_what_separate_processes_print():
+    # main reuses one parser per process; the bytes must not depend on it
+    runs = [
+        ["exact", "--model", "heisenberg", "--n", "40", "--beta", "3", "--h", "1"],
+        ["exact", "--model", "xy", "--n", "40", "--beta", "3", "--h", "1"],
+        ["exact", "--model", "heisenberg", "--n", "x", "--beta", "3", "--h", "1"],
+        ["maximize", "--model", "heisenberg", "--beta-grid", "2:3:0.5"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from spinloops.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print('exit', main(argv), flush=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinloops.__file__)))
+
+    def run(argvs):
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                              capture_output=True, check=True)
+        return done.stdout, done.stderr
+
+    together = run(runs)
+    apart = [run([argv]) for argv in runs]
+    assert together == (b"".join(out for out, _ in apart), b"".join(err for _, err in apart))
+    assert together[0].count(b"exit 0") == 3 and b"exit 2" in together[0]
+
+
 def test_pd_command_verdicts(capsys):
     rc = main(["pd", "--theta", "2", "--h", "1", "--samples", "20000", "--seed", "5",
                "--z-star", "0.5"])
@@ -321,6 +380,19 @@ def test_pd_cosh_rows_share_one_stick_stream(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert rc in (0, 3) and len(lines) == 3
     assert lines[1] == lines[2] and lines[1].startswith("cosh,1.0,")
+
+
+def test_pd_zero_and_repeated_fields_share_rows(capsys):
+    # rows of equal fields come from one product; a zero field's row is exactly ones
+    argv = ["pd", "--theta", "2", "--samples", "2000", "--seed", "3", "--h"]
+    assert main(argv + ["1"]) in (0, 3)
+    single = capsys.readouterr().out.strip().splitlines()[1]
+    assert main(argv + ["1,0,1,0"]) in (0, 3)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 5 and lines[1] == lines[3] == single
+    for line in (lines[2], lines[4]):
+        check, h, series, mean, se, verdict = line.split(",")
+        assert (h, series, mean, se, verdict) == ("0.0", "1.0", "1.0", "0.0", "pass")
 
 
 @pytest.mark.parametrize("samples", ["0", "1"])
@@ -378,6 +450,9 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
         ["exact", "--model", "heisenberg", "--n", "4", "--beta", "nan", "--h", "1"],
         ["exact", "--model", "heisenberg", "--n", "4", "--beta", "inf", "--h", "1"],
         ["exact", "--model", "xy", "--n", "4", "--beta", "nan", "--h", "1"],
+        ["exact", "--model", "interchange", "--n", "10", "--theta", "3", "--beta", "2", "--h", "nan,0,0"],
+        ["exact", "--model", "heisenberg", "--n", "10", "--beta", "2", "--h=-inf"],
+        ["exact", "--model", "xy", "--n", "10", "--beta", "2", "--h", "inf"],
         ["pd", "--theta", "2", "--h", "inf", "--samples", "100"],
         ["pd", "--theta", "2", "--h", "1,nan", "--samples", "100"],
         ["pd", "--theta", "3", "--h", "1,-inf", "--z-star", "0.5", "--samples", "100"],
@@ -387,6 +462,7 @@ def test_non_finite_inputs_fail_before_any_output(capsys, argv):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "must be finite" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("model", [["--model", "heisenberg", "--h", "nan"], ["--model", "xy", "--h", "inf"],

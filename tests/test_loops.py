@@ -598,3 +598,20 @@ def test_pd_comparison_ordered_phase_matches_limits():
     samples2, _ = lp.mcmc_run(n, 1, 3.0, 0.5, 2.0, 60_000, rng2, thin=5)
     report2 = oracles.pd_comparison(samples2, n, 1, 0.5, 1.0, z, [2.0], rng2, n_reference=4000)
     assert report2.rows[0]["abs_gap"] < 0.05
+
+
+@pytest.mark.parametrize("two_s", [2, 3])
+def test_sigma_noop_moves_skip_the_walk(monkeypatch, two_s):
+    # a sigma_i redraw equal to the wiring in place is accepted without a walk
+    calls = []
+    rewire = lp._rewire
+
+    def spy(tops, bottoms, site, sigma):
+        base = site * len(sigma)
+        calls.append(tuple(tops[base + a].partner.thread - base for a in range(len(sigma))) == sigma)
+        return rewire(tops, bottoms, site, sigma)
+
+    monkeypatch.setattr(lp, "_rewire", spy)
+    _, stats = lp.mcmc_run(6, two_s, 2.0, 0.5, 2.0, 5000, np.random.default_rng(1))
+    assert stats.proposed_perm_moves > 100 and calls
+    assert not any(calls)

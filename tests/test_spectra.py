@@ -345,3 +345,29 @@ def test_falk_bruch_rejects_zero_field():
 def test_dense_cap():
     with pytest.raises(oracles.CapExceededError):
         oracles.dense_gibbs_oracle(9, 2, 1.0, 1.0, 1.0)  # 3^9 > 6561
+
+
+_BLOCK_WIDTHS = [0, 1, 2, 3, 4, 5, 127, 128, 129, 1023, 1024, 1025, 4001,
+                 pytest.param(10**4, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("width", _BLOCK_WIDTHS)
+def test_blocked_sector_sums_match_per_step_recurrence(width):
+    # block edges at 64 rows (width < 1023) and at the 2^15-entry cap above it,
+    # 10^4 steps each k alone; large t overflows cosh(t/2)^b on both routes alike
+    for gamma in (0.0, 5.0 / max(width, 1), 0.3):
+        for t in (1e-9, 1.0 / max(width, 1), 0.7, 0.3 + 0.2j, -0.01j, 2 - 1j):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = sp._anisotropic_sector_sums(width, gamma, t)
+                want = oracles.anisotropic_sector_sums_per_step(width, gamma, t)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w, equal_nan=True), (width, gamma, t)
+
+
+@pytest.mark.parametrize("n, two_s, delta, h", [(500, 1, 0.0, 1.0), (128, 2, 0.0, 1.0),
+                                                (300, 3, 0.5, 1.0 + 0.5j), (1000, 1, -0.5, 1.0)])
+def test_xy_value_unchanged_by_blocked_recurrence(monkeypatch, n, two_s, delta, h):
+    got = sp.heisenberg_expectation_exact(n, two_s, 3.0, delta, h).value
+    monkeypatch.setattr(sp, "_anisotropic_sector_sums", oracles.anisotropic_sector_sums_per_step)
+    assert got == sp.heisenberg_expectation_exact(n, two_s, 3.0, delta, h).value
