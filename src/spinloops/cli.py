@@ -20,8 +20,8 @@ import functools
 import json
 import math
 import os
-import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,20 +31,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-_SPIN = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")  # sign, digits, /q or .decimals
 
 
 def parse_spin(text: str) -> int:
-    """Spin string ("1/2", "1", "3/2", "0.5") to two_s, in integer arithmetic
-    (the fractions module would add decimal's import to every start-up)."""
-    match = _SPIN.fullmatch(text)
-    sign, whole, denom, decimals = match.groups() if match else ("", "", "0", None)
-    num = int(whole + (decimals or "") or "0")
-    den = 10 ** len(decimals) if decimals is not None else int(denom or "1")
-    two_s = 2 * num // den if den and 2 * num % den == 0 else 0
-    if sign == "-" or two_s <= 0:
+    """Spin quantum number string ("1/2", "1", "3/2") to two_s."""
+    try:
+        two_s = Fraction(text) * 2
+    except ZeroDivisionError:  # "1/0": argparse reports only ValueError as a usage error
+        two_s = Fraction(0)
+    if two_s.denominator != 1 or two_s <= 0:
         raise ValueError(f"spin must be a positive half-integer, got {text}")
-    return two_s
+    return int(two_s)
 
 
 def parse_h_list(text: str) -> list[float]:

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GibbsValue",
@@ -131,7 +132,12 @@ def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float):
     (Wigner small-d at imaginary angle).  The Jacobi three-term recurrence
     runs in k = J - |M|, vectorised over b = 2|M|, and is written in
     u = cosh t - 1 = 2 sinh(t/2)^2 so that no digits are lost for small t.
-    Coefficients are built in 2-D blocks of up to 64 k rows and 2^15 entries.
+    Each step is p_next = (X p_cur - Y p_prev) / Z with X = (c - 1)((cc - b^2) + cc u),
+    Y = 2(k - 1)(k + b - 1)c, Z = 2k(k + b)(c - 2), c = 2k + b, cc = c(c - 2);
+    X, Y and Z are built for blocks of up to 64 k rows (at most 2^15 entries).
+    The c-only factors are exact integers, computed once for all k, and the
+    rest take the same operations in the same order as a step built alone,
+    so the sums are bit-identical to stepping k one at a time.
     """
     b = np.arange(width % 2, width + 1, 2).astype(float)
     m = len(b)
@@ -143,30 +149,27 @@ def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float):
     p_cur = 1.0 + 0.5 * (b + 2.0) * u
     sector_t = coef * p_prev
     sector_t[1:] += coef[:-1] * p_cur[:-1]
-    rows = min(64, 2**15 // m)
-    for k0 in range(2, m, rows if rows >= 16 else 1):
-        bk = b[: m - k0]
-        if rows < 16:  # 2J >= 2^12: few rows cost more in cache than they save in calls
-            c = 2.0 * k0 + bk
-            cc = c * (c - 2.0)
-            p_next = (
-                (c - 1.0) * ((cc - bk * bk) + cc * u) * p_cur[: m - k0]
-                - 2.0 * (k0 - 1.0) * (k0 + bk - 1.0) * c * p_prev[: m - k0]
-            ) / (2.0 * k0 * (k0 + bk) * (c - 2.0))
-            sector_t[k0:] += coef[: m - k0] * p_next
-            p_prev, p_cur = p_cur[: m - k0], p_next
-        else:
-            ks = np.arange(k0, min(k0 + rows, m), dtype=float)[:, None]
-            c = 2.0 * ks + bk
-            cc = c * (c - 2.0)
-            x = (c - 1.0) * ((cc - bk * bk) + cc * u)
-            y = 2.0 * (ks - 1.0) * (ks + bk - 1.0) * c
-            z = 2.0 * ks * (ks + bk) * (c - 2.0)
-            for row, k in enumerate(range(k0, k0 + len(ks))):
-                w = m - k
-                p_next = (x[row, :w] * p_cur[:w] - y[row, :w] * p_prev[:w]) / z[row, :w]
-                sector_t[k:] += coef[:w] * p_next
-                p_prev, p_cur = p_cur[:w], p_next
+    # c = 2k + b depends on k + b/2 alone, so c, cc = c(c - 2) and cc u are built
+    # once, for k + b/2 = 2, 3, ..., and step k reads row k - 2 of their windows
+    c = 2.0 * np.arange(2, 2 * m + 2) + b[0]
+    cc = c * (c - 2.0)
+    c_1, c_2, c_0, cc_0, cc_u = (
+        sliding_window_view(a, m) for a in (c - 1.0, c - 2.0, c, cc, cc * u)
+    )
+    bb = b * b
+    rows = max(1, min(64, 2**15 // m))  # a block holds at most 2^15 entries
+    for k0 in range(2, m, rows):
+        k1, w0 = min(k0 + rows, m), m - k0
+        ks = np.arange(k0, k1, dtype=float)[:, None]
+        bk, blk = b[:w0], (slice(k0 - 2, k1 - 2), slice(w0))
+        x = c_1[blk] * ((cc_0[blk] - bb[:w0]) + cc_u[blk])
+        y = 2.0 * (ks - 1.0) * (ks + bk - 1.0) * c_0[blk]
+        z = 2.0 * ks * (ks + bk) * c_2[blk]
+        for row, k in enumerate(range(k0, k1)):
+            w = m - k
+            p_next = (x[row, :w] * p_cur[:w] - y[row, :w] * p_prev[:w]) / z[row, :w]
+            sector_t[k:] += coef[:w] * p_next
+            p_prev, p_cur = p_cur[:w], p_next
     return sector_s, sector_t
 
 

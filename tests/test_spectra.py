@@ -353,8 +353,8 @@ _BLOCK_WIDTHS = [0, 1, 2, 3, 4, 5, 127, 128, 129, 1023, 1024, 1025, 4001,
 
 @pytest.mark.parametrize("width", _BLOCK_WIDTHS)
 def test_blocked_sector_sums_match_per_step_recurrence(width):
-    # block edges at 64 rows (width < 1023) and at the 2^15-entry cap above it,
-    # 10^4 steps each k alone; large t overflows cosh(t/2)^b on both routes alike
+    # blocks of 64 rows up to width 1023, then the 2^15-entry cap (16 rows at 4001,
+    # 6 at 10^4); large t overflows cosh(t/2)^b on both routes alike
     for gamma in (0.0, 5.0 / max(width, 1), 0.3):
         for t in (1e-9, 1.0 / max(width, 1), 0.7, 0.3 + 0.2j, -0.01j, 2 - 1j):
             with np.errstate(over="ignore", invalid="ignore"):
