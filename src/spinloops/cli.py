@@ -402,10 +402,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_strings() -> tuple[frozenset[str], frozenset[str]]:
+    """Every option string of build_parser() and its commands, and those that take one value."""
+    every, valued, parsers = set(), set(), [build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            every.update(action.option_strings)
+            if action.nargs is None:
+                valued.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return frozenset(every), frozenset(valued)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each `--opt -x` written `--opt=-x`, where --opt takes a value and -x is no option.
+
+    argparse takes a token that starts with '-' for an option unless it
+    reads as a plain negative number, so values such as -1,0,0, -inf or
+    -1e-3 could only be given as --opt=-x.  A token that starts with '--'
+    is left alone, and the parser is only inspected when a token starts with
+    a single '-'.
+    """
+    out = []
+    for token in argv:
+        if out and token[:1] == "-" and token[:2] != "--":
+            every, valued = _option_strings()
+            if out[-1] in valued and token not in every:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    """Run one command; returns its exit code.  Parses with the shared build_parser()."""
+    """Run one command; returns its exit code.  Parses with the shared build_parser().
+
+    A value may start with '-' after any option that takes one: `--h -1,0,0` is `--h=-1,0,0`.
+    """
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

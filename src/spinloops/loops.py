@@ -37,8 +37,10 @@ at the link in turn until one closes and relabels or reverses only that one
 (Even & Shiloach, J. ACM 1981).  A sigma_i resample reads the old loops off
 site i's 2S wrap segments and walks the new ones once.  Every draw comes from
 _uniforms(rng), which takes rng.random in blocks; an integer below m is
-int(u m), within m 2^-53 of uniform.  A drawn edge index is decoded from the
-per-site offsets of the pseudo-edge order; the chain never lists the edges.
+int(u m), within m 2^-53 of uniform.  A drawn edge index e counts the
+C(n,2) (2S)^2 pseudo-edges in site-major order (site pairs i < j, then
+thread slots a, b) and is decoded from per-site offsets; the chain never
+lists the edges.
 
 Samples.  A chain keeps returning to spectra it has seen, so mcmc_run interns
 the retained spectra of a run: equal ones are one object, and the observable
@@ -51,7 +53,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +65,6 @@ __all__ = [
     "LoopConfiguration",
     "LoopSpectrum",
     "McmcStats",
-    "pseudo_edges",
     "empty_configuration",
     "mcmc_run",
     "observable_cosh",
@@ -77,36 +77,22 @@ BAR = 1
 _BLOCK = 4096  # uniforms the chain draws from its generator per call
 
 
-@lru_cache(maxsize=64)
-def pseudo_edges(n: int, two_s: int) -> tuple[tuple[int, int], ...]:
-    """Inter-site pseudo-edges as thread index pairs, site-major order.
-
-    Thread (i, a) has index i * two_s + a; there are C(n,2) (2S)^2 edges
-    (same-site thread pairs carry no links).
-    """
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in range(two_s):
-                for b in range(two_s):
-                    edges.append((i * two_s + a, j * two_s + b))
-    return tuple(edges)
-
-
 @dataclass
 class LoopConfiguration:
     """Poisson link marks plus per-site wrap permutations.
 
-    links[e] is the time-sorted list of (time, kind) on pseudo_edges(n,
-    two_s)[e]; times are strictly increasing within an edge.  site_perms[i]
-    maps thread slot a to sigma_i(a); it is the identity for two_s = 1.
+    links is a list of (v, w, time, kind) tuples, one per link, in no
+    particular order: v < w index threads on different sites (thread (i, a)
+    has index i * two_s + a), and no two link ends on one thread share a
+    time.  site_perms[i] maps thread slot a to sigma_i(a); it is the
+    identity for two_s = 1.
     """
 
     n: int
     two_s: int
     beta: float
     u: float
-    links: list[list[tuple[float, int]]]
+    links: list[tuple[int, int, float, int]]
     site_perms: list[tuple[int, ...]]
 
     @property
@@ -122,7 +108,7 @@ class LoopConfiguration:
 
     @property
     def n_links(self) -> int:
-        return sum(len(l) for l in self.links)
+        return len(self.links)
 
 
 class LoopSpectrum(NamedTuple):
@@ -151,10 +137,7 @@ def empty_configuration(n: int, two_s: int, beta: float, u: float) -> LoopConfig
         raise ValueError("need n >= 2 sites")
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    n_edges = n * (n - 1) // 2 * two_s * two_s
-    return LoopConfiguration(
-        n, two_s, beta, u, [[] for _ in range(n_edges)], [tuple(range(two_s))] * n
-    )
+    return LoopConfiguration(n, two_s, beta, u, [], [tuple(range(two_s))] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +353,9 @@ def mcmc_run(
     One sweep is one elementary proposal (insert / delete / sigma resample),
     starting from the empty configuration.  Returns the retained post-burn-in
     spectra (every `thin`-th sweep) and move statistics, with the final
-    configuration in stats.final_config; burn_in defaults to 20% of
-    n_sweeps.  Retained spectra are interned within the run: equal ones are
+    configuration in stats.final_config, its links in the chain's own order
+    (a rejected deletion leaves the proposed link last); burn_in defaults to
+    20% of n_sweeps.  Retained spectra are interned within the run: equal ones are
     the same object, and `observable` is evaluated exactly once per distinct
     retained spectrum, its value reused for every later visit.
     All randomness comes from rng.random in blocks (see _uniforms).
@@ -395,9 +379,9 @@ def mcmc_run(
     lo, hi = config.interval
     span = hi - lo
     block = two_s * two_s  # edges between two sites
-    # index in pseudo_edges(n, two_s) of site i's first edge (to sites j > i)
+    # site-major index of site i's first edge (to sites j > i)
     offsets = [block * (i * (2 * n - i - 1) // 2) for i in range(n)]
-    n_edges = len(config.links)
+    n_edges = block * (n * (n - 1) // 2)
     lam = n_edges * span
     perms = config.site_perms
     n_threads = n * two_s
@@ -517,12 +501,7 @@ def mcmc_run(
     stats.sweeps = n_sweeps
     stats.proposed_inserts, stats.proposed_deletes, stats.proposed_perm_moves = n_ins, n_del, n_perm
     stats.accepted_inserts, stats.accepted_deletes, stats.accepted_perm_moves = acc_ins, acc_del, acc_perm
-    for x in flat:
-        i, a = divmod(x.thread, two_s)
-        j, b = divmod(x.partner.thread, two_s)
-        config.links[offsets[i] + (j - i - 1) * block + a * two_s + b].append((x.time, x.kind))
-    for links in config.links:
-        links.sort()
+    config.links = [(x.thread, x.partner.thread, x.time, x.kind) for x in flat]
     stats.final_config = config
     return samples, stats
 

@@ -4,8 +4,9 @@ Each function is an independent second route to a number an engine
 computes, or a closed form an engine's output converges to; no command-line
 path reaches any of them.  The sections follow the engine modules: spectra
 (big-integer table, dense eigensolves, Falk-Bruch chain), symfunc (Schur
-polynomials, characters), pd (spin closed forms, Ewens sampler), loops (free
-configurations, loop tracer, PD comparison) and asymptotics.
+polynomials, characters), pd (spin closed forms, Ewens sampler), loops
+(pseudo-edge list, free configurations, loop tracer, PD comparison) and
+asymptotics.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from spinloops import pd as _pd
 from spinloops.asymptotics import SpinContext, eta, eta_second, g_beta, magnetization, x_star
 from spinloops.loops import BAR, CROSS, LoopConfiguration, LoopSpectrum, batch_means_se
-from spinloops.loops import empty_configuration, observable_cosh, pseudo_edges
+from spinloops.loops import empty_configuration, observable_cosh
 from spinloops.spectra import GibbsValue
 from spinloops.symfunc import _schur_exp
 
@@ -533,8 +534,25 @@ def ewens_sample(n: int, theta: float, rng: np.random.Generator) -> EwensPermuta
 
 
 # ---------------------------------------------------------------------------
-# loops: free configurations, loop tracing, PD comparison
+# loops: pseudo-edge list, free configurations, loop tracing, PD comparison
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def pseudo_edges(n: int, two_s: int) -> tuple[tuple[int, int], ...]:
+    """Inter-site pseudo-edges as thread index pairs, site-major order.
+
+    Thread (i, a) has index i * two_s + a; there are C(n,2) (2S)^2 edges
+    (same-site thread pairs carry no links).  The chain draws edge indices
+    in this order without listing the edges.
+    """
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in range(two_s):
+                for b in range(two_s):
+                    edges.append((i * two_s + a, j * two_s + b))
+    return tuple(edges)
+
 
 def sample_free_links(
     n: int, two_s: int, beta: float, u: float, rng: np.random.Generator
@@ -543,17 +561,18 @@ def sample_free_links(
 
     Each pseudo-edge carries a Poisson(beta/n) number of links with uniform
     times (crosses with probability u), and each site gets an independent
-    uniform permutation of its two_s threads.
+    uniform permutation of its two_s threads.  The links are listed edge by
+    edge in pseudo_edges order, time-sorted within an edge.
     """
     config = empty_configuration(n, two_s, beta, u)
     lo, hi = config.interval
     span = hi - lo
-    for links in config.links:
+    for v, w in pseudo_edges(n, two_s):
         count = int(rng.poisson(span))
         if count:
             times = np.sort(lo + span * rng.random(count))
             kinds = rng.random(count) < u
-            links.extend((float(t), CROSS if k else BAR) for t, k in zip(times, kinds))
+            config.links.extend((v, w, float(t), CROSS if k else BAR) for t, k in zip(times, kinds))
     if two_s > 1:
         config.site_perms = [tuple(int(x) for x in rng.permutation(two_s)) for _ in range(n)]
     return config
@@ -582,23 +601,23 @@ def trace_loops(config: LoopConfiguration) -> LoopSpectrum:
 
     Cuts threads into segments at link times, pairs segment ends across
     links and through the wrap, walks the cycles and counts marked time-0
-    points per cycle.  Raises ValueError on out-of-interval or non-increasing
-    link times.
+    points per cycle.  Raises ValueError on a link time outside the
+    interval, two link ends at one time on one thread, or a link whose
+    threads are out of range, out of order (v >= w) or on one site.
     """
-    edges = pseudo_edges(config.n, config.two_s)
-    if len(config.links) != len(edges):
-        raise ValueError("links list does not match the pseudo-edge count")
     lo, hi = config.interval
-    flat = []
-    for (v, w), link_list in zip(edges, config.links):
-        times = [t for t, _ in link_list]
-        for t in times:
-            if not lo <= t < hi:
-                raise ValueError(f"link time {t} outside interval [{lo}, {hi})")
-        if any(a >= b for a, b in zip(times, times[1:])):
-            raise ValueError("link times must be strictly increasing per edge")
-        flat.extend((v, w, t, kind) for t, kind in link_list)
-    return _trace_flat(config.n, config.two_s, config.site_perms, flat)
+    n_threads, two_s = config.n_threads, config.two_s
+    ends = set()
+    for v, w, t, _ in config.links:
+        if not 0 <= v < w < n_threads or v // two_s == w // two_s:
+            raise ValueError(f"link ({v}, {w}) must join threads v < w of different sites")
+        if not lo <= t < hi:
+            raise ValueError(f"link time {t} outside interval [{lo}, {hi})")
+        for end in ((v, t), (w, t)):
+            if end in ends:
+                raise ValueError(f"two link ends at time {t} on thread {end[0]}")
+            ends.add(end)
+    return _trace_flat(config.n, two_s, config.site_perms, config.links)
 
 
 def _trace_flat(n: int, two_s: int, site_perms, flat) -> LoopSpectrum:

@@ -180,7 +180,7 @@ def test_simulate_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch):
         assert (tmp_path / "run_spectra.csv").read_text() == "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0", "-1e-3", "-inf"])
 def test_simulate_rejects_bad_beta(tmp_path, capsys, beta):
     rc = main(["simulate", "--model", "heisenberg", "--n", "4", "--beta", beta,
                "--sweeps", "100", "--seed", "1", "--out", str(tmp_path)])
@@ -322,6 +322,30 @@ def test_usage_error_leaves_the_parser_clean(capsys):
     assert capsys.readouterr() == alone
 
 
+@pytest.mark.parametrize(
+    "head, value",
+    [
+        (["exact", "--model", "interchange", "--n", "10", "--theta", "3", "--beta", "2"], "-1,0,0"),
+        (["exact", "--model", "heisenberg", "--n", "10", "--beta", "2"], "-1e-3"),
+        (["exact", "--model", "xy", "--n", "10", "--beta", "2"], "-1"),
+        (["pd", "--theta", "2", "--samples", "100", "--seed", "3"], "-.5,-2E-1"),
+    ],
+)
+def test_negative_value_after_its_option(capsys, head, value):
+    # argparse alone reads -1,0,0 or -1e-3 as an option and exits 2
+    assert main(head + [f"--h={value}"]) == 0
+    joined = capsys.readouterr()
+    assert main(head + ["--h", value]) == 0
+    assert capsys.readouterr() == joined
+
+
+def test_option_strings_are_not_taken_for_values(capsys):
+    head = ["exact", "--model", "heisenberg", "--n", "10", "--beta", "2"]
+    assert main(head + ["--h", "-h"]) == 2
+    assert main(head + ["--h", "--beta", "2"]) == 2
+    assert "--h: expected one argument" in capsys.readouterr().err
+
+
 def test_one_process_prints_what_separate_processes_print():
     # main reuses one parser per process; the bytes must not depend on it
     runs = [
@@ -440,6 +464,11 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
         ["pd", "--theta", "2", "--h", "inf", "--samples", "100"],
         ["pd", "--theta", "2", "--h", "1,nan", "--samples", "100"],
         ["pd", "--theta", "3", "--h", "1,-inf", "--z-star", "0.5", "--samples", "100"],
+        # a value after its option may start with '-'
+        ["exact", "--model", "heisenberg", "--n", "10", "--beta", "2", "--h", "-inf"],
+        ["exact", "--model", "interchange", "--n", "10", "--theta", "3", "--beta", "2", "--h", "-inf,0,0"],
+        ["exact", "--model", "heisenberg", "--n", "10", "--beta", "-1e-3", "--h", "1"],
+        ["exact", "--model", "xy", "--n", "10", "--beta", "-inf", "--h", "1"],
     ],
 )
 def test_non_finite_inputs_fail_before_any_output(capsys, argv):

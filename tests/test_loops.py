@@ -15,17 +15,17 @@ import oracles
 
 
 def test_pseudo_edge_set():
-    edges = lp.pseudo_edges(3, 2)
+    edges = oracles.pseudo_edges(3, 2)
     assert len(edges) == 3 * 4  # C(3,2) * (2S)^2
     for v, w in edges:
         assert v < w and v // 2 != w // 2
-    assert len(lp.pseudo_edges(4, 1)) == 6
+    assert len(oracles.pseudo_edges(4, 1)) == 6
 
 
 def test_free_sampler_counts_and_kinds():
     rng = np.random.default_rng(0)
     cfg = oracles.sample_free_links(4, 2, 3.0, 1.0, rng)
-    assert all(kind == lp.CROSS for links in cfg.links for _, kind in links)
+    assert all(kind == lp.CROSS for _, _, _, kind in cfg.links)
     assert cfg.n_threads == 8
     assert len(cfg.site_perms) == 4
     # mean total links over many draws: #edges * beta/n
@@ -47,27 +47,27 @@ def test_trace_no_links():
 def test_trace_single_link_two_sites():
     for kind in (lp.CROSS, lp.BAR):
         cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
-        cfg.links[0].append((0.3, kind))
+        cfg.links.append((0, 1, 0.3, kind))
         assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2,), 1)
 
 
 def test_trace_two_links_same_edge():
     # two crosses compose to the identity: two loops, each wrapping once
     cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
-    cfg.links[0] = [(0.3, lp.CROSS), (0.7, lp.CROSS)]
+    cfg.links = [(0, 1, 0.3, lp.CROSS), (0, 1, 0.7, lp.CROSS)]
     assert oracles.trace_loops(cfg) == lp.LoopSpectrum((1, 1), 2)
     # a cross and a bar chain into a single double-wrap loop
-    cfg.links[0] = [(0.3, lp.CROSS), (0.7, lp.BAR)]
+    cfg.links = [(0, 1, 0.3, lp.CROSS), (0, 1, 0.7, lp.BAR)]
     assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2,), 1)
     # two bars close a zero-length loop between them and join the outer parts
-    cfg.links[0] = [(0.3, lp.BAR), (0.7, lp.BAR)]
+    cfg.links = [(0, 1, 0.3, lp.BAR), (0, 1, 0.7, lp.BAR)]
     assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2,), 2)
 
 
 def test_trace_complete_graph_realization():
     # single cross on one K_4 edge: one loop of length 2 and two trivial loops
     cfg = lp.empty_configuration(4, 1, 2.0, 1.0)
-    cfg.links[0].append((0.1, lp.CROSS))
+    cfg.links.append((0, 1, 0.1, lp.CROSS))
     assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2, 1, 1), 3)
 
 
@@ -75,9 +75,8 @@ def test_trace_zero_length_loop():
     # two bars above the wrap line enclose a loop that never touches level 0
     cfg = lp.empty_configuration(2, 2, 4.0, 0.0)
     # threads 0,1 belong to site 0, threads 2,3 to site 1; edge (0, 2)
-    edges = lp.pseudo_edges(2, 2)
-    e = edges.index((0, 2))
-    cfg.links[e] = [(0.3, lp.BAR), (0.6, lp.BAR)]
+    assert (0, 2) in oracles.pseudo_edges(2, 2)
+    cfg.links = [(0, 2, 0.3, lp.BAR), (0, 2, 0.6, lp.BAR)]
     spec = oracles.trace_loops(cfg)
     assert sum(spec.lengths) == 4
     assert spec.n_loops_total == len(spec.lengths) + 1  # one zero-length loop
@@ -105,22 +104,38 @@ def test_length_conservation_and_determinism(n, two_s):
 
 def test_trace_rejects_bad_times():
     cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
-    cfg.links[0] = [(5.0, lp.CROSS)]  # outside [0, beta/n)
-    with pytest.raises(ValueError):
-        oracles.trace_loops(cfg)
-    cfg.links[0] = [(0.5, lp.CROSS), (0.5, lp.BAR)]
-    with pytest.raises(ValueError):
-        oracles.trace_loops(cfg)
+    assert oracles.trace_loops(cfg) == lp.LoopSpectrum((1, 1), 2)
+    bad = [
+        [(0, 1, 5.0, lp.CROSS)],  # outside [0, beta/n)
+        [(0, 1, 0.5, lp.CROSS), (0, 1, 0.5, lp.BAR)],  # one edge, one time
+        [(1, 0, 0.5, lp.CROSS)],  # v > w
+        [(0, 0, 0.5, lp.CROSS)],
+        [(0, 2, 0.5, lp.CROSS)],  # no thread 2
+        [(-1, 1, 0.5, lp.CROSS)],
+    ]
+    cfg3 = lp.empty_configuration(3, 2, 6.0, 1.0)  # sites 0, 1, 2 hold threads 0-1, 2-3, 4-5
+    bad3 = [
+        [(0, 1, 0.5, lp.CROSS)],  # both threads on site 0
+        [(0, 2, 0.5, lp.CROSS), (0, 4, 0.5, lp.BAR)],  # two edges meet thread 0 at one time
+        [(0, 4, 0.5, lp.CROSS), (3, 4, 0.5, lp.CROSS)],  # and thread 4
+        [(0, 2, 0.5, lp.CROSS), (2, 4, 0.5, lp.BAR)],  # thread 2 as upper and lower end
+    ]
+    for config, cases in ((cfg, bad), (cfg3, bad3)):
+        for links in cases:
+            config.links = links
+            with pytest.raises(ValueError):
+                oracles.trace_loops(config)
+    cfg3.links = [(0, 2, 0.5, lp.CROSS), (1, 4, 0.5, lp.BAR)]  # one time on different threads is fine
+    assert sum(oracles.trace_loops(cfg3).lengths) == 6
 
 
 def test_insert_delete_reversibility():
     rng = np.random.default_rng(11)
     cfg = oracles.sample_free_links(4, 1, 2.0, 1.0, rng)
     before = oracles.trace_loops(cfg)
-    cfg.links[2].append((0.21, lp.CROSS))
-    cfg.links[2].sort()
+    cfg.links.append((*oracles.pseudo_edges(4, 1)[2], 0.21, lp.CROSS))
     oracles.trace_loops(cfg)
-    cfg.links[2].remove((0.21, lp.CROSS))
+    cfg.links.pop()
     assert oracles.trace_loops(cfg) == before
 
 
@@ -205,13 +220,13 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
 
     Same proposals, random source (lp._uniforms, lp._permutation) and
     acceptance rule as mcmc_run; a rejected deletion leaves the proposed link
-    last in the list.
+    last in the list.  Returns the samples, the stats and the final link list.
     """
     if burn_in is None:
         burn_in = n_sweeps // 5
     lo, hi = lp.empty_configuration(n, two_s, beta, u).interval
     span = hi - lo
-    edges = lp.pseudo_edges(n, two_s)
+    edges = oracles.pseudo_edges(n, two_s)
     lam = len(edges) * span
     perms = [tuple(range(two_s))] * n
     flat = []
@@ -271,7 +286,7 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
             stats.links_trace.append(len(flat))
             if observable is not None:
                 stats.observable_trace.append(float(observable(cur)))
-    return samples, stats
+    return samples, stats, flat
 
 
 @pytest.mark.parametrize(
@@ -301,12 +316,13 @@ def test_mcmc_matches_full_retrace_chain(n, two_s, u, theta, kwargs):
     for seed in (3, 4):
         got, stats = lp.mcmc_run(n, two_s, beta, u, theta, sweeps, np.random.default_rng(seed),
                                  observable=observable, **kwargs)
-        want, want_stats = _reference_chain(n, two_s, beta, u, theta, sweeps,
+        want, want_stats, want_links = _reference_chain(n, two_s, beta, u, theta, sweeps,
                                             np.random.default_rng(seed), observable=observable,
                                             **kwargs)
         assert got == want
         assert stats == want_stats
         assert stats.accepted_inserts > 0 and stats.accepted_deletes > 0
+        assert stats.final_config.links == want_links  # order included
         assert oracles.trace_loops(stats.final_config) == got[-1]  # the last sweep is kept
         assert stats.final_config.n_links == stats.links_trace[-1]
 
@@ -361,12 +377,11 @@ def _event_lists(config):
     tops = [lp._Event(math.inf, lp.CROSS, v) for v in range(config.n_threads)]
     for bottom, top in zip(bottoms, tops):
         bottom.up, top.down = top, bottom
-    for (v, w), links in zip(lp.pseudo_edges(config.n, config.two_s), config.links):
-        for t, kind in links:
-            x, y = lp._Event(t, kind, v), lp._Event(t, kind, w)
-            x.partner, y.partner = y, x
-            lp._attach(x, lp._below(bottoms[v], t))
-            lp._attach(y, lp._below(bottoms[w], t))
+    for v, w, t, kind in config.links:
+        x, y = lp._Event(t, kind, v), lp._Event(t, kind, w)
+        x.partner, y.partner = y, x
+        lp._attach(x, lp._below(bottoms[v], t))
+        lp._attach(y, lp._below(bottoms[w], t))
     for site, sigma in enumerate(config.site_perms):
         lp._wire(tops, bottoms, site, sigma)
     for top in tops:
