@@ -111,7 +111,6 @@ class ExponentFit:
     exponent: float
     intercept: float
     r_squared: float
-    sample_points: list[tuple[float, float]]
 
 
 def beta_critical(ctx: SpinContext) -> float:
@@ -325,8 +324,8 @@ def susceptibility(beta: float, ctx: SpinContext) -> float:
     return 1.0 / (2.0 * (bc - beta))
 
 
-def fit_exponent(samples: list[tuple[float, float]], n_points: int = 4) -> ExponentFit:
-    """Log-log least-squares slope using the n_points smallest parameters.
+def fit_exponent(samples: list[tuple[float, float]]) -> ExponentFit:
+    """Log-log least-squares slope using the 4 smallest parameters.
 
     The samples are (t, y) pairs with t decreasing towards 0; only positive
     data is admissible.  The fit is restricted to the smallest t values where
@@ -336,7 +335,7 @@ def fit_exponent(samples: list[tuple[float, float]], n_points: int = 4) -> Expon
         raise ValueError("fit_exponent needs at least 4 samples")
     if any(t <= 0.0 or y <= 0.0 for t, y in samples):
         raise ValueError("fit_exponent needs strictly positive data")
-    pts = sorted(samples, key=lambda p: p[0])[:n_points]
+    pts = sorted(samples, key=lambda p: p[0])[:4]
     lt = [math.log(t) for t, _ in pts]
     ly = [math.log(y) for _, y in pts]
     k = len(pts)
@@ -349,7 +348,7 @@ def fit_exponent(samples: list[tuple[float, float]], n_points: int = 4) -> Expon
     ss_res = sum((b - (intercept + slope * a)) ** 2 for a, b in zip(lt, ly))
     ss_tot = sum((b - my) ** 2 for b in ly)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ExponentFit(slope, intercept, r2, pts)
+    return ExponentFit(slope, intercept, r2)
 
 
 # ---------------------------------------------------------------------------

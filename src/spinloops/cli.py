@@ -8,6 +8,8 @@ Commands
     pd          Poisson-Dirichlet series vs Monte Carlo with a 3-SE verdict
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
+A value that starts with '-' may follow its option as a separate word, also
+after an abbreviated option (`--bet -1e-3` is `--beta=-1e-3`).
 Spins are entered as fraction strings ("1/2", "1", "3/2"); all randomness
 is controlled by --seed and runs are bit-reproducible for a fixed seed and
 chain count.
@@ -31,6 +33,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+
+class UsageError(Exception):
+    """A command's arguments parse but do not fit together; main exits EXIT_USAGE."""
 
 
 def parse_spin(text: str) -> int:
@@ -65,13 +71,11 @@ def cmd_exact(args) -> int:
     rows = []
     if args.model in ("heisenberg", "xy"):
         if len(args.h) != 1:
-            print("error: heisenberg/xy take a scalar --h", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("heisenberg/xy take a scalar --h")
         h = args.h[0]
         delta = 1.0 if args.model == "heisenberg" else args.delta
         if args.model == "xy" and not delta < 1.0:
-            print("error: the xy model needs --delta < 1", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("the xy model needs --delta < 1")
         ctx = asymptotics.SpinContext(args.spin)
         exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h).value
         limit = _heisenberg_limit(args.beta, h, delta, ctx)
@@ -79,8 +83,7 @@ def cmd_exact(args) -> int:
     else:
         hvec = args.h
         if len(hvec) != args.theta:
-            print(f"error: interchange needs {args.theta} comma-separated fields", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"interchange needs {args.theta} comma-separated fields")
         exact = symfunc.interchange_expectation_exact(args.n, args.theta, args.beta, hvec)
         ctx = asymptotics.SpinContext(args.theta - 1)
         zres = asymptotics.interchange_maximizer(args.beta, ctx)
@@ -99,29 +102,23 @@ def cmd_exact(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    chain_errors = [
-        (args.sweeps < 1, "--sweeps must be >= 1"),
-        (args.chains < 1, "--chains must be >= 1"),
-        (args.thin < 1, "--thin must be >= 1"),
-        (args.burn_in is not None and not 0 <= args.burn_in < args.sweeps,
-         "--burn-in must lie in [0, --sweeps)"),
-    ]
-    for bad, message in chain_errors:
-        if bad:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_USAGE
+    if args.sweeps < 1:
+        raise UsageError("--sweeps must be >= 1")
+    if args.chains < 1:
+        raise UsageError("--chains must be >= 1")
+    if args.thin < 1:
+        raise UsageError("--thin must be >= 1")
+    if args.burn_in is not None and not 0 <= args.burn_in < args.sweeps:
+        raise UsageError("--burn-in must lie in [0, --sweeps)")
     if args.model == "interchange":
-        two_s, theta, u = 1, args.theta, 1.0
-        hvec = args.h if len(args.h) == args.theta else None
-        if hvec is None:
-            print(f"error: interchange needs {args.theta} fields", file=sys.stderr)
-            return EXIT_USAGE
+        two_s, theta, u, hvec = 1, args.theta, 1.0, args.h
+        if len(hvec) != args.theta:
+            raise UsageError(f"interchange needs {args.theta} fields")
         q_table = {}
         observable = lambda s: loops.observable_q(s, hvec, args.n, q_table)
     else:
         if len(args.h) != 1:
-            print("error: heisenberg/xy take a scalar --h", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("heisenberg/xy take a scalar --h")
         two_s = args.spin
         theta = 2.0
         if args.model == "heisenberg":
@@ -129,8 +126,7 @@ def cmd_simulate(args) -> int:
         else:
             u = args.u
             if not 0.0 <= u < 1.0:
-                print("error: the xy model needs --u in [0, 1)", file=sys.stderr)
-                return EXIT_USAGE
+                raise UsageError("the xy model needs --u in [0, 1)")
         h, cosh_table = float(args.h[0]), {}
         observable = lambda s: loops.observable_cosh(s, h * two_s / 2, args.n, two_s, cosh_table)
     if not all(map(math.isfinite, args.h)):
@@ -233,9 +229,6 @@ def cmd_exponents(args) -> int:
     if which in ("transverse", "all"):
         fit = asymptotics.fit_exponent([(h, m / h) for h, m in mags])
         rows.append(("transverse", -2.0 / 3.0, fit))
-    if not rows:
-        print(f"error: unknown exponent set {which}", file=sys.stderr)
-        return EXIT_USAGE
     print("which,target,fitted,intercept,r_squared")
     for name, target, fit in rows:
         print(
@@ -286,17 +279,13 @@ def cmd_maximize(args) -> int:
 
 def cmd_pd(args) -> int:
     if not args.theta > 0:
-        print("error: --theta must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--theta must be positive")
     if args.samples < 2:  # the standard error needs two samples
-        print("error: --samples must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--samples must be >= 2")
     if args.z_star is not None and not (args.theta.is_integer() and args.theta >= 2):
-        print("error: --z-star needs an integer --theta >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--z-star needs an integer --theta >= 2")
     if args.z_star is not None and len(args.h) > args.theta:
-        print("error: --z-star takes at most --theta fields in --h", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--z-star takes at most --theta fields in --h")
     if not all(map(math.isfinite, args.h)):
         raise ValueError("--h must be finite")
     rng = np.random.default_rng(args.seed)
@@ -402,44 +391,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _option_strings() -> tuple[frozenset[str], frozenset[str]]:
-    """Every option string of build_parser() and its commands, and those that take one value."""
-    every, valued, parsers = set(), set(), [build_parser()]
-    for parser in parsers:
-        for action in parser._actions:
-            every.update(action.option_strings)
-            if action.nargs is None:
-                valued.update(action.option_strings)
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return frozenset(every), frozenset(valued)
-
-
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with each `--opt -x` written `--opt=-x`, where --opt takes a value and -x is no option.
+    """argv with each `--opt -x` written `--opt=-x`.
 
     argparse takes a token that starts with '-' for an option unless it
     reads as a plain negative number, so values such as -1,0,0, -inf or
-    -1e-3 could only be given as --opt=-x.  A token that starts with '--'
-    is left alone, and the parser is only inspected when a token starts with
-    a single '-'.
+    -1e-3 could only be given as --opt=-x.  Every option of build_parser()
+    but --help takes exactly one value and -h is its only single-dash option
+    string, so no parser lookup is needed: a single-dash token other than -h
+    is joined to a preceding '--' token that holds no '=' and is neither the
+    end of options '--' nor --help or one of its abbreviations.  argparse
+    resolves an abbreviated option (`--bet=-1e-3`) itself.
     """
     out = []
     for token in argv:
-        if out and token[:1] == "-" and token[:2] != "--":
-            every, valued = _option_strings()
-            if out[-1] in valued and token not in every:
-                out[-1] += "=" + token
-                continue
-        out.append(token)
+        prev = out[-1] if out else ""
+        if (token[:1] == "-" and token[:2] != "--" and token != "-h" and prev[:2] == "--"
+                and "=" not in prev and prev not in ("--", "--he", "--hel", "--help")):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
     return out
 
 
 def main(argv=None) -> int:
-    """Run one command; returns its exit code.  Parses with the shared build_parser().
-
-    A value may start with '-' after any option that takes one: `--h -1,0,0` is `--h=-1,0,0`.
-    """
+    """Run one command; returns its exit code.  Parses with the shared build_parser(),
+    after _join_negative_values: `--h -1,0,0` is `--h=-1,0,0`."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_join_negative_values(argv))
@@ -447,6 +424,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -40,17 +40,17 @@ __all__ = [
     "pd_q_expectation_mc",
 ]
 
+_TRUNCATION = 1e-12  # a stick-breaking row stops once its remaining mass is below this
 
-def stick_breaking_columns(
-    theta: float, n: int, rng: np.random.Generator, truncation: float = 1e-12
-):
+
+def stick_breaking_columns(theta: float, n: int, rng: np.random.Generator):
     """Stick-breaking for n independent PD(theta) samples, one column at a time.
 
     Yields (n,) arrays: column k holds the k-th stick Y_k = B_k prod_{i<k}
     (1 - B_i) of every row, B ~ Beta(1, theta) by inverse CDF, and 0 for a
-    row whose remaining mass has already dropped below `truncation`.  Stops
+    row whose remaining mass has already dropped below _TRUNCATION.  Stops
     once no row is left, so each row follows the scalar loop "break while
-    the remaining mass is >= truncation"; the row's residual is 1 minus its
+    the remaining mass is >= _TRUNCATION"; the row's residual is 1 minus its
     sticks.  Columns are unsorted; reduce them as they arrive (cosh(0) =
     q_h(0) = 1, so dead rows are neutral in products).
     """
@@ -58,7 +58,7 @@ def stick_breaking_columns(
         raise ValueError("theta must be positive")
     remaining = np.ones(n)
     for _ in range(100_000):
-        alive = remaining >= truncation
+        alive = remaining >= _TRUNCATION
         if not alive.any():
             return
         # 1 - U^{1/theta} for U uniform on (0, 1]
@@ -207,7 +207,6 @@ def pd_q_expectation_mc(
     z_star: float,
     n_samples: int,
     rng: np.random.Generator,
-    truncation: float = 1e-12,
 ) -> tuple[complex | float, float]:
     """Monte Carlo mean and standard error of prod_i q_h(z* X_i) under PD(theta).
 
@@ -232,7 +231,7 @@ def pd_q_expectation_mc(
     if z_star == 0.0:
         return 1.0, 0.0
     vals = np.ones(n_samples, dtype=hv.dtype)
-    for col in stick_breaking_columns(theta, n_samples, rng, truncation):
+    for col in stick_breaking_columns(theta, n_samples, rng):
         live = np.flatnonzero(col)
         zx = z_star * col[live]
         terms = np.exp(zx * hv[0])

@@ -497,13 +497,13 @@ def r_projector(h: complex | float, z: float, y: float, theta: int) -> complex |
 
 
 def pd_q_expectation_mc_outer(theta: int, hvec, z_star: float, n_samples: int,
-                              rng: np.random.Generator, truncation: float = 1e-12):
+                              rng: np.random.Generator):
     """pd.pd_q_expectation_mc by one (samples, theta) matrix of exponentials per stick column."""
     hv = np.asarray(hvec)
     if not np.iscomplexobj(hv):
         hv = hv.astype(float)
     vals = np.ones(n_samples, dtype=hv.dtype)
-    for col in _pd.stick_breaking_columns(theta, n_samples, rng, truncation):
+    for col in _pd.stick_breaking_columns(theta, n_samples, rng):
         vals *= np.exp(np.multiply.outer(z_star * col, hv)).sum(axis=1) / theta
     mean = vals.mean()
     se = float(np.sqrt(vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / math.sqrt(n_samples))

@@ -1,5 +1,6 @@
 """CLI behaviour: schemas, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -82,6 +83,49 @@ def test_exact_xy_model(capsys):
     assert rc == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert float(row[3]) < 0.01  # small gap to I0(h m*) already at n = 64
+
+
+_SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exact", "--model", "heisenberg", "--n", "8", "--beta", "1", "--h", "1,0"],
+         "heisenberg/xy take a scalar --h"),
+        (["exact", "--model", "xy", "--n", "8", "--beta", "1", "--delta", "1", "--h", "1"],
+         "the xy model needs --delta < 1"),
+        (["exact", "--model", "interchange", "--n", "8", "--theta", "3", "--beta", "1", "--h", "1,0"],
+         "interchange needs 3 comma-separated fields"),
+        (_SIM + ["--model", "heisenberg", "--sweeps", "0"], "--sweeps must be >= 1"),
+        (_SIM + ["--model", "heisenberg", "--chains", "0"], "--chains must be >= 1"),
+        (_SIM + ["--model", "heisenberg", "--thin", "0"], "--thin must be >= 1"),
+        (_SIM + ["--model", "heisenberg", "--burn-in", "200"], "--burn-in must lie in [0, --sweeps)"),
+        (_SIM + ["--model", "interchange", "--theta", "3", "--h", "1,0"], "interchange needs 3 fields"),
+        (_SIM + ["--model", "heisenberg", "--h", "1,0"], "heisenberg/xy take a scalar --h"),
+        (_SIM + ["--model", "xy", "--u", "1"], "the xy model needs --u in [0, 1)"),
+        (["pd", "--theta", "0"], "--theta must be positive"),
+        (["pd", "--theta", "2", "--samples", "1"], "--samples must be >= 2"),
+        (["pd", "--theta", "2.5", "--z-star", "0.5"], "--z-star needs an integer --theta >= 2"),
+        (["pd", "--theta", "2", "--h", "1,2,3", "--z-star", "0.5"],
+         "--z-star takes at most --theta fields in --h"),
+    ],
+)
+def test_usage_error_messages(tmp_path, capsys, argv, message):
+    out = ["--out", str(tmp_path)] if argv[0] == "simulate" else []
+    assert main(argv + out) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_output_failure_exit_code(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    assert main(_SIM + ["--model", "heisenberg", "--out", str(tmp_path / "afile" / "sub")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot write output")
+    assert captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_exact_usage_errors(capsys):
@@ -339,11 +383,38 @@ def test_negative_value_after_its_option(capsys, head, value):
     assert capsys.readouterr() == joined
 
 
+def test_abbreviated_option_takes_a_negative_value(capsys):
+    head, tail = ["exact", "--model", "heisenberg", "--n", "10"], ["--h", "1"]
+    assert main(head + ["--bet=-1e-3"] + tail) == 3
+    joined = capsys.readouterr()
+    assert main(head + ["--bet", "-1e-3"] + tail) == 3
+    assert capsys.readouterr() == joined
+    assert main(head + ["--beta", "-1e-3"] + tail) == 3
+    assert capsys.readouterr() == joined
+
+
 def test_option_strings_are_not_taken_for_values(capsys):
     head = ["exact", "--model", "heisenberg", "--n", "10", "--beta", "2"]
     assert main(head + ["--h", "-h"]) == 2
     assert main(head + ["--h", "--beta", "2"]) == 2
     assert "--h: expected one argument" in capsys.readouterr().err
+    assert main(["exact", "--he", "-1"]) == 0  # --help, abbreviated, takes no value
+    assert capsys.readouterr().out.startswith("usage: spinloops exact")
+
+
+def test_every_option_but_help_takes_one_value():
+    # _join_negative_values relies on this instead of looking options up
+    parsers, options = [build_parser()], []
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif not isinstance(action, argparse._HelpAction):
+                assert action.option_strings and action.nargs is None, action
+            options += action.option_strings
+    assert len(parsers) == 6
+    assert {o for o in options if o[:2] != "--"} == {"-h"}
+    assert {o for o in options if o.startswith("--he")} == {"--help"}
 
 
 def test_one_process_prints_what_separate_processes_print():
@@ -469,6 +540,8 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
         ["exact", "--model", "interchange", "--n", "10", "--theta", "3", "--beta", "2", "--h", "-inf,0,0"],
         ["exact", "--model", "heisenberg", "--n", "10", "--beta", "-1e-3", "--h", "1"],
         ["exact", "--model", "xy", "--n", "10", "--beta", "-inf", "--h", "1"],
+        # also after an abbreviated option
+        ["exact", "--model", "heisenberg", "--n", "10", "--bet", "-1e-3", "--h", "1"],
     ],
 )
 def test_non_finite_inputs_fail_before_any_output(capsys, argv):

@@ -35,7 +35,7 @@ def test_first_stick_mean():
     rng = np.random.default_rng(1)
     n = 100_000
     for theta in (1.0, 3.0):
-        ys = next(pd.stick_breaking_columns(theta, n, rng, 1e-6))
+        ys = next(pd.stick_breaking_columns(theta, n, rng))
         target = 1.0 / (1.0 + theta)
         se = ys.std(ddof=1) / math.sqrt(n)
         assert abs(ys.mean() - target) < 3 * se
