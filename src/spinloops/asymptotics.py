@@ -9,12 +9,12 @@ order parameter z_star, the classical (S -> infinity) analogue, and log-log
 exponent fitting.  The saddle-point multiplicity, the pressure and phi_beta
 itself are oracles in tests/oracles.py, which the tests compare with.
 
-Every maximiser is a bracketed root found by Brent's method.  The
-Heisenberg and classical maximisers are the unique positive root of the
-self-consistency equation m = d(2 beta m + h), d = eta' or the Langevin
-function; x_star and classical_field invert d the same way.  The interchange
-maximiser, which jumps for theta >= 3, is the root of its stationarity
-equation past the minimum of its slope, compared against the uniform point.
+Every maximiser is one Brent root in a dual variable, which fixes the rest.
+The Heisenberg and classical maximisers m* in [0, S] (classically [0, 1]) are
+d(x) at the positive root of x = 2 beta d(x) + h, d = eta' or the Langevin
+function.  The interchange maximiser x_1* in [1/theta, 1], which jumps for
+theta >= 3, solves beta z(u) = u in u = log(x_1/x_2) past the peak of
+beta z(u) - u, compared against the uniform point.
 
 Conventions:
   * half-integer spins are carried as doubled integers (two_s = 2S),
@@ -94,7 +94,7 @@ class MaximizerResult:
     """Location/value/curvature of a scalar free-energy maximum.
 
     `iterations` counts the iterations of the Brent solve that located the
-    maximum (0 when no solve was needed); every maximiser is such a root.
+    maximum: 0 when no solve was needed or the root was an end of the bracket.
     """
 
     location: float
@@ -172,9 +172,17 @@ def eta(x: float, ctx: SpinContext) -> float:
 
 
 def eta_prime(x: float, ctx: SpinContext) -> float:
-    """d eta/dx; odd, increasing from -S to S."""
+    """d eta/dx; odd, increasing from -S to S.
+
+    From a = |x| = 1 on it is S - e^{-a}/-expm1(-a) + theta e^{-theta a}/-expm1(-theta a),
+    which never exceeds S and keeps S - eta' to full relative precision.
+    """
     th = ctx.theta
-    return 0.5 * th * _langevin(0.5 * th * x) - 0.5 * _langevin(0.5 * x)
+    a = abs(x)
+    if a < 1.0:
+        return 0.5 * th * _langevin(0.5 * th * x) - 0.5 * _langevin(0.5 * x)
+    gap = -math.exp(-a) / math.expm1(-a) + th * math.exp(-th * a) / math.expm1(-th * a)
+    return math.copysign(0.5 * (th - 1) - gap, x)
 
 
 def eta_second(x: float, ctx: SpinContext) -> float:
@@ -266,54 +274,51 @@ def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
     return eta(x, ctx) - m * x + beta * m * m
 
 
-def _mean_field_root(d, beta: float, h: float, upper: float, beta_c: float) -> tuple[float, int]:
-    """Maximiser m* in [0, upper) of a mean-field profile, and Brent's iteration count.
+def _mean_field(entropy, d, d_prime, beta: float, h: float, upper: float, beta_c: float) -> MaximizerResult:
+    """Maximiser m* in [0, upper] of entropy(x(m)) - m x(m) + beta m^2 + h m, x(m) inverting d = entropy'.
 
-    At an interior maximum m* solves the self-consistency equation
-    m = d(2 beta m + h), where d is odd, increasing and concave on [0, inf)
-    with d(0) = 0, slope 1/(2 beta_c) at 0 and supremum `upper`.  Then
-    F(m) = d(2 beta m + h) - m is concave with F(0) = d(h) >= 0, so it has
-    exactly one positive root when h > 0, or when h = 0 and beta > beta_c;
-    otherwise m* = 0.  At h = 0 the trivial root is divided out: F(m)/m tends
-    to beta/beta_c - 1 as m -> 0.  If F is still >= 0 at the cap
-    upper (1 - 1e-12) the cap is returned.
+    d is odd, increasing and concave on [0, inf), with slope 1/(2 beta_c) at 0
+    and supremum `upper`.  The field x = 2 beta m* + h is the one root of
+    G(x) = 2 beta d(x) + h - x on [0, h + 2 max(beta, 0) upper] if h > 0 or
+    beta > beta_c, else 0; at h = 0 the root x = 0 is divided out, and G(x)/x
+    tends to beta/beta_c - 1 as x -> 0.  Returns m* = d(x), the value
+    entropy(x) - m* x + beta m*^2 and the curvature 2 beta - 1/d'(x), -inf
+    where d'(x) underflows to 0.
     """
-    if h == 0.0:
-        if beta <= beta_c:
-            return 0.0, 0
-        f = lambda m: d(2.0 * beta * m) / m - 1.0 if m > 0.0 else beta / beta_c - 1.0
+    if h == 0.0 and beta <= beta_c:
+        x, iters = 0.0, 0
+    elif h == 0.0:
+        f = lambda x: 2.0 * beta * d(x) / x - 1.0 if x > 0.0 else beta / beta_c - 1.0
+        x, iters = _brent(f, 0.0, 2.0 * beta * upper)
     else:
-        f = lambda m: d(2.0 * beta * m + h) - m
-    cap = upper * (1.0 - 1e-12)
-    if f(cap) >= 0.0:
-        return cap, 0
-    return _brent(f, 0.0, cap)
+        x, iters = _brent(lambda x: 2.0 * beta * d(x) + h - x, 0.0, h + 2.0 * max(beta, 0.0) * upper)
+    m, slope = d(x), d_prime(x)
+    curv = 2.0 * beta - 1.0 / slope if slope > 0.0 else -math.inf
+    return MaximizerResult(m, entropy(x) - m * x + beta * m * m, curv, iters)
+
+
+def _eta_mean_field(beta: float, h: float, ctx: SpinContext) -> MaximizerResult:
+    fns = (lambda x: eta(x, ctx), lambda x: eta_prime(x, ctx), lambda x: eta_second(x, ctx))
+    return _mean_field(*fns, beta, h, ctx.spin, beta_critical(ctx))
 
 
 def m_star(beta: float, ctx: SpinContext) -> MaximizerResult:
-    """Maximiser of g_beta on [0, S); zero iff beta <= beta_critical.
+    """Maximiser of g_beta on [0, S]; zero iff beta <= beta_critical.
 
-    Solved as the self-consistency root m = eta'(2 beta m) by Brent's method
-    (see _mean_field_root); `iterations` counts Brent iterations.  The
-    curvature is g_beta''(m*) = 2 beta - 1/eta''(x*(m*)).
+    m* = eta'(x*) at the root of x = 2 beta eta'(x) (see _mean_field), with
+    curvature g_beta''(m*) = 2 beta - 1/eta''(x*).
     """
-    loc, iters = _mean_field_root(
-        lambda x: eta_prime(x, ctx), beta, 0.0, ctx.spin, beta_critical(ctx)
-    )
-    curv = 2.0 * beta - 1.0 / eta_second(x_star(loc, ctx), ctx)
-    return MaximizerResult(loc, g_beta(loc, beta, ctx), curv, iters)
+    return _eta_mean_field(beta, 0.0, ctx)
 
 
 def magnetization(beta: float, h: float, ctx: SpinContext) -> float:
-    """argmax of g_beta(m) + h m on [0, S): the root of m = eta'(2 beta m + h).
+    """argmax of g_beta(m) + h m on [0, S]: m = eta'(x) at the root of x = 2 beta eta'(x) + h.
 
-    The root is unique (see _mean_field_root); at h = 0 it is m_star.
+    The root is unique (see _mean_field); at h = 0 it is m_star.
     """
     if h < 0.0:
         raise ValueError("magnetization is defined for h >= 0")
-    return _mean_field_root(
-        lambda x: eta_prime(x, ctx), beta, h, ctx.spin, beta_critical(ctx)
-    )[0]
+    return _eta_mean_field(beta, h, ctx).location
 
 
 def susceptibility(beta: float, ctx: SpinContext) -> float:
@@ -363,54 +368,51 @@ def interchange_beta_critical(ctx: SpinContext) -> float:
     return 2.0 * two_s / (two_s - 1) * math.log(two_s)
 
 
-def _phi_family(t: float, beta: float, theta: int) -> float:
-    """phi_beta along (t, (1-t)/(theta-1), ..., (1-t)/(theta-1))."""
-    rest = (1.0 - t) / (theta - 1)
-    quad = 0.5 * beta * (t * t + (theta - 1) * rest * rest - 1.0)
-    ent = t * math.log(t) if t > 0.0 else 0.0
-    if rest > 0.0:
-        ent += (theta - 1) * rest * math.log(rest)
-    return quad - ent
+def _phi_family(x1: float, x2: float, beta: float, theta: int) -> float:
+    """phi_beta at (x1, x2, ..., x2) with x1 + (theta-1) x2 = 1.
+
+    In a = (theta-1) x2 = 1 - x1, exact as x1 -> 1, it is
+    -a (beta + log x2 - beta theta x2 / 2) - x1 log1p(-a), where only
+    beta + log x2 cancels; 0 at x2 = 0.
+    """
+    if x2 == 0.0:
+        return 0.0
+    a = (theta - 1) * x2
+    return -a * (beta + math.log(x2) - 0.5 * beta * theta * x2) - x1 * math.log1p(-a)
 
 
 def interchange_maximizer(beta: float, ctx: SpinContext) -> MaximizerResult:
     """Maximiser of phi_beta restricted to the one-parameter family.
 
     The remaining theta-1 entries are equal by the uniqueness of the
-    maximiser.  With x_1 = t = (1 + (theta-1) z)/theta, d phi/dt = -F(z) for
-    F(z) = log1p((theta-1) z) - log1p(-z) - beta z, whose slope
-    theta/((1 + (theta-1) z)(1 - z)) - beta turns from negative to positive
-    only at z_min, the larger root of (theta-1) z^2 - (theta-2) z + theta/beta - 1
-    (real iff disc = theta^2 - 4 theta (theta-1)/beta >= 0).
-    So phi has an interior maximum with z > 0 iff z_min > 0 and F(z_min) < 0,
-    at the root of F in [z_min, z_cap] found by Brent's method; z_cap, the
-    cap t = 1 - 1e-12, is returned if F(z_cap) <= 0.  That point must beat
-    the uniform one by more than 1e-13.  The result carries x_1* in
-    `location`, z* = x_1* - x_2* in `z_star` and Brent's iteration count in
-    `iterations`.
+    maximiser.  In u = log(x_1/x_2), with q = 1 + (theta-1) e^-u, x_2 = e^-u/q,
+    x_1 = 1 - (theta-1) x_2 and z = x_1 - x_2 = -expm1(-u)/q, phi is stationary
+    where G(u) = beta z(u) - u = 0.  G(0) = 0 is the uniform point; G peaks at
+    u_peak = log w, w the larger root of w^2 - (beta theta - 2(theta-1)) w
+    + (theta-1)^2 (real iff beta theta >= 4(theta-1)), and G(beta) <= 0.  So
+    phi has an interior maximum with z > 0 iff G(u_peak) > 0, at Brent's root
+    of G in [u_peak, beta], kept if it beats the uniform point by more than
+    1e-13.  `location` is x_1* in [1/theta, 1] and `z_star` is z*; the
+    curvature d^2 phi/dx_1^2 is -inf once x_2* underflows to 0.
     """
     th = ctx.theta
-    lo, hi = 1.0 / th, 1.0 - 1e-12
-    f_uniform = _phi_family(lo, beta, th)
-    loc, z, val, iters = lo, 0.0, f_uniform, 0
-    disc = th * th - 4.0 * th * (th - 1) / beta if beta > 0.0 else -1.0
-    if disc >= 0.0:
-        z_min = (th - 2 + math.sqrt(disc)) / (2.0 * (th - 1))
-        f = lambda z: math.log1p((th - 1) * z) - math.log1p(-z) - beta * z
-        if z_min > 0.0 and f(z_min) < 0.0:
-            z_cap = (th * hi - 1.0) / (th - 1)
-            if f(z_cap) <= 0.0:
-                z, t = z_cap, hi
-            else:
-                z, iters = _brent(f, z_min, z_cap)
-                t = (1.0 + (th - 1) * z) / th
-            f_t = _phi_family(t, beta, th)
-            if f_t > f_uniform + 1e-13:
-                loc, val = t, f_t
-            else:
-                z = 0.0
-    curv = beta * (1.0 + 1.0 / (th - 1)) - 1.0 / loc - 1.0 / (1.0 - loc)
-    return MaximizerResult(loc, val, curv, iters, z_star=z)
+    x1 = x2 = 1.0 / th
+    z, iters = 0.0, 0
+    val = math.log(th) - 0.5 * beta * (th - 1) / th
+    bt = beta * th
+    if bt >= 4.0 * (th - 1):
+        u_peak = math.log(0.5 * (bt - 2.0 * (th - 1) + math.sqrt(bt * (bt - 4.0 * (th - 1)))))
+        g = lambda u: -beta * math.expm1(-u) / (1.0 + (th - 1) * math.exp(-u)) - u
+        if g(u_peak) > 0.0:
+            u, iters = _brent(g, u_peak, beta)
+            q = 1.0 + (th - 1) * math.exp(-u)
+            y2 = math.exp(-u) / q
+            y1 = 1.0 - (th - 1) * y2
+            val_u = _phi_family(y1, y2, beta, th)
+            if val_u > val + 1e-13:
+                x1, x2, z, val = y1, y2, -math.expm1(-u) / q, val_u
+    curv = beta * th / (th - 1) - 1.0 / x1 - 1.0 / ((th - 1) * x2) if x2 > 0.0 else -math.inf
+    return MaximizerResult(x1, val, curv, iters, z_star=z)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +429,10 @@ def classical_field(mu: float) -> float:
 
 
 def classical_maximizer(beta: float) -> MaximizerResult:
-    """Maximiser of log(sinh(x(mu))/x(mu)) - mu x(mu) + beta mu^2 on [0, 1).
+    """Maximiser of log(sinh(x(mu))/x(mu)) - mu x(mu) + beta mu^2 on [0, 1].
 
-    mu* is positive iff beta > 3/2; it is the self-consistency root
-    mu = coth(2 beta mu) - 1/(2 beta mu) found by Brent's method (see
-    _mean_field_root), with curvature 2 beta - 1/L'(x(mu*)) for the
-    Langevin function L(x) = coth x - 1/x.
+    mu* is positive iff beta > 3/2.  It is L(x*) at the root of
+    x = 2 beta L(x) found by Brent's method (see _mean_field), for the
+    Langevin function L(x) = coth x - 1/x, with curvature 2 beta - 1/L'(x*).
     """
-    loc, iters = _mean_field_root(_langevin, beta, 0.0, 1.0, 1.5)
-    x = classical_field(loc)
-    val = _log_sinhc(x) - loc * x + beta * loc * loc
-    return MaximizerResult(loc, val, 2.0 * beta - 1.0 / _langevin_prime(x), iters)
+    return _mean_field(_log_sinhc, _langevin, _langevin_prime, beta, 0.0, 1.0, 1.5)

@@ -75,6 +75,7 @@ __all__ = [
 CROSS = 0
 BAR = 1
 _BLOCK = 4096  # uniforms the chain draws from its generator per call
+_BATCHES = 32  # batches of batch_means_se
 
 
 @dataclass
@@ -540,16 +541,16 @@ def observable_q(spectrum: LoopSpectrum, hvec, n: int, table: dict | None = None
         return observable_q(spectrum, hvec, n, table)
 
 
-def batch_means_se(values, n_batches: int = 32) -> tuple[float, float]:
-    """Mean and batch-means standard error for a correlated series."""
+def batch_means_se(values) -> tuple[float, float]:
+    """Mean and batch-means standard error (_BATCHES batches) of a correlated series."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("empty series")
     mean = float(arr.mean())
-    if arr.size < 2 * n_batches:
+    if arr.size < 2 * _BATCHES:
         se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.inf
         return mean, se
-    usable = (arr.size // n_batches) * n_batches
-    batches = arr[:usable].reshape(n_batches, -1).mean(axis=1)
-    se = float(batches.std(ddof=1) / math.sqrt(n_batches))
+    usable = (arr.size // _BATCHES) * _BATCHES
+    batches = arr[:usable].reshape(_BATCHES, -1).mean(axis=1)
+    se = float(batches.std(ddof=1) / math.sqrt(_BATCHES))
     return mean, se

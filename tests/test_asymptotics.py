@@ -1,5 +1,6 @@
 """Tests for the variational / asymptotic machinery."""
 
+import itertools
 import math
 import random
 
@@ -44,6 +45,11 @@ def test_eta_prime_saturates():
     for ctx in (HALF, ONE, THREE_HALVES):
         assert asy.eta_prime(80.0, ctx) == pytest.approx(ctx.spin, abs=1e-12)
         assert asy.eta_prime(-80.0, ctx) == pytest.approx(-ctx.spin, abs=1e-12)
+    # never past S in floating point: m* = eta'(x*) must stay in [0, S]
+    xs = [10.0 ** (k / 100) for k in range(301)]  # log grid, 1 .. 1000
+    for two_s in (1, 2, 3, 5, 9):
+        ctx = asy.SpinContext(two_s)
+        assert all(asy.eta_prime(x, ctx) <= ctx.spin for x in xs)
 
 
 def test_eta_even_and_direct_formula():
@@ -234,25 +240,58 @@ def test_mean_field_derivatives_non_increasing():
         assert all(b <= a + 1e-18 for a, b in zip(vals, vals[1:]))
 
 
+def _mp_mean_field(mpmath, two_s, beta):
+    """40-digit (m*, value, curvature) of g_beta from the root of x = 2 beta eta'(x)."""
+    th = two_s + 1
+    with mpmath.workdps(40):
+        beta = mpmath.mpf(beta)
+        d = lambda x: th * mpmath.coth(th * x / 2) / 2 - mpmath.coth(x / 2) / 2
+        x = mpmath.findroot(lambda x: 2 * beta * d(x) - x, beta * two_s)
+        m = d(x)
+        value = mpmath.log(mpmath.sinh(th * x / 2) / mpmath.sinh(x / 2)) - m * x + beta * m * m
+        d2 = 1 / (4 * mpmath.sinh(x / 2) ** 2) - th**2 / (4 * mpmath.sinh(th * x / 2) ** 2)
+        return m, value, 2 * beta - 1 / d2
+
+
+def _mp_interchange(mpmath, theta, beta, u0):
+    """(x1*, z*, value, curvature) of phi_beta on the family, from the root of beta z(u) = u near u0.
+
+    At 80 digits: x1^2 - 1 and the entropy terms lose about log10(1/(1 - x1))
+    of them to cancellation, 26 at beta = 60.
+    """
+    with mpmath.workdps(80):
+        beta = mpmath.mpf(beta)
+        z_of = lambda u: mpmath.expm1(u) / (mpmath.exp(u) + theta - 1)
+        u = mpmath.findroot(lambda u: beta * z_of(u) - u, u0)
+        x1 = mpmath.exp(u) / (mpmath.exp(u) + theta - 1)
+        x2 = 1 / (mpmath.exp(u) + theta - 1)
+        value = (beta / 2 * (x1**2 + (theta - 1) * x2**2 - 1)
+                 - x1 * mpmath.log(x1) - (theta - 1) * x2 * mpmath.log(x2))
+        curvature = beta * theta / (theta - 1) - 1 / x1 - 1 / ((theta - 1) * x2)
+        return x1, z_of(u), value, curvature
+
+
 @pytest.mark.parametrize(
     "ctx,beta,location,value",
     [
-        (HALF, 10.0, 0.49995456085761636, 2.5000454195276163),
-        (HALF, 50.0, 0.49999999999949996, 12.499999999989658),
-        (HALF, 200.0, 0.49999999999949996, 49.99999999991465),
+        (HALF, 10.0, 0.49995456085761625, 2.5000454195276163),
+        (HALF, 50.0, 0.5, 12.5),
+        (HALF, 200.0, 0.5, 50.0),
         (ONE, 10.0, 0.9999999979388463, 10.000000002061153),
-        (ONE, 50.0, 0.9999999999989999, 49.99999999992862),
-        (ONE, 200.0, 0.9999999999989999, 199.99999999962859),
+        (ONE, 50.0, 1.0, 50.0),
+        (ONE, 200.0, 1.0, 200.0),
     ],
 )
 def test_m_star_saturated(ctx, beta, location, value):
-    # reference values from a 512-point grid scan with golden-section and
-    # bisection refinement; at beta = 50 and 200 the root lies beyond the cap
-    # S (1 - 1e-12), which is returned
+    # references: 40-digit mpmath roots of x = 2 beta eta'(x), rounded; at
+    # beta = 50 and 200, S - m* < 1e-21, so the correctly rounded m* is S
     r = asy.m_star(beta, ctx)
-    assert 0.0 <= r.location < ctx.spin
-    assert r.location == pytest.approx(location, abs=1e-12)
-    assert r.value == pytest.approx(value, abs=1e-12)
+    assert 0.0 <= r.location <= ctx.spin
+    assert r.location == pytest.approx(location, rel=1e-15)
+    assert r.value == pytest.approx(value, rel=1e-15)
+    mpmath = pytest.importorskip("mpmath")
+    curvature = _mp_mean_field(mpmath, ctx.two_s, beta)[2]
+    assert r.second_derivative == pytest.approx(float(curvature), rel=1e-12)
 
 
 def test_saddle_exponent_identity():
@@ -428,30 +467,86 @@ def test_interchange_jump_at_beta_c(theta):
 @pytest.mark.parametrize("theta", [2, 3, 4, 6])
 def test_interchange_maximizer_against_mpmath_root(theta):
     # x1* solves beta (x1 - x2) = log(x1/x2) with x2 = (1 - x1)/(theta - 1);
-    # in u = log(x1/x2), x1 - x2 = (e^u - 1)/(e^u + theta - 1) = z
+    # in u = log(x1/x2), x1 - x2 = (e^u - 1)/(e^u + theta - 1) = z.  The
+    # factors 15 and 30 put the root past x1 = 1 - 1e-12, where x1* rounds to 1
     mpmath = pytest.importorskip("mpmath")
     ctx = asy.SpinContext(theta - 1)
     bc = asy.interchange_beta_critical(ctx)
-    with mpmath.workdps(40):
-        for factor in (1.05, 1.5, 3.0, 6.0):  # roots below the cap x1 = 1 - 1e-12
-            beta = bc * factor
+    for factor in (1.05, 1.5, 3.0, 6.0, 15.0, 30.0):
+        beta = bc * factor
+        r = asy.interchange_maximizer(beta, ctx)
+        assert r.z_star > 0.0 and r.second_derivative < 0.0
+        ref, z, _, _ = _mp_interchange(mpmath, theta, beta, beta * r.z_star)
+        assert abs(r.location - ref) < 1e-14, (beta, float(r.location - ref))
+        assert abs(r.z_star - z) < 1e-14, (beta, float(r.z_star - z))
+
+
+def test_interchange_maximizer_saturated():
+    # past beta ~ 28 + log(theta) the root lies beyond x1 = 1 - 1e-12; by
+    # beta ~ 37 + log(theta), x1* and z* round to 1 and the root is the
+    # bracket end u = beta, found without iterations
+    mpmath = pytest.importorskip("mpmath")
+    for ctx, beta in itertools.product((HALF, ONE, THREE_HALVES), (30.0, 40.0, 60.0)):
+        r = asy.interchange_maximizer(beta, ctx)
+        x1, z, value, curvature = _mp_interchange(mpmath, ctx.theta, beta, beta)
+        assert r.location <= 1.0 and r.z_star <= 1.0
+        assert r.location == pytest.approx(float(x1), rel=1e-15)
+        assert r.z_star == pytest.approx(float(z), rel=1e-15)
+        assert r.value == pytest.approx(float(value), rel=1e-14)
+        assert r.second_derivative == pytest.approx(float(curvature), rel=1e-12)
+        if beta == 60.0:
+            assert (r.location, r.z_star, r.iterations) == (1.0, 1.0, 0)
+
+
+def test_maximizers_against_mpmath_up_to_deep_order():
+    # from 1.01 beta_c up to beta = 200 (interchange: 60), where the curvature
+    # of g_beta is about -e^{2 beta S}
+    mpmath = pytest.importorskip("mpmath")
+    for two_s in (1, 2, 3):
+        ctx = asy.SpinContext(two_s)
+        lo = 1.01 * asy.beta_critical(ctx)
+        for k in range(13):
+            beta = lo * (200.0 / lo) ** (k / 12)
+            r = asy.m_star(beta, ctx)
+            m, value, curvature = _mp_mean_field(mpmath, two_s, beta)
+            assert r.location == pytest.approx(float(m), rel=1e-14), beta
+            assert r.value == pytest.approx(float(value), rel=1e-14), beta
+            assert r.second_derivative == pytest.approx(float(curvature), rel=1e-12), beta
+    for theta in (2, 3, 4, 6):
+        ctx = asy.SpinContext(theta - 1)
+        lo = 1.01 * asy.interchange_beta_critical(ctx)
+        for k in range(13):
+            beta = lo * (60.0 / lo) ** (k / 12)
             r = asy.interchange_maximizer(beta, ctx)
-            assert r.z_star > 0.0 and r.second_derivative < 0.0
-            t = mpmath.mpf(r.location)
-            u0 = mpmath.log(t * (theta - 1) / (1 - t))
-            z_of = lambda u: mpmath.expm1(u) / (mpmath.exp(u) + theta - 1)
-            u = mpmath.findroot(lambda u: beta * z_of(u) - u, u0)
-            ref = mpmath.exp(u) / (mpmath.exp(u) + theta - 1)
-            assert abs(r.location - ref) < 1e-14, (beta, float(r.location - ref))
-            assert abs(r.z_star - z_of(u)) < 1e-14, (beta, float(r.z_star - z_of(u)))
+            x1, z, value, curvature = _mp_interchange(mpmath, theta, beta, beta * r.z_star)
+            assert r.location == pytest.approx(float(x1), rel=1e-14), beta
+            assert r.z_star == pytest.approx(float(z), rel=1e-14), beta
+            assert r.value == pytest.approx(float(value), rel=1e-14), beta
+            assert r.second_derivative == pytest.approx(float(curvature), rel=1e-12), beta
 
 
-def test_interchange_maximizer_capped():
-    # past beta ~ 28 + log(theta) the root lies beyond x1 = 1 - 1e-12
-    for ctx in (HALF, ONE, THREE_HALVES):
-        r = asy.interchange_maximizer(60.0, ctx)
-        assert r.location == 1.0 - 1e-12 and r.iterations == 0
-        assert r.z_star == pytest.approx(1.0, abs=2e-12)
+def test_each_maximizer_solves_once(monkeypatch):
+    # the root fixes everything else: no re-inversion of eta' or the Langevin function
+    calls = []
+    brent = asy._brent
+
+    def counting(f, lo, hi):
+        calls.append((lo, hi))
+        return brent(f, lo, hi)
+
+    monkeypatch.setattr(asy, "_brent", counting)
+    for run in (
+        lambda: asy.m_star(3.0, HALF),
+        lambda: asy.m_star(200.0, THREE_HALVES),
+        lambda: asy.magnetization(1.0, 0.5, ONE),
+        lambda: asy.magnetization(-2.0, 0.5, ONE),
+        lambda: asy.classical_maximizer(4.0),
+        lambda: asy.interchange_maximizer(3.0, ONE),
+        lambda: asy.interchange_maximizer(60.0, THREE_HALVES),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 def test_classical_field_root():
@@ -475,7 +570,7 @@ def test_classical_transition():
 
 def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
     # every root the module solves, on the grids the CLI and the benchmark
-    # walk, against the routine the port follows
+    # walk and at beta >> beta_c, against the routine the port follows
     from scipy.optimize import brentq
 
     calls = []
@@ -487,18 +582,19 @@ def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(asy, "_brent", recording)
     rng = random.Random(29)
+    deep = (30.0, 50.0, 100.0, 200.0)
     for two_s in (1, 2, 3, 5):
         ctx = asy.SpinContext(two_s)
         bc = asy.beta_critical(ctx)
         seeded = [bc * rng.uniform(1.0, 20.0) for _ in range(4)]
-        for beta in [bc * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded:
+        for beta in [bc * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded + list(deep):
             asy.m_star(beta, ctx)
             for h in (0.0, 1e-9, 1e-4, 0.3, 2.0, 10.0):
                 asy.magnetization(beta, h, ctx)
         for _ in range(20):
             asy.x_star(rng.uniform(-1.0, 1.0) * ctx.spin, ctx)
     seeded = [rng.uniform(1.5, 30.0) for _ in range(8)]
-    for beta in [1.5 * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded:
+    for beta in [1.5 * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded + list(deep):
         asy.classical_maximizer(beta)
     for _ in range(20):
         asy.classical_field(rng.random())
@@ -508,12 +604,19 @@ def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
     for two_s in range(1, 6):
         ctx = asy.SpinContext(two_s)
         bc = asy.interchange_beta_critical(ctx)
-        for _ in range(8):
-            asy.interchange_maximizer(bc * rng.uniform(1.0, 10.0), ctx)
-    assert len(calls) > 750  # 55 of them interchange roots
+        for beta in [bc * rng.uniform(1.0, 10.0) for _ in range(8)] + [30.0, 40.0, 60.0]:
+            asy.interchange_maximizer(beta, ctx)
+    assert len(calls) >= 760  # 76 of them interchange roots
+    at_end = 0
     for f, lo, hi, (root, iterations) in calls:
         ref, info = brentq(f, lo, hi, xtol=1e-300, rtol=1e-15, full_output=True)
-        assert (root, iterations) == (ref, info.iterations)
+        assert root == ref
+        if f(lo) == 0.0 or f(hi) == 0.0:  # brentq leaves its count undefined here
+            at_end += 1
+            assert iterations == 0
+        else:
+            assert iterations == info.iterations
+    assert at_end > 0  # m* = S and x1* = 1 at the deepest points
 
 
 def test_brent_failures():

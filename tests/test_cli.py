@@ -304,6 +304,36 @@ def test_maximize_heisenberg_and_classical(capsys):
     assert "m_star" in out and "mu_star" in out
 
 
+def test_maximize_deep_in_the_ordered_phase(capsys):
+    # beta >> beta_c: S - m* and 1 - x1* are O(e^{-beta}), so m* and x1*, z*
+    # print as their correctly rounded values (S and 1 once e^{-beta} < 2^-53)
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["maximize", "--model", "heisenberg", "--spin", "1/2",
+                 "--beta-grid", "30:50:10"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["30.0", "40.0", "50.0"]
+    with mpmath.workdps(40):
+        for beta_s, m_s, _, curvature_s in rows:
+            beta = mpmath.mpf(beta_s)
+            # S = 1/2: eta'(x) = tanh(x/2)/2 and eta''(x) = 1/(4 cosh^2(x/2))
+            x = mpmath.findroot(lambda x: beta * mpmath.tanh(x / 2) - x, beta)
+            assert float(m_s) == float(mpmath.tanh(x / 2) / 2)
+            curvature = 2 * beta - 4 * mpmath.cosh(x / 2) ** 2
+            assert float(curvature_s) == pytest.approx(float(curvature), rel=1e-12)
+    assert [float(row[1]) for row in rows[1:]] == [0.5, 0.5]
+    assert main(["maximize", "--model", "interchange", "--spin", "1",
+                 "--beta-grid", "30:60:10"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert len(rows) == 4
+    with mpmath.workdps(40):
+        for beta_s, x1_s, z_s, _ in rows:
+            beta = mpmath.mpf(beta_s)
+            # theta = 3: beta z(u) = u with z = (e^u - 1)/(e^u + 2), x1 = e^u/(e^u + 2)
+            u = mpmath.findroot(lambda u: beta * mpmath.expm1(u) / (mpmath.exp(u) + 2) - u, beta)
+            assert float(x1_s) == float(mpmath.exp(u) / (mpmath.exp(u) + 2))
+            assert float(z_s) == float(mpmath.expm1(u) / (mpmath.exp(u) + 2))
+
+
 def test_simulate_env_var_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPINLOOPS_OUT", str(tmp_path / "envout"))
     rc = main(["simulate", "--model", "heisenberg", "--n", "3", "--spin", "1/2",
