@@ -59,15 +59,13 @@ def _langevin_coefficients(terms: int) -> tuple[float, ...]:
     return tuple(c)
 
 
-# Below |t| = 1, coth t - 1/t and 1/t^2 - 1/sinh^2 t are summed from their
-# series (18 terms reach 1e-17 relative at |t| = 1); from |t| = 1 on their two
-# terms cancel by a factor of at most 8.  log(sinh t / t) switches there too,
-# to log1p of the series sinh t / t - 1 = t^2 sum_k t^{2k} / (2k + 3)!
-# (12 terms reach 1e-26 relative at |t| = 1).
+# Below |t| = 1, coth t - 1/t, 1/t^2 - 1/sinh^2 t and log(sinh t / t) are
+# summed from their series (18 terms reach 1e-17 relative at |t| = 1); from
+# |t| = 1 on they are written through c = coth t - 1 (see _coth_excess).
 _LANGEVIN_SWITCH = 1.0
 _LANGEVIN_C = _langevin_coefficients(18)
 _LANGEVIN_PRIME_C = tuple((2 * k + 1) * c for k, c in enumerate(_LANGEVIN_C))
-_SINHC_C = tuple(1.0 / math.factorial(2 * k + 3) for k in range(12))
+_LOG_SINHC_C = tuple(c / (2 * k) for k, c in enumerate(_LANGEVIN_C, 1))  # the integral of coth t - 1/t
 
 
 @dataclass(frozen=True)
@@ -123,15 +121,9 @@ def beta_critical(ctx: SpinContext) -> float:
 # log(sinh t / t) family, stable over the whole real line
 # ---------------------------------------------------------------------------
 
-def _log_sinhc(t: float) -> float:
-    """log(sinh(t)/t); even, smooth at 0."""
-    t = abs(t)
-    if t < _LANGEVIN_SWITCH:
-        return math.log1p(t * t * _horner(_SINHC_C, t * t))
-    if t < 350.0:
-        return math.log(math.sinh(t) / t)
-    # sinh(t) = e^t (1 - e^{-2t})/2
-    return t - math.log(2.0 * t) + math.log1p(-math.exp(-2.0 * t))
+def _coth_excess(t: float) -> float:
+    """c = coth t - 1 = -2 e^{-2t} / expm1(-2t) for t > 0; no overflow, 0 once e^{-2t} underflows."""
+    return -2.0 * math.exp(-2.0 * t) / math.expm1(-2.0 * t)
 
 
 def _horner(coefficients: tuple[float, ...], x: float) -> float:
@@ -142,27 +134,30 @@ def _horner(coefficients: tuple[float, ...], x: float) -> float:
     return acc
 
 
+def _log_sinhc(t: float) -> float:
+    """log(sinh(t)/t); even, smooth at 0."""
+    t = abs(t)
+    if t < _LANGEVIN_SWITCH:
+        return t * t * _horner(_LOG_SINHC_C, t * t)
+    # sinh(t) = e^t (1 - e^{-2t})/2
+    return t - math.log(2.0 * t) + math.log1p(-math.exp(-2.0 * t))
+
+
 def _langevin(t: float) -> float:
     """coth(t) - 1/t; odd, smooth at 0."""
     a = abs(t)
     if a < _LANGEVIN_SWITCH:
         return t * _horner(_LANGEVIN_C, t * t)
-    if a < 350.0:
-        val = math.cosh(a) / math.sinh(a) - 1.0 / a
-    else:
-        val = 1.0 + 2.0 * math.exp(-2.0 * a) - 1.0 / a
-    return math.copysign(val, t)
+    return math.copysign(1.0 + _coth_excess(a) - 1.0 / a, t)
 
 
 def _langevin_prime(t: float) -> float:
-    """d/dt (coth t - 1/t) = 1/t^2 - 1/sinh(t)^2; even."""
+    """d/dt (coth t - 1/t) = 1/t^2 - 1/sinh(t)^2, 1/sinh^2 = c (c + 2); even."""
     a = abs(t)
     if a < _LANGEVIN_SWITCH:
         return _horner(_LANGEVIN_PRIME_C, t * t)
-    if a < 350.0:
-        s = math.sinh(a)
-        return 1.0 / (a * a) - 1.0 / (s * s)
-    return 1.0 / (a * a) - 4.0 * math.exp(-2.0 * a)
+    c = _coth_excess(a)
+    return 1.0 / (a * a) - c * (c + 2.0)
 
 
 def eta(x: float, ctx: SpinContext) -> float:
@@ -174,14 +169,15 @@ def eta(x: float, ctx: SpinContext) -> float:
 def eta_prime(x: float, ctx: SpinContext) -> float:
     """d eta/dx; odd, increasing from -S to S.
 
-    From a = |x| = 1 on it is S - e^{-a}/-expm1(-a) + theta e^{-theta a}/-expm1(-theta a),
-    which never exceeds S and keeps S - eta' to full relative precision.
+    From a = |x| = 1 on it is S - c(a/2)/2 + theta c(theta a/2)/2, c = coth - 1
+    (_coth_excess), which never exceeds S and keeps S - eta' to full
+    relative precision.
     """
     th = ctx.theta
     a = abs(x)
     if a < 1.0:
         return 0.5 * th * _langevin(0.5 * th * x) - 0.5 * _langevin(0.5 * x)
-    gap = -math.exp(-a) / math.expm1(-a) + th * math.exp(-th * a) / math.expm1(-th * a)
+    gap = 0.5 * _coth_excess(0.5 * a) - 0.5 * th * _coth_excess(0.5 * th * a)
     return math.copysign(0.5 * (th - 1) - gap, x)
 
 
@@ -190,16 +186,16 @@ def eta_second(x: float, ctx: SpinContext) -> float:
 
     Equals 1/(4 sinh^2(x/2)) - theta^2/(4 sinh^2(theta x/2)): the 1/x^2 poles
     of the two Langevin derivatives cancel exactly, so from |x| = 1 on each
-    term is taken as e^{-a}/expm1(-a)^2, which cannot overflow; below it the
-    difference of the two Langevin derivatives cancels mildly at most.
-    Strictly positive until e^{-|x|} underflows (|x| > 745).
+    1/sinh^2 is taken as c (c + 2), c = coth - 1 (_coth_excess), which cannot
+    overflow; below it the difference of the two Langevin derivatives cancels
+    mildly at most.  Strictly positive until e^{-|x|} underflows (|x| > 745).
     """
     th = ctx.theta
     a = abs(x)
     if a < 1.0:
         return 0.25 * th * th * _langevin_prime(0.5 * th * a) - 0.25 * _langevin_prime(0.5 * a)
-    d1, d2 = math.expm1(-a), math.expm1(-th * a)
-    return math.exp(-a) / (d1 * d1) - th * th * math.exp(-th * a) / (d2 * d2)
+    c1, c2 = _coth_excess(0.5 * a), _coth_excess(0.5 * th * a)
+    return 0.25 * c1 * (c1 + 2.0) - 0.25 * th * th * c2 * (c2 + 2.0)
 
 
 def _brent(f, lo: float, hi: float) -> tuple[float, int]:
@@ -269,7 +265,9 @@ def x_star(m: float, ctx: SpinContext) -> float:
 
 
 def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
-    """Free-energy profile eta(x*(m)) - m x*(m) + beta m^2 on (-S, S)."""
+    """Free-energy profile eta(x*(m)) - m x*(m) + beta m^2 on [-S, S]; beta S^2 at |m| = S."""
+    if abs(m) == ctx.spin:
+        return beta * m * m
     x = x_star(m, ctx)
     return eta(x, ctx) - m * x + beta * m * m
 

@@ -60,9 +60,7 @@ def _float_repr(x) -> str:
 
 def _heisenberg_limit(beta: float, h: float, delta: float, ctx) -> float:
     m = asymptotics.m_star(beta, ctx).location
-    if delta == 1.0:
-        return float(np.real(pd.sinhc(h * m)))
-    return float(np.i0(h * m))
+    return pd.sinhc(h * m) if delta == 1.0 else float(np.i0(h * m))
 
 
 def cmd_exact(args) -> int:
@@ -89,8 +87,8 @@ def cmd_exact(args) -> int:
         zres = asymptotics.interchange_maximizer(args.beta, ctx)
         y = (1.0 - zres.z_star) / args.theta
         xs = [zres.z_star + y] + [y] * (args.theta - 1)
-        limit = float(np.real(pd.r_function(hvec, xs)))
-        rows.append({"n": args.n, "exact": float(np.real(exact)), "limit": limit, "gap": abs(exact - limit)})
+        limit = pd.r_function(hvec, xs)
+        rows.append({"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)})
     if args.format == "json":
         payload = {"command": "exact", "model": args.model, "beta": args.beta, "rows": rows}
         print(json.dumps(payload, sort_keys=True))
@@ -99,6 +97,19 @@ def cmd_exact(args) -> int:
         for r in rows:
             print(f"{r['n']},{_float_repr(r['exact'])},{_float_repr(r['limit'])},{_float_repr(r['gap'])}")
     return EXIT_OK
+
+
+def _csv_rows(runs, total_length: int):
+    """spectra.csv data rows of (samples, observable trace) runs, one per sample."""
+    digits = [str(k) for k in range(total_length + 1)]
+    for chain, (samples, trace) in enumerate(runs):
+        texts = {}  # id -> row tail; mcmc_run keeps one object per distinct spectrum
+        for idx, (spectrum, obs) in enumerate(zip(samples, trace)):
+            text = texts.get(id(spectrum))
+            if text is None:
+                lengths = ",".join([digits[k] for k in spectrum.lengths])
+                text = texts[id(spectrum)] = f"{spectrum.n_loops_total},{_float_repr(obs)},{lengths}\n"
+            yield f"{chain},{idx},{text}"
 
 
 def cmd_simulate(args) -> int:
@@ -179,21 +190,7 @@ def cmd_simulate(args) -> int:
         meta_path = os.path.join(out_dir, f"{args.prefix}meta.json")
         with open(csv_path, "w", newline="") as fh:
             fh.write("chain,sweep,n_loops,observable,lengths\n")
-            digits = [str(k) for k in range(args.n * two_s + 1)]
-            rows = []
-            for chain, (samples, trace) in enumerate(runs):
-                texts = {}  # id -> row tail; mcmc_run keeps one object per distinct spectrum
-                for idx, (spectrum, obs) in enumerate(zip(samples, trace)):
-                    text = texts.get(id(spectrum))
-                    if text is None:
-                        lengths = ",".join([digits[k] for k in spectrum.lengths])
-                        text = f"{spectrum.n_loops_total},{_float_repr(obs)},{lengths}\n"
-                        texts[id(spectrum)] = text
-                    rows.append(f"{chain},{idx},{text}")
-                    if len(rows) == 4096:
-                        fh.write("".join(rows))
-                        rows.clear()
-            fh.write("".join(rows))
+            fh.writelines(_csv_rows(runs, args.n * two_s))
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -311,7 +308,7 @@ def cmd_pd(args) -> int:
     if args.z_star is not None:
         theta = int(args.theta)
         hvec = args.h + [0.0] * (theta - len(args.h))
-        closed = float(np.real(pd.pd_q_expectation_exact(theta, hvec, args.z_star)))
+        closed = pd.pd_q_expectation_exact(theta, hvec, args.z_star)
         mean, se = pd.pd_q_expectation_mc(theta, hvec, args.z_star, args.samples, rng)
         verdict = "pass" if abs(mean - closed) <= 3 * max(se, 1e-15) else "FAIL"
         ok = ok and verdict == "pass"

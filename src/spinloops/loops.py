@@ -511,17 +511,25 @@ def mcmc_run(
 # Observables
 # ---------------------------------------------------------------------------
 
+def _table_product(lengths, table: dict | None, factor):
+    """prod of table[l] over `lengths`, in their order, from the unit table[0].
+
+    Missing entries, the unit included, are filled with factor(l) first.
+    """
+    table = {} if table is None else table
+    try:
+        return math.prod(map(table.__getitem__, lengths), start=table[0])
+    except KeyError:
+        table.update((m, factor(m)) for m in (0, *lengths) if m not in table)
+        return math.prod(map(table.__getitem__, lengths), start=table[0])
+
+
 def observable_cosh(spectrum: LoopSpectrum, h: float, n: int, two_s: int, table: dict | None = None) -> float:
     """prod_i cosh(h l_i / (2 S n)), the rescaled loop generating function.
 
     `table` maps a loop length to its factor, as in observable_q.
     """
-    table = {} if table is None else table
-    try:
-        return math.prod(map(table.__getitem__, spectrum.lengths), start=1.0)
-    except KeyError:
-        table.update((m, math.cosh(h * m / (two_s * n))) for m in spectrum.lengths if m not in table)
-        return observable_cosh(spectrum, h, n, two_s, table)
+    return _table_product(spectrum.lengths, table, lambda m: math.cosh(h * m / (two_s * n)))
 
 
 def observable_q(spectrum: LoopSpectrum, hvec, n: int, table: dict | None = None) -> complex | float:
@@ -529,16 +537,11 @@ def observable_q(spectrum: LoopSpectrum, hvec, n: int, table: dict | None = None
 
     `table` maps a loop length l to q_h(l / n); pass one dict per (hvec, n)
     to evaluate each length once over a run instead of once per loop.  Its
-    entry at length 0 is the product's unit q_h(0) = 1: 1.0 for real fields,
-    1 + 0j otherwise.  The factors are multiplied in the order of the lengths.
+    entry at length 0 is the product's unit q_h(0) = 1, a float or complex
+    by the field-type rule of pd.q_eval.  The factors are multiplied in the
+    order of the lengths.
     """
-    table = {} if table is None else table
-    try:
-        return math.prod(map(table.__getitem__, spectrum.lengths), start=table[0])
-    except KeyError:
-        table[0] = 1.0 if all(isinstance(h, (int, float)) for h in hvec) else 1.0 + 0.0j
-        table.update((m, _pd.q_eval(hvec, m / n)) for m in spectrum.lengths if m not in table)
-        return observable_q(spectrum, hvec, n, table)
+    return _table_product(spectrum.lengths, table, lambda m: _pd.q_eval(hvec, m / n))
 
 
 def batch_means_se(values) -> tuple[float, float]:

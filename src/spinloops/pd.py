@@ -17,6 +17,8 @@ lengths.  This module provides:
   * Monte Carlo vs closed-form checks of E[prod q_h(z* X_i)].
 
 Samplers take an explicit numpy Generator; closed-form evaluators are pure.
+_fields is the one field-type rule of every engine here and in spectra,
+symfunc and loops: fields are complex exactly when np.iscomplexobj says so.
 Spin special cases of q and R and the Ewens sampler live in tests/oracles.py.
 """
 
@@ -41,6 +43,16 @@ __all__ = [
 ]
 
 _TRUNCATION = 1e-12  # a stick-breaking row stops once its remaining mass is below this
+_MATH = {float: math, complex: cmath}  # scalar functions of each field kind
+
+
+def _fields(*fields):
+    """(kind, *fields): kind is complex if np.iscomplexobj holds for any field, else float.
+
+    Vectors come back as float64 or complex128 arrays, scalars as kind; an engine returns kind(result).
+    """
+    kind = complex if any(map(np.iscomplexobj, fields)) else float
+    return kind, *(np.asarray(f, dtype=kind) if np.ndim(f) else kind(f) for f in fields)
 
 
 def stick_breaking_columns(theta: float, n: int, rng: np.random.Generator):
@@ -79,35 +91,30 @@ def pd_cosh_series(theta: float, h: complex | float) -> complex | float:
     """
     if theta <= 0.0:
         raise ValueError("theta must be positive")
+    kind, h = _fields(h)
     h2 = h * h
-    term = 1.0 + 0.0 * h2  # k = 0 term after Gamma(theta) normalisation
-    total = term
+    total = term = kind(1.0)  # k = 0 term after Gamma(theta) normalisation
     for k in range(500):
         term = term * h2 * (0.5 * theta + k) / ((k + 1) * (theta + 2 * k) * (theta + 2 * k + 1))
         total += term
         if abs(term) < 1e-16 * max(1.0, abs(total)):
             break
-    if isinstance(h, complex):
-        return total
-    return float(np.real(total))
+    return total
 
 
-def q_eval(hvec, t) -> complex:
-    """q_h(t) = (1/theta) sum_i e^{h_i t}."""
-    hv = list(hvec)
-    val = sum(cmath.exp(h * t) for h in hv) / len(hv)
-    if all(isinstance(h, (int, float)) for h in hv) and isinstance(t, (int, float)):
-        return val.real
-    return val
+def q_eval(hvec, t: float) -> complex | float:
+    """q_h(t) = (1/theta) sum_i e^{h_i t} at a real level t."""
+    kind, hv = _fields(hvec)
+    t, exp = float(t), _MATH[kind].exp
+    return sum(exp(h * t) for h in hv.tolist()) / len(hv)
 
 
 def sinhc(x: complex | float) -> complex | float:
     """sinh(x)/x, equal to 1 at x = 0."""
+    kind, x = _fields(x)
     if abs(x) < 1e-8:
         return 1.0 + x * x / 6.0
-    if isinstance(x, complex):
-        return cmath.sinh(x) / x
-    return math.sinh(x) / x
+    return _MATH[kind].sinh(x) / x
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +144,7 @@ def _factorial_ratios(theta: int, terms: int) -> np.ndarray:
     return np.array([[math.factorial(i) / math.factorial(k) for i in range(theta)] for k in range(terms)])
 
 
-def r_function(hvec, xvec) -> complex:
+def r_function(hvec, xvec) -> complex | float:
     """R(h_1..h_theta; x_1..x_theta) = det[e^{h_i x_j}] prod (j-i)/((h_i-h_j)(x_i-x_j)).
 
     One path for all arguments, equal and close ones included: Newton
@@ -157,7 +164,7 @@ def r_function(hvec, xvec) -> complex:
     1e-13 relative for rho = max|h_i - mean h| max|x_j - mean x| <= 4 and
     1e-10 up to rho = 10; raises ValueError beyond.
     """
-    h, x = np.asarray(hvec), np.asarray(xvec)
+    kind, h, x = _fields(hvec, xvec)
     theta = len(h)
     if len(x) != theta:
         raise ValueError("hvec and xvec must have the same length")
@@ -180,25 +187,21 @@ def r_function(hvec, xvec) -> complex:
 
     d_h, d_x = shifted(hc.tolist()), shifted(xc.tolist())
     det = np.linalg.det((_factorial_ratios(theta, terms) * d_h).T @ d_x)
-    return complex(cmath.exp(theta * complex(h.mean()) * complex(x.mean())) * det)
+    return kind(_MATH[kind].exp(theta * kind(h.mean()) * kind(x.mean())) * det)
 
 
-def pd_q_expectation_exact(theta: int, hvec, z_star: float) -> complex:
+def pd_q_expectation_exact(theta: int, hvec, z_star: float) -> complex | float:
     """Closed form for E_{PD(theta)}[prod_i q_h(z* X_i)].
 
     Equals exp(-(1 - z*) sum_i h_i / theta) R(h; x*) with the two-level
     argument x* = (z* + (1-z*)/theta, (1-z*)/theta, ...).
     """
-    hv = list(hvec)
+    kind, hv = _fields(hvec)
     if len(hv) != theta:
         raise ValueError("hvec must have length theta")
     y = (1.0 - z_star) / theta
     xs = [z_star + y] + [y] * (theta - 1)
-    total = sum(hv)
-    val = cmath.exp(-(1.0 - z_star) * total / theta) * r_function(hv, xs)
-    if all(isinstance(h, (int, float)) for h in hv):
-        return float(np.real(val))
-    return val
+    return _MATH[kind].exp(-(1.0 - z_star) * sum(hv.tolist()) / theta) * r_function(hv, xs)
 
 
 def pd_q_expectation_mc(
@@ -223,14 +226,12 @@ def pd_q_expectation_mc(
         raise ValueError("pd_q_expectation_mc requires integer theta >= 2")
     if not 0.0 <= z_star <= 1.0:
         raise ValueError("z_star must lie in [0, 1]")
-    hv = np.asarray(hvec)
-    if not np.iscomplexobj(hv):
-        hv = hv.astype(float)
+    kind, hv = _fields(hvec)
     if len(hv) != theta:
         raise ValueError("hvec must have length theta")
     if z_star == 0.0:
-        return 1.0, 0.0
-    vals = np.ones(n_samples, dtype=hv.dtype)
+        return kind(1.0), 0.0
+    vals = np.ones(n_samples, dtype=kind)
     for col in stick_breaking_columns(theta, n_samples, rng):
         live = np.flatnonzero(col)
         zx = z_star * col[live]
@@ -240,4 +241,4 @@ def pd_q_expectation_mc(
         vals[live] *= terms / theta
     mean = vals.mean()
     se = float(np.sqrt(vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / math.sqrt(n_samples))
-    return (complex(mean) if np.iscomplexobj(vals) else float(mean)), se
+    return kind(mean), se

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import pd as _pd
+
 __all__ = [
     "GibbsValue",
     "log_multiplicity_row",
@@ -203,8 +205,9 @@ def heisenberg_expectation_exact(
         raise ValueError("beta must be finite and positive")
     if not -1.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [-1, 1]")
+    kind, h = _pd._fields(h)
     if h == 0:
-        return GibbsValue(1.0, n, two_s, beta, delta, h)
+        return GibbsValue(kind(1.0), n, two_s, beta, delta, h)
     two_js, logd = _log_degeneracies(n, two_s, exact_degeneracies)
     jj1 = 0.25 * two_js * (two_js + 2.0)  # J(J+1)
     log_w = logd + (beta / n) * jj1
@@ -222,8 +225,6 @@ def heisenberg_expectation_exact(
         log_u = log_w + np.log(sector_s[idx])
         weights = np.exp(log_u - log_u.max())
         value = np.dot(weights, sector_t[idx] / sector_s[idx]) / weights.sum()
-    if not isinstance(h, complex):
-        value = float(np.real(value))
-    if not np.all(np.isfinite([abs(value)])):
+    if not np.isfinite(value):
         raise ArithmeticError("non-finite Gibbs sum; parameters out of range")
-    return GibbsValue(value, n, two_s, beta, delta, h)
+    return GibbsValue(kind(value), n, two_s, beta, delta, h)

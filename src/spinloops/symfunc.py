@@ -80,16 +80,15 @@ def _schur_exp(ts, top: int):
     det[h_{l_j-k}]: equal or close fields need no merging.  The h_m table is
     pd.complete_homogeneous, after r zeros for the negative degrees.
     """
-    ts = np.asarray(ts)
     r = len(ts)
-    table = np.zeros((r, r + top + 1), dtype=complex if ts.dtype.kind == "c" else float)
+    table = np.zeros((r, r + top + 1), dtype=ts.dtype)
     table[:, r:] = _pd.complete_homogeneous(np.exp(ts).tolist(), top + 1)
     offsets = np.arange(r)[:, None] * (r + top) + r  # flat index of h_{l-k} is l + offset_k
     sign = (-1.0) ** (r * (r - 1) // 2)
     return lambda l: sign * np.linalg.det(table.ravel().take(l[:, None, :] + offsets))
 
 
-def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> complex:
+def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> complex | float:
     """Exact E[prod_i q_h(l_i / n)] under the theta^{#loops} interchange measure.
 
     Expands the cycle observable in irreducible characters: for each shape
@@ -110,11 +109,11 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
         raise ValueError("theta must be >= 1")
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError("beta must be finite and positive")
-    hv = list(hvec)
+    kind, hv = _pd._fields(hvec)
     if len(hv) != theta:
         raise ValueError(f"hvec must have length theta = {theta}")
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + theta)])
-    schur = _schur_exp(np.asarray(hv) / n, n + theta - 1)
+    schur = _schur_exp(hv / n, n + theta - 1)
     iu, ju = np.triu_indices(theta, 1)
     top, numer, denom = -np.inf, 0.0, 0.0
     for shapes in _shape_blocks(n, theta, _BLOCK):
@@ -129,5 +128,4 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
         w = np.exp(log_w - top)
         numer = numer + w @ schur(l)
         denom = denom + w @ np.prod(gaps / (ju - iu), axis=1)
-    value = numer / denom
-    return complex(value) if any(isinstance(h, complex) for h in hv) else float(np.real(value))
+    return kind(numer / denom)

@@ -335,6 +335,15 @@ def test_pressure_and_magnetization():
         oracles.pressure(2.0, -0.1, HALF)
 
 
+def test_pressure_at_saturation():
+    # m* rounds to S here, where g_beta takes its limit beta S^2
+    assert oracles.pressure(50.0, 0.0, HALF) == pytest.approx(12.5, rel=1e-14)
+    assert oracles.pressure(3.0, 40.0, HALF) == pytest.approx(20.75, rel=1e-14)
+    assert asy.g_beta(-0.5, 3.0, HALF) == 0.75
+    with pytest.raises(ValueError):
+        asy.x_star(0.5, HALF)
+
+
 def test_magnetization_stationarity():
     for beta, h in ((1.5, 0.2), (2.0, 0.05), (2.5, 0.4)):
         m = asy.magnetization(beta, h, HALF)
