@@ -186,16 +186,16 @@ def eta_second(x: float, ctx: SpinContext) -> float:
 
     Equals 1/(4 sinh^2(x/2)) - theta^2/(4 sinh^2(theta x/2)): the 1/x^2 poles
     of the two Langevin derivatives cancel exactly, so from |x| = 1 on each
-    1/sinh^2 is taken as c (c + 2), c = coth - 1 (_coth_excess), which cannot
-    overflow; below it the difference of the two Langevin derivatives cancels
-    mildly at most.  Strictly positive until e^{-|x|} underflows (|x| > 745).
+    term is taken as e^{-a}/expm1(-a)^2, which cannot overflow; below it the
+    difference of the two Langevin derivatives cancels mildly at most.
+    Strictly positive until e^{-|x|} underflows (|x| > 745).
     """
     th = ctx.theta
     a = abs(x)
     if a < 1.0:
         return 0.25 * th * th * _langevin_prime(0.5 * th * a) - 0.25 * _langevin_prime(0.5 * a)
-    c1, c2 = _coth_excess(0.5 * a), _coth_excess(0.5 * th * a)
-    return 0.25 * c1 * (c1 + 2.0) - 0.25 * th * th * c2 * (c2 + 2.0)
+    d1, d2 = math.expm1(-a), math.expm1(-th * a)
+    return math.exp(-a) / (d1 * d1) - th * th * math.exp(-th * a) / (d2 * d2)
 
 
 def _brent(f, lo: float, hi: float) -> tuple[float, int]:
