@@ -43,7 +43,6 @@ __all__ = [
     "fit_exponent",
     "interchange_beta_critical",
     "interchange_maximizer",
-    "classical_field",
     "classical_maximizer",
 ]
 
@@ -241,27 +240,22 @@ def _brent(f, lo: float, hi: float) -> tuple[float, int]:
     raise ArithmeticError(f"Brent's method did not converge in 100 iterations (at {xcur})")
 
 
-def _invert_increasing(f, target: float) -> float:
-    """x > 0 with f(x) = target, for f increasing from f(0) = 0 and 0 < target < sup f.
+def x_star(m: float, ctx: SpinContext) -> float:
+    """Unique solution x of eta'(x) = m, for |m| < S (eta' is odd and increasing).
 
     Brent's root to relative precision 1e-15 on [0, hi], hi doubled from 1.
     """
-    hi = 1.0
-    while f(hi) <= target:
-        hi *= 2.0
-        if hi > 1e16:  # unreachable for targets below sup f in floating point
-            raise ArithmeticError("inverse bracket growth failed")
-    return _brent(lambda x: f(x) - target, 0.0, hi)[0]
-
-
-def x_star(m: float, ctx: SpinContext) -> float:
-    """Unique solution x of eta'(x) = m, for |m| < S (eta' is odd and increasing)."""
     s = ctx.spin
     if not abs(m) < s:
         raise ValueError(f"x_star requires |m| < S = {s}, got m = {m}")
     if m == 0.0:
         return 0.0
-    return math.copysign(_invert_increasing(lambda x: eta_prime(x, ctx), abs(m)), m)
+    target, hi = abs(m), 1.0
+    while eta_prime(hi, ctx) <= target:
+        hi *= 2.0
+        if hi > 1e16:  # unreachable for |m| < S in floating point
+            raise ArithmeticError("inverse bracket growth failed")
+    return math.copysign(_brent(lambda x: eta_prime(x, ctx) - target, 0.0, hi)[0], m)
 
 
 def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
@@ -416,15 +410,6 @@ def interchange_maximizer(beta: float, ctx: SpinContext) -> MaximizerResult:
 # ---------------------------------------------------------------------------
 # Classical (S -> infinity) limit
 # ---------------------------------------------------------------------------
-
-def classical_field(mu: float) -> float:
-    """Solve coth(x) - 1/x = mu for x >= 0, mu in [0, 1)."""
-    if not 0.0 <= mu < 1.0:
-        raise ValueError("classical field requires mu in [0, 1)")
-    if mu == 0.0:
-        return 0.0
-    return _invert_increasing(_langevin, mu)
-
 
 def classical_maximizer(beta: float) -> MaximizerResult:
     """Maximiser of log(sinh(x(mu))/x(mu)) - mu x(mu) + beta mu^2 on [0, 1].

@@ -80,6 +80,8 @@ def cmd_exact(args) -> int:
         rows.append({"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)})
     else:
         hvec = args.h
+        if args.theta < 2:
+            raise UsageError("interchange needs --theta >= 2")
         if len(hvec) != args.theta:
             raise UsageError(f"interchange needs {args.theta} comma-separated fields")
         exact = symfunc.interchange_expectation_exact(args.n, args.theta, args.beta, hvec)
@@ -281,6 +283,8 @@ def cmd_pd(args) -> int:
         raise UsageError("--samples must be >= 2")
     if args.z_star is not None and not (args.theta.is_integer() and args.theta >= 2):
         raise UsageError("--z-star needs an integer --theta >= 2")
+    if args.z_star is not None and not 0.0 <= args.z_star <= 1.0:
+        raise UsageError("--z-star must lie in [0, 1]")
     if args.z_star is not None and len(args.h) > args.theta:
         raise UsageError("--z-star takes at most --theta fields in --h")
     if not all(map(math.isfinite, args.h)):

@@ -9,7 +9,8 @@ lengths.  This module provides:
     (samples, sticks) matrix is ever formed,
   * the closed-form series for E[prod cosh(h X_i)],
   * the level-average function q_h(t),
-  * the complete homogeneous table h_m(v_1..v_i), shared with symfunc,
+  * the divided-difference table of powers, T[l, k] = h_{l-k}(v_1..v_{k+1}),
+    read by r_function here and by symfunc's Schur values,
   * the determinant ratio R(h; x) = det[e^{h_i x_j}] prod (j-i)/((h_i-h_j)(x_i-x_j))
     on one divided-difference path, equal and close arguments included,
     for rho = max|h_i - mean h| max|x_j - mean x| up to 10 (ValueError
@@ -36,7 +37,6 @@ __all__ = [
     "pd_cosh_series",
     "q_eval",
     "sinhc",
-    "complete_homogeneous",
     "r_function",
     "pd_q_expectation_exact",
     "pd_q_expectation_mc",
@@ -88,17 +88,30 @@ def pd_cosh_series(theta: float, h: complex | float) -> complex | float:
     normalised so the value is 1 at h = 0.  Terms are generated by the ratio
     recurrence and summation stops on a 1e-16 relative term (cap 500 terms).
     Special cases: theta = 2 gives sinh(h)/h, theta = 1 gives I_0(h).
+
+    Raises ArithmeticError where the value cannot be trusted: a sum that is
+    not finite, the cap reached before the stopping test holds, or a rounding
+    bound 2^-53 sum_k |term_k| above 1e-12 |sum| (terms that cancel, as for
+    h far off the real axis).
     """
     if theta <= 0.0:
         raise ValueError("theta must be positive")
     kind, h = _fields(h)
     h2 = h * h
     total = term = kind(1.0)  # k = 0 term after Gamma(theta) normalisation
+    mass = 1.0  # sum of |term_k|
     for k in range(500):
         term = term * h2 * (0.5 * theta + k) / ((k + 1) * (theta + 2 * k) * (theta + 2 * k + 1))
         total += term
+        mass += abs(term)
         if abs(term) < 1e-16 * max(1.0, abs(total)):
             break
+    else:  # an overflowed sum ends here too: inf terms never pass the test
+        raise ArithmeticError(f"pd_cosh_series did not converge in 500 terms at h = {h}")
+    if not _MATH[kind].isfinite(total):
+        raise ArithmeticError(f"pd_cosh_series is not finite at h = {h}")
+    if 2.0**-53 * mass > 1e-12 * abs(total):
+        raise ArithmeticError(f"pd_cosh_series cancels beyond 1e-12 relative at h = {h}")
     return total
 
 
@@ -126,16 +139,19 @@ def sinhc(x: complex | float) -> complex | float:
 _RHO_CAP = 10.0
 
 
-def complete_homogeneous(nodes, terms: int) -> np.ndarray:
-    """(len(nodes), terms) table of h_m(v_1..v_{i+1}) at [i, m].
+def _divided_powers(nodes, top: int) -> np.ndarray:
+    """(top + 1, len(nodes)) table T[l, k] = h_{l-k}(v_1..v_{k+1}), 0 for l < k.
 
-    h_m is the complete homogeneous polynomial of degree m, built one
-    variable at a time by h_m(.., v) = h_m(..) + v h_{m-1}(.., v).
+    T[l, k] is the k-th divided difference of x^l over v_1..v_{k+1}, equal
+    nodes included (de Boor, Surveys in Approximation Theory 2005), and h_m
+    the complete homogeneous polynomial of degree m, built one variable at a
+    time by h_m(.., v) = h_m(..) + v h_{m-1}(.., v).
     """
-    rows = [[1.0] + [0.0] * (terms - 1)]  # h_m of no variables
-    for v in nodes:
-        rows.append(list(accumulate(rows[-1], lambda prev, h: h + v * prev)))
-    return np.array(rows[1:]).reshape(len(nodes), terms)
+    columns, h = [], [1.0] + [0.0] * top  # h_m of no variables
+    for k, v in enumerate(nodes):
+        h = list(accumulate(h[: top + 1 - k], lambda prev, hm: hm + v * prev))
+        columns.append([0.0] * k + h)
+    return np.array(columns).T
 
 
 @lru_cache(maxsize=32)
@@ -180,12 +196,7 @@ def r_function(hvec, xvec) -> complex | float:
         # one side is constant: D (rows times i!) is triangular, unit diagonal
         hc, xc = 0.0 * hc, 0.0 * xc
     terms = theta + 30 + int(4 * rho)
-    lag = np.arange(terms)[:, None] - np.arange(theta)  # k - i at [k, i]
-
-    def shifted(nodes):  # h_{k-i}(v_1..v_{i+1}) at [k, i], 0 for k < i
-        return np.where(lag >= 0, complete_homogeneous(nodes, terms)[np.arange(theta), lag], 0.0)
-
-    d_h, d_x = shifted(hc.tolist()), shifted(xc.tolist())
+    d_h, d_x = _divided_powers(hc.tolist(), terms - 1), _divided_powers(xc.tolist(), terms - 1)
     det = np.linalg.det((_factorial_ratios(theta, terms) * d_h).T @ d_x)
     return kind(_MATH[kind].exp(theta * kind(h.mean()) * kind(x.mean())) * det)
 

@@ -38,7 +38,6 @@ from . import pd as _pd
 
 __all__ = [
     "GibbsValue",
-    "log_multiplicity_row",
     "heisenberg_expectation_exact",
 ]
 
@@ -92,14 +91,6 @@ def _exact_half_row(n: int, two_s: int) -> list[int]:
     for k in range(1, n * two_s // 2 + 1):
         c.append(sum(((n + 1) * j - k) * c[k - j] for j in range(1, min(two_s, k) + 1)) // k)
     return c
-
-
-def log_multiplicity_row(n: int, two_s: int) -> np.ndarray:
-    """log L_{M,n} over k = M + S n: cumulative sums of log r_k to the centre, mirrored."""
-    if n < 1 or two_s < 1:
-        raise ValueError("need n >= 1 and two_s >= 1")
-    log_c, _ = _half_row(n, two_s)
-    return np.concatenate((log_c, log_c[n * two_s - len(log_c) :: -1]))
 
 
 def _log_degeneracies(n: int, two_s: int, exact: bool) -> tuple[np.ndarray, np.ndarray]:

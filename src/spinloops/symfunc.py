@@ -75,17 +75,14 @@ def _schur_exp(ts, top: int):
     """Batched s_lambda(e^{t_1}, .., e^{t_r}) as a function of l = lambda_j + r - j <= top.
 
     Newton divided differences of the bialternant rows x_a^{l_j} divide out
-    the Vandermonde exactly: the k-th one of x^l over x_1..x_{k+1} is the
-    complete homogeneous h_{l-k}(x_1..x_{k+1}), so s_lambda = (-1)^{C(r,2)}
-    det[h_{l_j-k}]: equal or close fields need no merging.  The h_m table is
-    pd.complete_homogeneous, after r zeros for the negative degrees.
+    the Vandermonde exactly: the k-th one of x^l over x_1..x_{k+1} is
+    T[l, k] = h_{l-k}(x_1..x_{k+1}) of pd._divided_powers, so s_lambda =
+    (-1)^{C(r,2)} det[T[l_j, k]]: equal or close fields need no merging.
     """
     r = len(ts)
-    table = np.zeros((r, r + top + 1), dtype=ts.dtype)
-    table[:, r:] = _pd.complete_homogeneous(np.exp(ts).tolist(), top + 1)
-    offsets = np.arange(r)[:, None] * (r + top) + r  # flat index of h_{l-k} is l + offset_k
+    table = _pd._divided_powers(np.exp(ts).tolist(), top)
     sign = (-1.0) ** (r * (r - 1) // 2)
-    return lambda l: sign * np.linalg.det(table.ravel().take(l[:, None, :] + offsets))
+    return lambda l: sign * np.linalg.det(table[l[:, None, :], np.arange(r)[:, None]])
 
 
 def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> complex | float:

@@ -79,8 +79,8 @@ def multiplicity_table(n: int, two_s: int, cap: int = EXACT_CAP) -> Multiplicity
 
     Works in the shifted index k = M + S n in {0, ..., two_s * n}, where the
     counts are the coefficients of (1 + z + ... + z^{two_s})^n.  Exact big
-    integers; raises CapExceededError when n * two_s exceeds the cap (use
-    log_multiplicity_row for large n).
+    integers; raises CapExceededError when n * two_s exceeds the cap (for
+    large n, spectra._half_row gives log L_{M,n} up to the centre).
     """
     if n < 1 or two_s < 1:
         raise ValueError("need n >= 1 and two_s >= 1")

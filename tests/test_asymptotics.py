@@ -558,20 +558,16 @@ def test_each_maximizer_solves_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_classical_field_root():
-    for mu in (0.1, 0.5, 0.9):
-        x = asy.classical_field(mu)
-        assert (1.0 / math.tanh(x)) - 1.0 / x == pytest.approx(mu, abs=1e-12)
-
-
 def test_classical_transition():
     assert asy.classical_maximizer(1.4).location == 0.0
     r = asy.classical_maximizer(1.6)
     assert r.location > 0.0
-    assert abs(2 * 1.6 * r.location - asy.classical_field(r.location)) < 1e-10
-    # independent grid oracle
+    assert asy._langevin(2 * 1.6 * r.location) == pytest.approx(r.location, abs=1e-12)
+    # independent grid oracle, inverting L with scipy's brentq
+    from scipy.optimize import brentq
+
     def f(mu):
-        x = asy.classical_field(mu)
+        x = brentq(lambda t: asy._langevin(t) - mu, 0.0, 1e3, xtol=1e-14) if mu > 0 else 0.0
         return math.log(math.sinh(x) / x) - mu * x + 1.6 * mu * mu if x > 0 else 1.6 * mu * mu
     oracle = grid_scan_max(f, 0.0, 0.97)
     assert r.location == pytest.approx(oracle, abs=1e-7)
@@ -605,8 +601,8 @@ def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
     seeded = [rng.uniform(1.5, 30.0) for _ in range(8)]
     for beta in [1.5 * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded + list(deep):
         asy.classical_maximizer(beta)
-    for _ in range(20):
-        asy.classical_field(rng.random())
+    for _ in range(20):  # close to saturation, where the bracket doubles furthest
+        asy.x_star((1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * HALF.spin, HALF)
     for two_s in (2, 3):  # the benchmark's maximize grid 2:4:0.1
         for k in range(21):
             asy.interchange_maximizer(2.0 + 0.1 * k, asy.SpinContext(two_s))

@@ -109,6 +109,11 @@ _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
         (["pd", "--theta", "2.5", "--z-star", "0.5"], "--z-star needs an integer --theta >= 2"),
         (["pd", "--theta", "2", "--h", "1,2,3", "--z-star", "0.5"],
          "--z-star takes at most --theta fields in --h"),
+        (["exact", "--model", "interchange", "--n", "10", "--theta", "1", "--beta", "2", "--h", "1"],
+         "interchange needs --theta >= 2"),
+        (["pd", "--theta", "2", "--h", "1", "--z-star", "1.5", "--samples", "10"],
+         "--z-star must lie in [0, 1]"),
+        (["pd", "--theta", "2", "--z-star", "nan"], "--z-star must lie in [0, 1]"),
     ],
 )
 def test_usage_error_messages(tmp_path, capsys, argv, message):

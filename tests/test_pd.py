@@ -1,7 +1,9 @@
 """Tests for Poisson-Dirichlet sampling, series, and the R function."""
 
+import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +63,18 @@ def test_cosh_series_special_cases():
     assert pd.pd_cosh_series(7, 0.0) == 1.0
 
 
+def test_cosh_series_complex_fields_and_refusals():
+    # accurate where the terms do not cancel far beyond the sum
+    for h in (5j, 10 + 10j):
+        assert pd.pd_cosh_series(2, h) == pytest.approx(cmath.sinh(h) / h, rel=1e-13)
+    # sin(40)/40 = +0.0186 is the sum of terms up to 1e16: the series gave -0.0128
+    with pytest.raises(ArithmeticError, match="cancels"):
+        pd.pd_cosh_series(2, 40j)
+    # I_0(700) = 1.5e302, but term * h^2 overflows before the division
+    with pytest.raises(ArithmeticError):
+        pd.pd_cosh_series(1, 700.0)
+
+
 def test_cosh_series_quadratic_coefficient():
     # E[sum X_i^2] = 1/(theta + 1) fixes the h^2 coefficient
     for theta in (1.5, 3.0, 4.0):
@@ -97,6 +111,32 @@ def test_q_eval_and_q_spin():
         assert oracles.q_spin(3, t) == pytest.approx(
             math.sinh(theta * t / 2) / (theta * math.sinh(t / 2)), rel=1e-12
         )
+
+
+def test_divided_powers_are_divided_differences_of_powers():
+    nodes, top = [0.5, -1.25, 2.0, 0.75], 12
+
+    def newton(l, k):  # k-th divided difference of x^l over nodes[0..k], distinct nodes
+        v = [Fraction(x) for x in nodes[: k + 1]]
+        col = [x**l for x in v]
+        for j in range(1, k + 1):
+            col = [(col[i + 1] - col[i]) / (v[i + j] - v[i]) for i in range(len(col) - 1)]
+        return col[0]
+
+    table = pd._divided_powers(nodes, top)
+    assert table.shape == (top + 1, len(nodes))
+    for l in range(top + 1):
+        for k in range(len(nodes)):
+            if l < k:
+                assert table[l, k] == 0.0
+            else:
+                assert table[l, k] == pytest.approx(float(newton(l, k)), rel=1e-14, abs=0.0)
+    # k + 1 equal nodes v: the k-th derivative of x^l over k!
+    for v in (0.5, -1.25, 2.0):
+        equal = pd._divided_powers([v] * 4, top)
+        for l in range(top + 1):
+            for k in range(min(l + 1, 4)):
+                assert equal[l, k] == pytest.approx(math.comb(l, k) * v ** (l - k), rel=1e-14, abs=0.0)
 
 
 def test_r_function_all_equal_fields():
