@@ -160,9 +160,16 @@ def _langevin_prime(t: float) -> float:
 
 
 def eta(x: float, ctx: SpinContext) -> float:
-    """log( sinh((2S+1)x/2) / sinh(x/2) ); eta(0) = log(2S+1)."""
+    """log( sinh((2S+1)x/2) / sinh(x/2) ); eta(0) = log(2S+1).
+
+    From a = |x| = 1 on it is S a + log1p(-e^{-theta a}) - log1p(-e^{-a}),
+    whose two small terms carry no rounding error of S a.
+    """
     th = ctx.theta
-    return math.log(th) + _log_sinhc(0.5 * th * x) - _log_sinhc(0.5 * x)
+    a = abs(x)
+    if a < 1.0:
+        return math.log(th) + _log_sinhc(0.5 * th * x) - _log_sinhc(0.5 * x)
+    return ctx.spin * a + math.log1p(-math.exp(-th * a)) - math.log1p(-math.exp(-a))
 
 
 def eta_prime(x: float, ctx: SpinContext) -> float:

@@ -86,10 +86,9 @@ def cmd_exact(args) -> int:
             raise UsageError(f"interchange needs {args.theta} comma-separated fields")
         exact = symfunc.interchange_expectation_exact(args.n, args.theta, args.beta, hvec)
         ctx = asymptotics.SpinContext(args.theta - 1)
-        zres = asymptotics.interchange_maximizer(args.beta, ctx)
-        y = (1.0 - zres.z_star) / args.theta
-        xs = [zres.z_star + y] + [y] * (args.theta - 1)
-        limit = pd.r_function(hvec, xs)
+        z = asymptotics.interchange_maximizer(args.beta, ctx).z_star
+        # R(h; x*) at the two-level maximiser x* = (z + y, y, .., y), y = (1 - z)/theta
+        limit = math.exp((1.0 - z) * sum(hvec) / args.theta) * pd.pd_q_expectation_exact(args.theta, hvec, z)
         rows.append({"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)})
     if args.format == "json":
         payload = {"command": "exact", "model": args.model, "beta": args.beta, "rows": rows}

@@ -1,4 +1,4 @@
-"""Poisson-Dirichlet machinery and the determinant function R.
+"""Poisson-Dirichlet machinery and the closed form of the q-product.
 
 PD(theta) enters as the conjectured law of rescaled macroscopic loop
 lengths.  This module provides:
@@ -9,26 +9,22 @@ lengths.  This module provides:
     (samples, sticks) matrix is ever formed,
   * the closed-form series for E[prod cosh(h X_i)],
   * the level-average function q_h(t),
-  * the divided-difference table of powers, T[l, k] = h_{l-k}(v_1..v_{k+1}),
-    read by r_function here and by symfunc's Schur values,
-  * the determinant ratio R(h; x) = det[e^{h_i x_j}] prod (j-i)/((h_i-h_j)(x_i-x_j))
-    on one divided-difference path, equal and close arguments included,
-    for rho = max|h_i - mean h| max|x_j - mean x| up to 10 (ValueError
-    beyond),
-  * Monte Carlo vs closed-form checks of E[prod q_h(z* X_i)].
+  * the closed form of E[prod q_h(z* X_i)], one divided difference of exp,
+    which is the determinant function R(h; x*) at the two-level maximiser
+    x* up to a factor e^{(1-z*) sum h/theta}, for fields of any size (no
+    cap on their spread), and its Monte Carlo counterpart.
 
 Samplers take an explicit numpy Generator; closed-form evaluators are pure.
 _fields is the one field-type rule of every engine here and in spectra,
 symfunc and loops: fields are complex exactly when np.iscomplexobj says so.
-Spin special cases of q and R and the Ewens sampler live in tests/oracles.py.
+The general determinant function R(h; x), its spin special cases and the
+Ewens sampler live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -37,7 +33,6 @@ __all__ = [
     "pd_cosh_series",
     "q_eval",
     "sinhc",
-    "r_function",
     "pd_q_expectation_exact",
     "pd_q_expectation_mc",
 ]
@@ -131,88 +126,54 @@ def sinhc(x: complex | float) -> complex | float:
 
 
 # ---------------------------------------------------------------------------
-# The determinant function R
+# The PD closed form: one divided difference of exp
 # ---------------------------------------------------------------------------
 
-# Largest rho = max|h_i - mean h| max|x_j - mean x| r_function admits; past
-# it det D cancels beyond 1e-10 relative.
-_RHO_CAP = 10.0
+def _exp_divided_difference(x: np.ndarray):
+    """exp[x_1..x_k], the (k-1)-th divided difference of exp over the nodes, equal ones included.
 
-
-def _divided_powers(nodes, top: int) -> np.ndarray:
-    """(top + 1, len(nodes)) table T[l, k] = h_{l-k}(v_1..v_{k+1}), 0 for l < k.
-
-    T[l, k] is the k-th divided difference of x^l over v_1..v_{k+1}, equal
-    nodes included (de Boor, Surveys in Approximation Theory 2005), and h_m
-    the complete homogeneous polynomial of degree m, built one variable at a
-    time by h_m(.., v) = h_m(..) + v h_{m-1}(.., v).
+    It is the corner entry of exp(Z), Z bidiagonal with diagonal x and
+    superdiagonal 1 (Opitz 1964; McCurdy, Ng & Parlett, Math. Comp. 1984).
+    Z is shifted by the midpoint m of the real parts and scaled by 2^-s,
+    s = ceil(log2 max(|x - m|, 1)) + 1, so no entry exceeds 1/2; a 30-term
+    Taylor series is squared s times, each square taking its exact diagonal
+    e^{(x - m) 2^-j} afresh (Al-Mohy & Higham, SIMAX 2009), and multiplied
+    by e^m.  For real x each square is the exponential of a matrix with a
+    nonnegative off-diagonal, so it is entrywise nonnegative and squaring
+    does not cancel.  x is a float64 or complex128 array.
     """
-    columns, h = [], [1.0] + [0.0] * top  # h_m of no variables
-    for k, v in enumerate(nodes):
-        h = list(accumulate(h[: top + 1 - k], lambda prev, hm: hm + v * prev))
-        columns.append([0.0] * k + h)
-    return np.array(columns).T
-
-
-@lru_cache(maxsize=32)
-def _factorial_ratios(theta: int, terms: int) -> np.ndarray:
-    """(terms, theta) table of i!/k!, each correctly rounded, at [k, i]."""
-    return np.array([[math.factorial(i) / math.factorial(k) for i in range(theta)] for k in range(terms)])
-
-
-def r_function(hvec, xvec) -> complex | float:
-    """R(h_1..h_theta; x_1..x_theta) = det[e^{h_i x_j}] prod (j-i)/((h_i-h_j)(x_i-x_j)).
-
-    One path for all arguments, equal and close ones included: Newton
-    divided differences in h (rows) and x (columns) divide the two
-    Vandermonde products out of det[e^{h_i x_j}] exactly (McCurdy, Ng &
-    Parlett, Math. Comp. 1984; de Boor, Surveys in Approximation Theory
-    2005).  With h and x centred on their means,
-
-        R = e^{theta mean(h) mean(x)} prod_{k<theta} k! det D,
-        D_ij = sum_k h_{k-i}(h_1..h_{i+1}) h_{k-j}(x_1..x_{j+1}) / k!,
-
-    h_m the complete homogeneous polynomials.  Row i of D is taken times
-    i!, which absorbs prod k! and makes the leading term of each diagonal
-    entry exactly 1, and the centred h and x are rescaled to equal spread
-    by a power of 2, which leaves det D unchanged.  The sum runs over
-    theta + 30 + 4 rho terms, past which its tail is below 1e-16.  Within
-    1e-13 relative for rho = max|h_i - mean h| max|x_j - mean x| <= 4 and
-    1e-10 up to rho = 10; raises ValueError beyond.
-    """
-    kind, h, x = _fields(hvec, xvec)
-    theta = len(h)
-    if len(x) != theta:
-        raise ValueError("hvec and xvec must have the same length")
-    hc, xc = h - h.mean(), x - x.mean()
-    a, b = float(np.abs(hc).max()), float(np.abs(xc).max())
-    rho = a * b
-    if not rho <= _RHO_CAP:
-        raise ValueError(f"r_function needs rho <= {_RHO_CAP}, got {rho:.3g}")
-    if rho:
-        scale = 2.0 ** round(0.5 * math.log2(b / a))
-        hc, xc = hc * scale, xc / scale
-    else:
-        # one side is constant: D (rows times i!) is triangular, unit diagonal
-        hc, xc = 0.0 * hc, 0.0 * xc
-    terms = theta + 30 + int(4 * rho)
-    d_h, d_x = _divided_powers(hc.tolist(), terms - 1), _divided_powers(xc.tolist(), terms - 1)
-    det = np.linalg.det((_factorial_ratios(theta, terms) * d_h).T @ d_x)
-    return kind(_MATH[kind].exp(theta * kind(h.mean()) * kind(x.mean())) * det)
+    m = 0.5 * float(x.real.max() + x.real.min())
+    d = x - m
+    s = math.ceil(math.log2(max(float(np.abs(d).max()), 1.0))) + 1
+    a = (np.diag(d) + np.eye(len(x), k=1)) * 2.0**-s
+    term = total = np.eye(len(x), dtype=x.dtype)
+    for j in range(1, 31):
+        term = term @ a / j
+        total = total + term
+    for j in range(s - 1, -1, -1):
+        total = total @ total
+        np.fill_diagonal(total, np.exp(d * 2.0**-j))
+    return math.exp(m) * total[0, -1]
 
 
 def pd_q_expectation_exact(theta: int, hvec, z_star: float) -> complex | float:
-    """Closed form for E_{PD(theta)}[prod_i q_h(z* X_i)].
+    """Closed form for E_{PD(theta)}[prod_i q_h(z* X_i)] = (theta-1)! exp[z* h_1, .., z* h_theta].
 
-    Equals exp(-(1 - z*) sum_i h_i / theta) R(h; x*) with the two-level
-    argument x* = (z* + (1-z*)/theta, (1-z*)/theta, ...).
+    Colour each PD(theta) part with one of theta colours at random: the
+    colour masses are uniform on the simplex (Kingman 1975), so by
+    Hermite-Genocchi the expectation is one divided difference of exp.  It
+    equals exp(-(1 - z*) sum_i h_i / theta) R(h; x*), the determinant
+    function R at the two-level x* = (z* + y, y, .., y), y = (1 - z*)/theta.
+    Raises ArithmeticError where the value overflows.
     """
     kind, hv = _fields(hvec)
     if len(hv) != theta:
         raise ValueError("hvec must have length theta")
-    y = (1.0 - z_star) / theta
-    xs = [z_star + y] + [y] * (theta - 1)
-    return _MATH[kind].exp(-(1.0 - z_star) * sum(hv.tolist()) / theta) * r_function(hv, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        value = math.factorial(theta - 1) * _exp_divided_difference(z_star * hv)
+    if not np.isfinite(value):
+        raise ArithmeticError(f"pd_q_expectation_exact is not finite at z* h = {z_star * hv}")
+    return kind(value)
 
 
 def pd_q_expectation_mc(

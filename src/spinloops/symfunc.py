@@ -3,8 +3,9 @@
 Partitions are plain tuples of weakly decreasing positive integers.  The
 module provides lexicographic partition enumeration and the exact finite-n
 expectation of loop observables for the theta^{#loops} interchange measure
-via its character expansion, with Schur values by divided differences
-(repeated arguments need no special case).
+via its character expansion, with Schur values read from one table of
+divided differences of powers, T[l, k] = h_{l-k}(v_1..v_{k+1}) (repeated
+arguments need no special case).
 
 The character expansion uses the fact that composing a Poisson(lambda)
 number of uniform random transpositions multiplies E[chi(sigma)]/dim by
@@ -17,6 +18,7 @@ Schur values, characters and dimensions it is tested with are in tests/oracles.p
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,16 +73,31 @@ def _shape_blocks(n: int, rows: int, block: int = _BLOCK):
 # Interchange expectation
 # ---------------------------------------------------------------------------
 
+def _divided_powers(nodes, top: int) -> np.ndarray:
+    """(top + 1, len(nodes)) table T[l, k] = h_{l-k}(v_1..v_{k+1}), 0 for l < k.
+
+    T[l, k] is the k-th divided difference of x^l over v_1..v_{k+1}, equal
+    nodes included (de Boor, Surveys in Approximation Theory 2005), and h_m
+    the complete homogeneous polynomial of degree m, built one variable at a
+    time by h_m(.., v) = h_m(..) + v h_{m-1}(.., v).
+    """
+    columns, h = [], [1.0] + [0.0] * top  # h_m of no variables
+    for k, v in enumerate(nodes):
+        h = list(accumulate(h[: top + 1 - k], lambda prev, hm: hm + v * prev))
+        columns.append([0.0] * k + h)
+    return np.array(columns).T
+
+
 def _schur_exp(ts, top: int):
     """Batched s_lambda(e^{t_1}, .., e^{t_r}) as a function of l = lambda_j + r - j <= top.
 
     Newton divided differences of the bialternant rows x_a^{l_j} divide out
     the Vandermonde exactly: the k-th one of x^l over x_1..x_{k+1} is
-    T[l, k] = h_{l-k}(x_1..x_{k+1}) of pd._divided_powers, so s_lambda =
+    T[l, k] = h_{l-k}(x_1..x_{k+1}) of _divided_powers, so s_lambda =
     (-1)^{C(r,2)} det[T[l_j, k]]: equal or close fields need no merging.
     """
     r = len(ts)
-    table = _pd._divided_powers(np.exp(ts).tolist(), top)
+    table = _divided_powers(np.exp(ts).tolist(), top)
     sign = (-1.0) ** (r * (r - 1) // 2)
     return lambda l: sign * np.linalg.det(table[l[:, None, :], np.arange(r)[:, None]])
 
@@ -98,7 +115,9 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
     l_i = lambda_i + theta - i, log w_lam = sum_{i<j} log(l_i - l_j) -
     sum_i log l_i! + (beta/n)(content - binom(n, 2)) (log n! cancels) and
     s_lam(1,...,1) = prod_{i<j} (l_i - l_j)/(j - i).  Shapes grow like
-    n^(theta-1): theta = 3 runs to n ~ 10^4, theta = 4 to n ~ 500.
+    n^(theta-1): theta = 3 runs to n ~ 10^4, theta = 4 to n ~ 500.  Raises
+    ArithmeticError where the sum is not finite (Schur values overflow once
+    max|h| nears 700).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -125,4 +144,7 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
         w = np.exp(log_w - top)
         numer = numer + w @ schur(l)
         denom = denom + w @ np.prod(gaps / (ju - iu), axis=1)
-    return kind(numer / denom)
+    value = numer / denom
+    if not np.isfinite(value):
+        raise ArithmeticError(f"interchange_expectation_exact is not finite at h = {hv}")
+    return kind(value)

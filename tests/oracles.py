@@ -4,9 +4,9 @@ Each function is an independent second route to a number an engine
 computes, or a closed form an engine's output converges to; no command-line
 path reaches any of them.  The sections follow the engine modules: spectra
 (big-integer table, dense eigensolves, Falk-Bruch chain), symfunc (Schur
-polynomials, characters), pd (spin closed forms, Ewens sampler), loops
-(pseudo-edge list, free configurations, loop tracer, PD comparison) and
-asymptotics.
+polynomials, characters), pd (the general determinant function R, spin
+closed forms, Ewens sampler), loops (pseudo-edge list, free configurations,
+loop tracer, PD comparison) and asymptotics.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from spinloops.asymptotics import SpinContext, eta, eta_second, g_beta, magnetiz
 from spinloops.loops import BAR, CROSS, LoopConfiguration, LoopSpectrum, batch_means_se
 from spinloops.loops import empty_configuration, observable_cosh
 from spinloops.spectra import GibbsValue
-from spinloops.symfunc import _schur_exp
+from spinloops.pd import _MATH, _fields
+from spinloops.symfunc import _divided_powers, _schur_exp
 
 EXACT_CAP = 10_000  # largest n * two_s for the exact big-integer table
 DENSE_CAP = 6561    # largest (2S+1)^n for the dense oracle
@@ -444,7 +445,7 @@ def schur_ratio_limit_check(lambdas, hvec, x=None) -> SchurLimitReport:
         raise ValueError("target x must be weakly decreasing")
     if abs(sum(x) - 1.0) > 1e-9:
         raise ValueError("target x must sum to 1")
-    target = _pd.r_function(hv, x)
+    target = r_function(hv, x)
     rows = []
     for lam in lambdas:
         l = np.array([lam + (0,) * (theta - len(lam))]) + np.arange(theta - 1, -1, -1)
@@ -455,8 +456,60 @@ def schur_ratio_limit_check(lambdas, hvec, x=None) -> SchurLimitReport:
 
 
 # ---------------------------------------------------------------------------
-# pd: spin closed forms and Ewens sampling
+# pd: the determinant function R, spin closed forms and Ewens sampling
 # ---------------------------------------------------------------------------
+
+# Largest rho = max|h_i - mean h| max|x_j - mean x| r_function admits; past
+# it det D cancels beyond 1e-10 relative.
+_RHO_CAP = 10.0
+
+
+@lru_cache(maxsize=32)
+def _factorial_ratios(theta: int, terms: int) -> np.ndarray:
+    """(terms, theta) table of i!/k!, each correctly rounded, at [k, i]."""
+    return np.array([[math.factorial(i) / math.factorial(k) for i in range(theta)] for k in range(terms)])
+
+
+def r_function(hvec, xvec) -> complex | float:
+    """R(h_1..h_theta; x_1..x_theta) = det[e^{h_i x_j}] prod (j-i)/((h_i-h_j)(x_i-x_j)).
+
+    One path for all arguments, equal and close ones included: Newton
+    divided differences in h (rows) and x (columns) divide the two
+    Vandermonde products out of det[e^{h_i x_j}] exactly (McCurdy, Ng &
+    Parlett, Math. Comp. 1984; de Boor, Surveys in Approximation Theory
+    2005).  With h and x centred on their means,
+
+        R = e^{theta mean(h) mean(x)} prod_{k<theta} k! det D,
+        D_ij = sum_k h_{k-i}(h_1..h_{i+1}) h_{k-j}(x_1..x_{j+1}) / k!,
+
+    h_m the complete homogeneous polynomials.  Row i of D is taken times
+    i!, which absorbs prod k! and makes the leading term of each diagonal
+    entry exactly 1, and the centred h and x are rescaled to equal spread
+    by a power of 2, which leaves det D unchanged.  The sum runs over
+    theta + 30 + 4 rho terms, past which its tail is below 1e-16.  Within
+    1e-13 relative for rho = max|h_i - mean h| max|x_j - mean x| <= 4 and
+    1e-10 up to rho = 10; raises ValueError beyond.
+    """
+    kind, h, x = _fields(hvec, xvec)
+    theta = len(h)
+    if len(x) != theta:
+        raise ValueError("hvec and xvec must have the same length")
+    hc, xc = h - h.mean(), x - x.mean()
+    a, b = float(np.abs(hc).max()), float(np.abs(xc).max())
+    rho = a * b
+    if not rho <= _RHO_CAP:
+        raise ValueError(f"r_function needs rho <= {_RHO_CAP}, got {rho:.3g}")
+    if rho:
+        scale = 2.0 ** round(0.5 * math.log2(b / a))
+        hc, xc = hc * scale, xc / scale
+    else:
+        # one side is constant: D (rows times i!) is triangular, unit diagonal
+        hc, xc = 0.0 * hc, 0.0 * xc
+    terms = theta + 30 + int(4 * rho)
+    d_h, d_x = _divided_powers(hc.tolist(), terms - 1), _divided_powers(xc.tolist(), terms - 1)
+    det = np.linalg.det((_factorial_ratios(theta, terms) * d_h).T @ d_x)
+    return kind(_MATH[kind].exp(theta * kind(h.mean()) * kind(x.mean())) * det)
+
 
 def q_spin(two_s: int, t: float) -> float:
     """q for the equally spaced fields -S, -S+1, ..., S.

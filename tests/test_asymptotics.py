@@ -98,6 +98,35 @@ def test_eta_second_against_mpmath():
                 assert rel < 2e-15, (two_s, x, float(rel))
 
 
+def test_eta_against_mpmath():
+    # 50-digit log(sinh(theta x/2)/sinh(x/2)) on a log grid 1e-6 .. 700; from
+    # x = 1 on eta is S x plus two log1p terms; measured up to 2.4e-16
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for two_s in (1, 2, 3, 5):
+            ctx, th = asy.SpinContext(two_s), two_s + 1
+            for k in range(0, 121, 3):
+                x = 1e-6 * 7e8 ** (k / 120)
+                xm = mpmath.mpf(x)
+                ref = mpmath.log(mpmath.sinh(th * xm / 2) / mpmath.sinh(xm / 2))
+                assert abs((asy.eta(x, ctx) - ref) / ref) < 5e-16, (two_s, x)
+
+
+def test_heisenberg_half_maximum_at_large_beta_against_mpmath():
+    # the value column of `maximize --model heisenberg --spin 1/2 --beta-grid
+    # 30:50:10`, eta(x*) - m* x* + beta m*^2 with x* = beta tanh(x*/2), within
+    # 2 ulp of 50 digits: 7.500000000000094, 10.0 and 12.5
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for beta in (30.0, 40.0, 50.0):
+            b = mpmath.mpf(beta)
+            x = mpmath.findroot(lambda x: x - b * mpmath.tanh(x / 2), b)
+            m = mpmath.tanh(x / 2) / 2
+            want = mpmath.log(2 * mpmath.cosh(x / 2)) - m * x + b * m * m
+            got = asy.m_star(beta, HALF).value
+            assert abs(got - want) <= 2 * math.ulp(float(want)), (beta, got, want)
+
+
 def test_langevin_against_mpmath():
     # 50-digit coth t - 1/t and 1/t^2 - 1/sinh^2 t on a log grid 1e-6 .. 700,
     # across the series switch at t = 1; measured up to 4.8e-16 and 6.8e-16

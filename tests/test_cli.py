@@ -77,6 +77,35 @@ def test_exact_interchange_json(capsys):
     assert set(payload["rows"][0]) == {"n", "exact", "limit", "gap"}
 
 
+def test_exact_interchange_large_field_limit(capsys):
+    # h = (40, 0, 0) spreads past the general R determinant's cap (rho = 16.5);
+    # the limit is e^{(1-z)40/3} 2! exp[40z, 0, 0] at the same z*, to 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    from spinloops import asymptotics
+
+    rc = main(["exact", "--model", "interchange", "--n", "60", "--theta", "3",
+               "--beta", "4", "--h", "40,0,0"])
+    assert rc == 0
+    limit = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[2])
+    z = asymptotics.interchange_maximizer(4.0, asymptotics.SpinContext(2)).z_star
+    with mpmath.workdps(60):
+        zm = mpmath.mpf(z)
+        a = 40 * zm
+        want = mpmath.exp((1 - zm) * 40 / 3) * 2 * (mpmath.expm1(a) - a) / a**2
+    assert abs(limit - want) <= 1e-13 * want
+    assert limit == pytest.approx(5.3774e13, rel=1e-4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exact_interchange_overflow_is_a_numeric_failure(capsys):
+    # Schur values overflow near max|h| = 700: exit 3 with no rows
+    rc = main(["exact", "--model", "interchange", "--n", "60", "--theta", "3",
+               "--beta", "4", "--h", "1200,0,0"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert "not finite" in captured.err
+
+
 def test_exact_xy_model(capsys):
     rc = main(["exact", "--model", "xy", "--n", "64", "--spin", "1/2",
                "--beta", "3", "--delta", "0", "--h", "1"])

@@ -23,7 +23,13 @@ KINDS = {
 }
 
 _SPECTRUM = loops.LoopSpectrum((9, 4, 2, 1), 6)
-_X = [0.5, 0.3, 0.2]
+_Z = 0.4  # the two-level x* = (z + y, y, y), y = (1 - z)/3
+
+
+def _r_two_level(hv):
+    """R(h; x*) by the route of `exact`: e^{y sum h} times the PD closed form, in its field type."""
+    value = pd.pd_q_expectation_exact(3, hv, _Z)
+    return value * type(value)(np.exp((1.0 - _Z) / 3 * np.sum(hv, dtype=type(value))))
 
 # engine -> (takes a vector of three fields, evaluator)
 ENGINES = {
@@ -33,8 +39,8 @@ ENGINES = {
     "sinhc": (False, pd.sinhc),
     "interchange_expectation_exact": (True, lambda hv: symfunc.interchange_expectation_exact(8, 3, 2.0, hv)),
     "q_eval": (True, lambda hv: pd.q_eval(hv, 0.7)),
-    "r_function": (True, lambda hv: pd.r_function(hv, _X)),
-    "pd_q_expectation_exact": (True, lambda hv: pd.pd_q_expectation_exact(3, hv, 0.4)),
+    "r_function": (True, _r_two_level),
+    "pd_q_expectation_exact": (True, lambda hv: pd.pd_q_expectation_exact(3, hv, _Z)),
     "pd_q_expectation_mc": (
         True, lambda hv: pd.pd_q_expectation_mc(3, hv, 0.4, 300, np.random.default_rng(1))[0]),
     "observable_q": (True, lambda hv: loops.observable_q(_SPECTRUM, hv, 16)),

@@ -1,9 +1,8 @@
-"""Tests for Poisson-Dirichlet sampling, series, and the R function."""
+"""Tests for Poisson-Dirichlet sampling, series, the q-product closed form and the R function."""
 
 import cmath
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,37 +112,18 @@ def test_q_eval_and_q_spin():
         )
 
 
-def test_divided_powers_are_divided_differences_of_powers():
-    nodes, top = [0.5, -1.25, 2.0, 0.75], 12
-
-    def newton(l, k):  # k-th divided difference of x^l over nodes[0..k], distinct nodes
-        v = [Fraction(x) for x in nodes[: k + 1]]
-        col = [x**l for x in v]
-        for j in range(1, k + 1):
-            col = [(col[i + 1] - col[i]) / (v[i + j] - v[i]) for i in range(len(col) - 1)]
-        return col[0]
-
-    table = pd._divided_powers(nodes, top)
-    assert table.shape == (top + 1, len(nodes))
-    for l in range(top + 1):
-        for k in range(len(nodes)):
-            if l < k:
-                assert table[l, k] == 0.0
-            else:
-                assert table[l, k] == pytest.approx(float(newton(l, k)), rel=1e-14, abs=0.0)
-    # k + 1 equal nodes v: the k-th derivative of x^l over k!
-    for v in (0.5, -1.25, 2.0):
-        equal = pd._divided_powers([v] * 4, top)
-        for l in range(top + 1):
-            for k in range(min(l + 1, 4)):
-                assert equal[l, k] == pytest.approx(math.comb(l, k) * v ** (l - k), rel=1e-14, abs=0.0)
+def _r_two_level(hv, z):
+    """R(h; x*) at x* = (z + y, y, .., y), y = (1 - z)/theta, by the route of `exact`."""
+    return math.exp((1.0 - z) * sum(hv) / len(hv)) * pd.pd_q_expectation_exact(len(hv), hv, z)
 
 
 def test_r_function_all_equal_fields():
     # q-product degenerates to an exponential when all h_i coincide
-    val = pd.r_function([2.0, 2.0, 2.0], [0.5, 0.3, 0.2])
+    val = oracles.r_function([2.0, 2.0, 2.0], [0.5, 0.3, 0.2])
     assert val == pytest.approx(math.exp(2.0), rel=1e-10)
-    val = pd.r_function([0.0, 0.0], [0.9, 0.1])
+    assert _r_two_level([2.0, 2.0, 2.0], 0.4) == pytest.approx(math.exp(2.0), rel=1e-10)
+    # theta = 2: x = (0.9, 0.1) is two-level with z = 0.8
+    val = _r_two_level([0.0, 0.0], 0.8)
     assert val == pytest.approx(1.0, rel=1e-12)
 
 
@@ -154,7 +134,8 @@ def test_r_function_spin_pattern(two_s):
     y = (1.0 - z) / theta
     xs = [z + y] + [y] * (theta - 1)
     hv = [h * (-0.5 * two_s + k) for k in range(theta)]
-    val = pd.r_function(hv, xs)
+    val = _r_two_level(hv, z)
+    assert val == pytest.approx(oracles.r_function(hv, xs), rel=1e-13)
     target = oracles.r_spin_product(h, z, two_s)
     assert val == pytest.approx(target, rel=1e-10)
 
@@ -165,7 +146,8 @@ def test_r_function_projector_pattern(theta):
     y = (1.0 - z) / theta
     xs = [z + y] + [y] * (theta - 1)
     hv = [h] + [0.0] * (theta - 1)
-    val = pd.r_function(hv, xs)
+    val = _r_two_level(hv, z)
+    assert val == pytest.approx(oracles.r_function(hv, xs), rel=1e-13)
     target = oracles.r_projector(h, z, y, theta)
     assert val == pytest.approx(target, rel=1e-10)
     # closed series form for theta = 2: e^{hy}(e^{hz} - 1)/(hz)
@@ -178,25 +160,25 @@ def test_r_function_scaling_and_shift_identities():
     hv = [1.1, 0.4, -0.3]
     xs = [0.6, 0.25, 0.15]
     alpha = 0.7
-    lhs = pd.r_function(hv, [alpha * x for x in xs])
-    rhs = pd.r_function([alpha * h for h in hv], xs)
+    lhs = oracles.r_function(hv, [alpha * x for x in xs])
+    rhs = oracles.r_function([alpha * h for h in hv], xs)
     assert lhs == pytest.approx(rhs, rel=1e-10)
     # R(h; x, y, .., y) = e^{y sum h} R(h; x - y, 0, .., 0)
     y = 0.2
-    lhs = pd.r_function(hv, [0.6, y, y])
-    rhs = math.exp(y * sum(hv)) * pd.r_function(hv, [0.4, 0.0, 0.0])
+    lhs = _r_two_level(hv, 0.4)
+    rhs = math.exp(y * sum(hv)) * oracles.r_function(hv, [0.4, 0.0, 0.0])
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_r_function_continuity_at_confluence():
     # nudging coincident arguments by 1e-7 must not move the value
     hv = [1.0, 0.5, -0.2]
-    base = pd.r_function(hv, [0.6, 0.2, 0.2])
-    nudged = pd.r_function(hv, [0.6, 0.2 + 1e-7, 0.2 - 1e-7])
+    base = _r_two_level(hv, 0.4)
+    nudged = oracles.r_function(hv, [0.6, 0.2 + 1e-7, 0.2 - 1e-7])
     assert abs(nudged - base) / abs(base) < 1e-5
     hv2 = [1.0, 1.0 + 1e-7, -0.2]
-    base2 = pd.r_function([1.0, 1.0, -0.2], [0.6, 0.3, 0.1])
-    nudged2 = pd.r_function(hv2, [0.6, 0.3, 0.1])
+    base2 = oracles.r_function([1.0, 1.0, -0.2], [0.6, 0.3, 0.1])
+    nudged2 = oracles.r_function(hv2, [0.6, 0.3, 0.1])
     assert abs(nudged2 - base2) / abs(base2) < 1e-5
 
 
@@ -249,19 +231,19 @@ def test_r_function_matches_mpmath_determinant():
             hv = hv + 1j * rng.uniform(-1.0, 1.0, theta)
         if theta > 2 and rng.random() < 0.3:
             hv[1], xv[2] = hv[0], xv[1]
-        hv = (hv - hv.mean()) * rng.uniform(0.0, pd._RHO_CAP) / _rho(hv, xv) + rng.uniform(-2.0, 2.0)
+        hv = (hv - hv.mean()) * rng.uniform(0.0, oracles._RHO_CAP) / _rho(hv, xv) + rng.uniform(-2.0, 2.0)
         cases.append((hv.tolist(), xv.tolist()))
     for hv, xv in cases:
         ref = _r_mpmath(mpmath, hv, xv)
-        err = abs(pd.r_function(hv, xv) - ref) / abs(ref)
+        err = abs(oracles.r_function(hv, xv) - ref) / abs(ref)
         assert err < (1e-13 if _rho(hv, xv) <= 4.0 else 1e-10), (hv, xv, err)
     # the PD closed form at theta = 5: two-level x, five distinct close fields
     v = pd.pd_q_expectation_exact(5, [0.05, 0.02, 0.0, -0.03, -0.04], 0.4)
     assert abs(v - 1.0000144043595183) < 1e-13
     # rho = c/4 for h = (c, -c), x = (3/4, 1/4)
-    pd.r_function([39.9999, -39.9999], [0.75, 0.25])
+    oracles.r_function([39.9999, -39.9999], [0.75, 0.25])
     with pytest.raises(ValueError):
-        pd.r_function([40.0001, -40.0001], [0.75, 0.25])
+        oracles.r_function([40.0001, -40.0001], [0.75, 0.25])
 
 
 def test_r_function_doubly_confluent_general_path():
@@ -269,23 +251,23 @@ def test_r_function_doubly_confluent_general_path():
     # and nearby arguments alike, so a probe at separation 1e-4 agrees to
     # first order in the separation
     hv = [1.0, 0.3, 0.3]
-    xs = [0.6, 0.2, 0.2]
-    val = pd.r_function(hv, xs)
+    val = _r_two_level(hv, 0.4)  # x* = (0.6, 0.2, 0.2)
     e = 1e-4
-    probe = pd.r_function([1.0, 0.3 + e, 0.3 - e], [0.6, 0.2 + e, 0.2 - e])
+    probe = oracles.r_function([1.0, 0.3 + e, 0.3 - e], [0.6, 0.2 + e, 0.2 - e])
     assert abs(probe - val) < 1e-6 * abs(val)
 
 
 def test_r_function_complex_fields():
     # all fields equal to a complex constant: still e^{c sum x}
     c = 0.4 + 0.9j
-    val = pd.r_function([c, c, c], [0.5, 0.3, 0.2])
+    val = oracles.r_function([c, c, c], [0.5, 0.3, 0.2])
     assert val == pytest.approx(np.exp(c), rel=1e-10)
+    assert pd.pd_q_expectation_exact(3, [c, c, c], 0.4) == pytest.approx(np.exp(0.4 * c), rel=1e-13)
     # scaling identity with complex fields
     hv = [0.3 + 0.2j, -0.1, 0.7 - 0.5j]
     xs = [0.6, 0.3, 0.1]
-    lhs = pd.r_function(hv, [0.5 * x for x in xs])
-    rhs = pd.r_function([0.5 * h for h in hv], xs)
+    lhs = oracles.r_function(hv, [0.5 * x for x in xs])
+    rhs = oracles.r_function([0.5 * h for h in hv], xs)
     assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 
@@ -295,6 +277,108 @@ def test_pd_q_expectation_exact_unit_cases():
     # theta = 2, h = (1/2, -1/2), z* = 1: sinh(1/2)/(1/2)
     v = pd.pd_q_expectation_exact(2, [0.5, -0.5], 1.0)
     assert v == pytest.approx(math.sinh(0.5) / 0.5, rel=1e-12)
+
+
+def _exp_dd_mpmath(mpmath, nodes):
+    """exp[x_1..x_k]: the corner entry of a 60-digit mpmath.expm of the bidiagonal matrix."""
+    with mpmath.workdps(60):
+        k = len(nodes)
+        z = mpmath.matrix(k, k)
+        for i, x in enumerate(nodes):
+            z[i, i] = mpmath.mpmathify(x)
+            if i + 1 < k:
+                z[i, i + 1] = 1
+        return complex(mpmath.expm(z)[0, k - 1])
+
+
+def test_exp_divided_difference_matches_mpmath_expm():
+    # real nodes up to |x| = 300, imaginary ones up to 60i, equal nodes and
+    # nodes 1e-9 apart, theta = 2..8: within 1e-13 relative
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    cases = []
+    for theta in range(2, 9):
+        zeros = [0.0] * (theta - 1)
+        cases += [
+            rng.uniform(-50.0, 50.0, theta),
+            rng.uniform(-300.0, 300.0, theta),
+            [300.0] + zeros,
+            [-300.0] + zeros,
+            [300.0] * (theta - 1) + [-300.0],
+            [40j] + zeros,
+            [60j] + zeros,
+            1j * rng.uniform(-60.0, 60.0, theta),
+            rng.uniform(-50.0, 50.0, theta) + 1j * rng.uniform(-60.0, 60.0, theta),
+            [2.5] * theta,
+            [-300.0] * theta,
+            rng.uniform(-5.0, 5.0) + 1e-9 * np.arange(theta),
+            [12.0 * (theta - 1) / theta] + [-12.0 / theta] * (theta - 1),
+        ]
+    for nodes in cases:
+        x = np.asarray(nodes, dtype=complex if np.iscomplexobj(nodes) else float)
+        ref = _exp_dd_mpmath(mpmath, x.tolist())
+        err = abs(pd._exp_divided_difference(x) - ref) / abs(ref)
+        assert err < 1e-13, (nodes, err)
+
+
+def test_pd_q_expectation_exact_is_r_at_the_two_level_maximiser():
+    # e^{(1-z) sum h/theta} E_PD[prod q_h(z X_i)] = R(h; x*): against 60-digit
+    # mpmath to 1e-13 up to rho = 10, and against the oracle R to its own
+    # accuracy (1e-13 for rho <= 4, 1e-10 up to rho = 10)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(22)
+    for _ in range(120):
+        theta, z = int(rng.integers(2, 9)), float(rng.uniform(0.0, 1.0))
+        y = (1.0 - z) / theta
+        xs = [z + y] + [y] * (theta - 1)
+        hv = rng.uniform(-1.0, 1.0, theta)
+        if rng.random() < 0.3:
+            hv = hv + 1j * rng.uniform(-1.0, 1.0, theta)
+        hv = ((hv - hv.mean()) * rng.uniform(0.0, 10.0) / _rho(hv, xs) + rng.uniform(-2.0, 2.0)).tolist()
+        got = complex(np.exp((1.0 - z) * sum(hv) / theta)) * pd.pd_q_expectation_exact(theta, hv, z)
+        with mpmath.workdps(60):
+            shift = mpmath.exp((1 - mpmath.mpf(z)) / theta * mpmath.fsum(map(mpmath.mpmathify, hv)))
+            ref = complex(shift * math.factorial(theta - 1) * _exp_dd_mpmath(mpmath, [z * h for h in hv]))
+        assert abs(got - ref) < 1e-13 * abs(ref), (theta, z, hv)
+        oracle = oracles.r_function(hv, xs)
+        assert abs(got - oracle) < (1e-13 if _rho(hv, xs) <= 4.0 else 1e-10) * abs(oracle), (theta, z, hv)
+
+
+def test_pd_q_expectation_exact_has_no_field_cap():
+    # h = (40, 0, 0) at z = 0.6 has rho = 10.7, past the oracle R's cap; the
+    # closed form still matches (e^{40z} - 1 - 40z) / (40z)^2 times 2!
+    a = 40.0 * 0.6
+    want = 2.0 * (math.expm1(a) - a) / (a * a)
+    assert pd.pd_q_expectation_exact(3, [40.0, 0.0, 0.0], 0.6) == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ArithmeticError):
+        pd.pd_q_expectation_exact(3, [1500.0, -1500.0, 0.0], 1.0)
+
+
+def test_colour_masses_of_pd_are_uniform_on_the_simplex():
+    # the identity behind pd_q_expectation_exact: colouring PD(theta) parts
+    # with theta colours at random gives Dirichlet(1, .., 1) colour masses,
+    # so the first colour's mass is Beta(1, theta - 1)
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(23)
+    for theta in (2, 3, 5):
+        mass = np.zeros(20_000)
+        for col in pd.stick_breaking_columns(theta, len(mass), rng):
+            mass += np.where(rng.integers(theta, size=len(mass)) == 0, col, 0.0)
+        ks = stats.kstest(mass, stats.beta(1.0, theta - 1.0).cdf)
+        assert ks.pvalue > 1e-3, (theta, ks.statistic, ks.pvalue)
+
+
+def test_signed_pd_sum_is_a_shifted_beta():
+    # fair signs on PD(theta) parts: two colours, so (1 + sum_i s_i X_i)/2 is
+    # Beta(theta/2, theta/2)
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(24)
+    for theta in (0.5, 1.0, 2.0, 3.0, 7.0):
+        signed = np.zeros(20_000)
+        for col in pd.stick_breaking_columns(theta, len(signed), rng):
+            signed += np.where(rng.integers(2, size=len(signed)) == 0, col, -col)
+        ks = stats.kstest(signed, stats.beta(0.5 * theta, 0.5 * theta, loc=-1.0, scale=2.0).cdf)
+        assert ks.pvalue > 1e-3, (theta, ks.statistic, ks.pvalue)
 
 
 def test_pd_q_expectation_mc():
@@ -314,7 +398,7 @@ def test_pd_q_expectation_mc_pd1_projector():
     rng = np.random.default_rng(4)
     hv = [0.8, -0.1, -0.4]
     mean, se = pd.pd_q_expectation_mc(3, hv, 1.0, 50_000, rng)
-    closed = float(np.real(pd.r_function(hv, [1.0, 0.0, 0.0])))
+    closed = _r_two_level(hv, 1.0)
     assert abs(mean - closed) < 3 * se
 
 

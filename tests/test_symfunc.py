@@ -80,6 +80,32 @@ def test_schur_exact_matches_float():
     assert float(exact) == pytest.approx(oracles.schur_eval(lam, [float(x) for x in xs]), rel=1e-12)
 
 
+def test_divided_powers_are_divided_differences_of_powers():
+    nodes, top = [0.5, -1.25, 2.0, 0.75], 12
+
+    def newton(l, k):  # k-th divided difference of x^l over nodes[0..k], distinct nodes
+        v = [Fraction(x) for x in nodes[: k + 1]]
+        col = [x**l for x in v]
+        for j in range(1, k + 1):
+            col = [(col[i + 1] - col[i]) / (v[i + j] - v[i]) for i in range(len(col) - 1)]
+        return col[0]
+
+    table = sf._divided_powers(nodes, top)
+    assert table.shape == (top + 1, len(nodes))
+    for l in range(top + 1):
+        for k in range(len(nodes)):
+            if l < k:
+                assert table[l, k] == 0.0
+            else:
+                assert table[l, k] == pytest.approx(float(newton(l, k)), rel=1e-14, abs=0.0)
+    # k + 1 equal nodes v: the k-th derivative of x^l over k!
+    for v in (0.5, -1.25, 2.0):
+        equal = sf._divided_powers([v] * 4, top)
+        for l in range(top + 1):
+            for k in range(min(l + 1, 4)):
+                assert equal[l, k] == pytest.approx(math.comb(l, k) * v ** (l - k), rel=1e-14, abs=0.0)
+
+
 def test_power_sums():
     assert oracles.power_sum_eval((1,), [0.5, 1.5]) == pytest.approx(2.0)
     assert oracles.power_sum_eval((2, 1), [1.0, 2.0]) == pytest.approx((1 + 4) * (1 + 2))
@@ -184,7 +210,7 @@ def test_interchange_trend_to_limit():
     ctx = asy.SpinContext(2)
     r = asy.interchange_maximizer(4.0, ctx)
     y = (1.0 - r.z_star) / 3.0
-    limit = float(np.real(pd.r_function([1.0, 0.0, 0.0], [r.z_star + y, y, y])))
+    limit = math.exp(y) * pd.pd_q_expectation_exact(3, [1.0, 0.0, 0.0], r.z_star)
     gaps = []
     for n in (10, 20, 30):
         v = sf.interchange_expectation_exact(n, 3, 4.0, [1.0, 0.0, 0.0])
@@ -339,7 +365,7 @@ def _interchange_gaps(theta, ns, beta=4.0):
     hv = [1.0] + [0.0] * (theta - 1)
     z = asy.interchange_maximizer(beta, asy.SpinContext(theta - 1)).z_star
     y = (1.0 - z) / theta
-    limit = float(np.real(pd.r_function(hv, [z + y] + [y] * (theta - 1))))
+    limit = math.exp(y) * pd.pd_q_expectation_exact(theta, hv, z)  # R(h; x*), sum h = 1
     return [sf.interchange_expectation_exact(n, theta, beta, hv) - limit for n in ns]
 
 
