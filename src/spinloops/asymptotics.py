@@ -1,12 +1,12 @@
 """Mean-field variational machinery for quantum spins on the complete graph.
 
 Everything here is scalar calculus feeding the n -> infinity side of the
-toolkit: the spin-S entropy function eta and its inverse-derivative x_star,
-the free-energy profile g_beta whose maximiser m_star is the spontaneous
-magnetisation, the magnetisation in a field and the susceptibility, the
-maximiser of the interchange model's simplex functional phi_beta with its
-order parameter z_star, the classical (S -> infinity) analogue, and log-log
-exponent fitting.  The saddle-point multiplicity, the pressure and phi_beta
+toolkit: the spin-S entropy function eta, the spontaneous magnetisation
+m_star maximising the free-energy profile g_beta, the magnetisation in a
+field and the susceptibility, the maximiser of the interchange model's
+simplex functional phi_beta with its order parameter z_star, the classical
+(S -> infinity) analogue, and log-log exponent fitting.  g_beta, the inverse
+x_star of eta', the saddle-point multiplicity, the pressure and phi_beta
 itself are oracles in tests/oracles.py, which the tests compare with.
 
 Every maximiser is one Brent root in a dual variable, which fixes the rest.
@@ -35,8 +35,6 @@ __all__ = [
     "eta",
     "eta_prime",
     "eta_second",
-    "x_star",
-    "g_beta",
     "m_star",
     "magnetization",
     "susceptibility",
@@ -65,6 +63,8 @@ _LANGEVIN_SWITCH = 1.0
 _LANGEVIN_C = _langevin_coefficients(18)
 _LANGEVIN_PRIME_C = tuple((2 * k + 1) * c for k, c in enumerate(_LANGEVIN_C))
 _LOG_SINHC_C = tuple(c / (2 * k) for k, c in enumerate(_LANGEVIN_C, 1))  # the integral of coth t - 1/t
+# log(sinh t / t) - t L(t)/2 = sum_{k>=2} c_k (1/(2k) - 1/2) t^{2k}: its t^2 term is 0
+_CLASSICAL_VALUE_C = tuple(a - 0.5 * c for a, c in zip(_LOG_SINHC_C, _LANGEVIN_C))[1:]
 
 
 @dataclass(frozen=True)
@@ -247,33 +247,7 @@ def _brent(f, lo: float, hi: float) -> tuple[float, int]:
     raise ArithmeticError(f"Brent's method did not converge in 100 iterations (at {xcur})")
 
 
-def x_star(m: float, ctx: SpinContext) -> float:
-    """Unique solution x of eta'(x) = m, for |m| < S (eta' is odd and increasing).
-
-    Brent's root to relative precision 1e-15 on [0, hi], hi doubled from 1.
-    """
-    s = ctx.spin
-    if not abs(m) < s:
-        raise ValueError(f"x_star requires |m| < S = {s}, got m = {m}")
-    if m == 0.0:
-        return 0.0
-    target, hi = abs(m), 1.0
-    while eta_prime(hi, ctx) <= target:
-        hi *= 2.0
-        if hi > 1e16:  # unreachable for |m| < S in floating point
-            raise ArithmeticError("inverse bracket growth failed")
-    return math.copysign(_brent(lambda x: eta_prime(x, ctx) - target, 0.0, hi)[0], m)
-
-
-def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
-    """Free-energy profile eta(x*(m)) - m x*(m) + beta m^2 on [-S, S]; beta S^2 at |m| = S."""
-    if abs(m) == ctx.spin:
-        return beta * m * m
-    x = x_star(m, ctx)
-    return eta(x, ctx) - m * x + beta * m * m
-
-
-def _mean_field(entropy, d, d_prime, beta: float, h: float, upper: float, beta_c: float) -> MaximizerResult:
+def _mean_field(value, d, d_prime, beta: float, h: float, upper: float, beta_c: float) -> MaximizerResult:
     """Maximiser m* in [0, upper] of entropy(x(m)) - m x(m) + beta m^2 + h m, x(m) inverting d = entropy'.
 
     d is odd, increasing and concave on [0, inf), with slope 1/(2 beta_c) at 0
@@ -281,8 +255,8 @@ def _mean_field(entropy, d, d_prime, beta: float, h: float, upper: float, beta_c
     G(x) = 2 beta d(x) + h - x on [0, h + 2 max(beta, 0) upper] if h > 0 or
     beta > beta_c, else 0; at h = 0 the root x = 0 is divided out, and G(x)/x
     tends to beta/beta_c - 1 as x -> 0.  Returns m* = d(x), the value
-    entropy(x) - m* x + beta m*^2 and the curvature 2 beta - 1/d'(x), -inf
-    where d'(x) underflows to 0.
+    value(x, m*) = entropy(x) - m* x + beta m*^2 and the curvature
+    2 beta - 1/d'(x), -inf where d'(x) underflows to 0.
     """
     if h == 0.0 and beta <= beta_c:
         x, iters = 0.0, 0
@@ -293,11 +267,12 @@ def _mean_field(entropy, d, d_prime, beta: float, h: float, upper: float, beta_c
         x, iters = _brent(lambda x: 2.0 * beta * d(x) + h - x, 0.0, h + 2.0 * max(beta, 0.0) * upper)
     m, slope = d(x), d_prime(x)
     curv = 2.0 * beta - 1.0 / slope if slope > 0.0 else -math.inf
-    return MaximizerResult(m, entropy(x) - m * x + beta * m * m, curv, iters)
+    return MaximizerResult(m, value(x, m), curv, iters)
 
 
 def _eta_mean_field(beta: float, h: float, ctx: SpinContext) -> MaximizerResult:
-    fns = (lambda x: eta(x, ctx), lambda x: eta_prime(x, ctx), lambda x: eta_second(x, ctx))
+    value = lambda x, m: eta(x, ctx) - m * x + beta * m * m
+    fns = (value, lambda x: eta_prime(x, ctx), lambda x: eta_second(x, ctx))
     return _mean_field(*fns, beta, h, ctx.spin, beta_critical(ctx))
 
 
@@ -424,5 +399,9 @@ def classical_maximizer(beta: float) -> MaximizerResult:
     mu* is positive iff beta > 3/2.  It is L(x*) at the root of
     x = 2 beta L(x) found by Brent's method (see _mean_field), for the
     Langevin function L(x) = coth x - 1/x, with curvature 2 beta - 1/L'(x*).
+    The value is log(sinh x*/x*) - x* L(x*)/2 (beta mu*^2 = x* mu*/2), summed
+    below |x*| = 1 from its series, which starts at x^4, so nothing cancels.
     """
-    return _mean_field(_log_sinhc, _langevin, _langevin_prime, beta, 0.0, 1.0, 1.5)
+    value = lambda x, mu: (x**4 * _horner(_CLASSICAL_VALUE_C, x * x) if abs(x) < _LANGEVIN_SWITCH
+                           else _log_sinhc(x) - 0.5 * x * mu)
+    return _mean_field(value, _langevin, _langevin_prime, beta, 0.0, 1.0, 1.5)

@@ -66,7 +66,6 @@ def _heisenberg_limit(beta: float, h: float, delta: float, ctx) -> float:
 def cmd_exact(args) -> int:
     if not all(map(math.isfinite, args.h)):
         raise ValueError("--h must be finite")
-    rows = []
     if args.model in ("heisenberg", "xy"):
         if len(args.h) != 1:
             raise UsageError("heisenberg/xy take a scalar --h")
@@ -77,7 +76,6 @@ def cmd_exact(args) -> int:
         ctx = asymptotics.SpinContext(args.spin)
         exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h).value
         limit = _heisenberg_limit(args.beta, h, delta, ctx)
-        rows.append({"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)})
     else:
         hvec = args.h
         if args.theta < 2:
@@ -89,7 +87,7 @@ def cmd_exact(args) -> int:
         z = asymptotics.interchange_maximizer(args.beta, ctx).z_star
         # R(h; x*) at the two-level maximiser x* = (z + y, y, .., y), y = (1 - z)/theta
         limit = math.exp((1.0 - z) * sum(hvec) / args.theta) * pd.pd_q_expectation_exact(args.theta, hvec, z)
-        rows.append({"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)})
+    rows = [{"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)}]
     if args.format == "json":
         payload = {"command": "exact", "model": args.model, "beta": args.beta, "rows": rows}
         print(json.dumps(payload, sort_keys=True))
@@ -278,6 +276,8 @@ def cmd_maximize(args) -> int:
 def cmd_pd(args) -> int:
     if not args.theta > 0:
         raise UsageError("--theta must be positive")
+    if args.theta == math.inf:
+        raise UsageError("--theta must be finite")
     if args.samples < 2:  # the standard error needs two samples
         raise UsageError("--samples must be >= 2")
     if args.z_star is not None and not (args.theta.is_integer() and args.theta >= 2):

@@ -346,7 +346,6 @@ def mcmc_run(
     rng: np.random.Generator,
     burn_in: int | None = None,
     thin: int = 1,
-    max_links: int | None = None,
     observable=None,
 ) -> tuple[list[LoopSpectrum], McmcStats]:
     """Metropolis chain with stationary law theta^{#loops} x Poisson links.
@@ -360,9 +359,6 @@ def mcmc_run(
     the same object, and `observable` is evaluated exactly once per distinct
     retained spectrum, its value reused for every later visit.
     All randomness comes from rng.random in blocks (see _uniforms).
-    max_links caps the link count (proposals beyond it are rejected), which
-    truncates the target measure and is used by the finite-state-space
-    validation tests.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError("beta must be finite and positive")
@@ -429,35 +425,33 @@ def mcmc_run(
                     _rewire(tops, bottoms, site, perms[site])
         elif r < insert_below:
             n_ins += 1
-            k = len(flat)
-            if max_links is None or k < max_links:
-                e = int(draw() * n_edges)
-                t = lo + span * draw()
-                kind = CROSS if draw() < u else BAR
-                i = bisect_right(offsets, e) - 1  # e joins site i to site i + 1 + j
-                j, ab = divmod(e - offsets[i], block)
-                v, w = i * two_s + ab // two_s, (i + 1 + j) * two_s + ab % two_s
-                a, b = _below(bottoms[v], t), _below(bottoms[w], t)
-                # a time already taken on either thread has probability zero; reject
-                if a is not None and b is not None:
-                    one, split = a.loop is b.loop, (a.sense == b.sense) == (kind == CROSS)
-                    d_loops = int(split) if one else -1
-                    log_ratio = d_loops * log_theta + log(lam / (k + 1))
-                    if log_ratio >= 0.0 or draw() < exp(log_ratio):
-                        loop = a.loop if one else _merge(a, b, not split, lengths)
-                        x, y = _Event(t, kind, v), _Event(t, kind, w)
-                        x.partner, y.partner = y, x
-                        _attach(x, a)
-                        _attach(y, b)
-                        x.loop, x.sense, y.loop, y.sense = loop, a.sense, loop, b.sense
-                        loop.segs += 2
-                        if one:
-                            _resolve(x, y, a, d_loops, 0, lengths)
-                        if d_loops:
-                            n_loops += d_loops
-                            spectrum = None
-                        flat.append(x)
-                        acc_ins += 1
+            e = int(draw() * n_edges)
+            t = lo + span * draw()
+            kind = CROSS if draw() < u else BAR
+            i = bisect_right(offsets, e) - 1  # e joins site i to site i + 1 + j
+            j, ab = divmod(e - offsets[i], block)
+            v, w = i * two_s + ab // two_s, (i + 1 + j) * two_s + ab % two_s
+            a, b = _below(bottoms[v], t), _below(bottoms[w], t)
+            # a time already taken on either thread has probability zero; reject
+            if a is not None and b is not None:
+                one, split = a.loop is b.loop, (a.sense == b.sense) == (kind == CROSS)
+                d_loops = int(split) if one else -1
+                log_ratio = d_loops * log_theta + log(lam / (len(flat) + 1))
+                if log_ratio >= 0.0 or draw() < exp(log_ratio):
+                    loop = a.loop if one else _merge(a, b, not split, lengths)
+                    x, y = _Event(t, kind, v), _Event(t, kind, w)
+                    x.partner, y.partner = y, x
+                    _attach(x, a)
+                    _attach(y, b)
+                    x.loop, x.sense, y.loop, y.sense = loop, a.sense, loop, b.sense
+                    loop.segs += 2
+                    if one:
+                        _resolve(x, y, a, d_loops, 0, lengths)
+                    if d_loops:
+                        n_loops += d_loops
+                        spectrum = None
+                    flat.append(x)
+                    acc_ins += 1
         else:
             n_del += 1
             k = len(flat)

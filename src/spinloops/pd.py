@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _TRUNCATION = 1e-12  # a stick-breaking row stops once its remaining mass is below this
+_COLUMNS = 100_000  # the most stick columns stick_breaking_columns draws
 _MATH = {float: math, complex: cmath}  # scalar functions of each field kind
 
 
@@ -59,12 +60,17 @@ def stick_breaking_columns(theta: float, n: int, rng: np.random.Generator):
     once no row is left, so each row follows the scalar loop "break while
     the remaining mass is >= _TRUNCATION"; the row's residual is 1 minus its
     sticks.  Columns are unsorted; reduce them as they arrive (cosh(0) =
-    q_h(0) = 1, so dead rows are neutral in products).
+    q_h(0) = 1, so dead rows are neutral in products).  A row takes 1 +
+    Poisson(mu) columns, mu = theta log(1/_TRUNCATION): raises ValueError
+    before any draw unless theta is finite and mu + 10 sqrt(mu) < _COLUMNS.
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
+    mu = -theta * math.log(_TRUNCATION)  # each stick cuts log(remaining) by Exp(1)/theta
+    if mu + 10.0 * math.sqrt(mu) >= _COLUMNS:
+        raise ValueError(f"theta = {theta} needs more than {_COLUMNS} stick columns")
     remaining = np.ones(n)
-    for _ in range(100_000):
+    for _ in range(_COLUMNS):
         alive = remaining >= _TRUNCATION
         if not alive.any():
             return
@@ -83,14 +89,15 @@ def pd_cosh_series(theta: float, h: complex | float) -> complex | float:
     normalised so the value is 1 at h = 0.  Terms are generated by the ratio
     recurrence and summation stops on a 1e-16 relative term (cap 500 terms).
     Special cases: theta = 2 gives sinh(h)/h, theta = 1 gives I_0(h).
+    theta must be positive and finite.
 
     Raises ArithmeticError where the value cannot be trusted: a sum that is
     not finite, the cap reached before the stopping test holds, or a rounding
     bound 2^-53 sum_k |term_k| above 1e-12 |sum| (terms that cancel, as for
     h far off the real axis).
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     kind, h = _fields(h)
     h2 = h * h
     total = term = kind(1.0)  # k = 0 term after Gamma(theta) normalisation

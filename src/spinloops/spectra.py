@@ -45,11 +45,6 @@ __all__ = [
 @dataclass(frozen=True)
 class GibbsValue:
     value: complex | float
-    n: int
-    two_s: int
-    beta: float
-    delta: float
-    h: complex | float
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +193,7 @@ def heisenberg_expectation_exact(
         raise ValueError("delta must lie in [-1, 1]")
     kind, h = _pd._fields(h)
     if h == 0:
-        return GibbsValue(kind(1.0), n, two_s, beta, delta, h)
+        return GibbsValue(kind(1.0))
     two_js, logd = _log_degeneracies(n, two_s, exact_degeneracies)
     jj1 = 0.25 * two_js * (two_js + 2.0)  # J(J+1)
     log_w = logd + (beta / n) * jj1
@@ -218,4 +213,4 @@ def heisenberg_expectation_exact(
         value = np.dot(weights, sector_t[idx] / sector_s[idx]) / weights.sum()
     if not np.isfinite(value):
         raise ArithmeticError("non-finite Gibbs sum; parameters out of range")
-    return GibbsValue(kind(value), n, two_s, beta, delta, h)
+    return GibbsValue(kind(value))

@@ -44,11 +44,11 @@ def partitions(n: int, max_length: int | None = None):
 _BLOCK = 1 << 12  # shapes per vectorised block: bounds memory, stays in cache
 
 
-def _shape_blocks(n: int, rows: int, block: int = _BLOCK):
+def _shape_blocks(n: int, rows: int):
     """Yield the partitions of n with at most `rows` parts as (k, rows) int arrays.
 
     Zero-padded, in the order of `partitions`; parents expand depth first in
-    groups of about `block` children (at most block + n + 1).
+    groups of about _BLOCK children (at most _BLOCK + n + 1).
     """
     def grow(shapes, rest, cap):
         slots = rows - shapes.shape[1]
@@ -59,7 +59,7 @@ def _shape_blocks(n: int, rows: int, block: int = _BLOCK):
         hi = np.minimum(rest, cap)
         counts = hi + 1 + (-rest // slots)  # parts run from hi down to ceil(rest / slots)
         starts = np.cumsum(counts) - counts
-        bounds = [0, *(np.flatnonzero(np.diff(starts // block)) + 1), len(counts)]
+        bounds = [0, *(np.flatnonzero(np.diff(starts // _BLOCK)) + 1), len(counts)]
         for a, b in zip(bounds[:-1], bounds[1:]):
             c = counts[a:b]
             parent = np.repeat(np.arange(a, b), c)
@@ -132,7 +132,7 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
     schur = _schur_exp(hv / n, n + theta - 1)
     iu, ju = np.triu_indices(theta, 1)
     top, numer, denom = -np.inf, 0.0, 0.0
-    for shapes in _shape_blocks(n, theta, _BLOCK):
+    for shapes in _shape_blocks(n, theta):
         l = shapes + np.arange(theta - 1, -1, -1)
         gaps = l[:, iu] - l[:, ju]
         content = (shapes * (shapes - 1) // 2 - np.arange(theta) * shapes).sum(axis=1)

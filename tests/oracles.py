@@ -6,7 +6,8 @@ path reaches any of them.  The sections follow the engine modules: spectra
 (big-integer table, dense eigensolves, Falk-Bruch chain), symfunc (Schur
 polynomials, characters), pd (the general determinant function R, spin
 closed forms, Ewens sampler), loops (pseudo-edge list, free configurations,
-loop tracer, PD comparison) and asymptotics.
+loop tracer, PD comparison) and asymptotics (the inverse x_star of eta', the
+profile g_beta, saddle-point multiplicities, the pressure, phi_beta).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from spinloops import asymptotics as _asy
 from spinloops import pd as _pd
-from spinloops.asymptotics import SpinContext, eta, eta_second, g_beta, magnetization, x_star
+from spinloops.asymptotics import SpinContext, eta, eta_prime, eta_second, magnetization
 from spinloops.loops import BAR, CROSS, LoopConfiguration, LoopSpectrum, batch_means_se
 from spinloops.loops import empty_configuration, observable_cosh
 from spinloops.spectra import GibbsValue
@@ -182,7 +184,7 @@ def dense_gibbs_oracle(
         value = numer / denom
         if not isinstance(h, complex):
             value = float(np.real(value))
-    return GibbsValue(value, n, two_s, beta, float(delta), h)
+    return GibbsValue(value)
 
 
 def anisotropic_sector_sums_per_step(width: int, gamma: float, t: complex | float):
@@ -793,8 +795,37 @@ def pd_comparison(
 
 
 # ---------------------------------------------------------------------------
-# asymptotics: saddle-point multiplicities, pressure, phi_beta
+# asymptotics: the inverse of eta', the profile g_beta, saddle-point
+# multiplicities, pressure, phi_beta
 # ---------------------------------------------------------------------------
+
+def x_star(m: float, ctx: SpinContext) -> float:
+    """Unique solution x of eta'(x) = m, for |m| < S (eta' is odd and increasing).
+
+    Brent's root (asymptotics._brent, looked up at call time) to relative
+    precision 1e-15 on [0, hi], hi doubled from 1.
+    """
+    s = ctx.spin
+    if not abs(m) < s:
+        raise ValueError(f"x_star requires |m| < S = {s}, got m = {m}")
+    if m == 0.0:
+        return 0.0
+    target, hi = abs(m), 1.0
+    while eta_prime(hi, ctx) <= target:
+        hi *= 2.0
+        if hi > 1e16:  # unreachable for |m| < S in floating point
+            raise ArithmeticError("inverse bracket growth failed")
+    return math.copysign(_asy._brent(lambda x: eta_prime(x, ctx) - target, 0.0, hi)[0], m)
+
+
+def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
+    """Free-energy profile eta(x*(m)) - m x*(m) + beta m^2 on [-S, S]; beta S^2 at |m| = S."""
+    if abs(m) == ctx.spin:
+        return beta * m * m
+    x = x_star(m, ctx)
+    return eta(x, ctx) - m * x + beta * m * m
+
+
 
 def saddle_multiplicity(n: int, m: float, ctx: SpinContext) -> float:
     """log of the saddle-point approximation to L_{floor(mn)} - L_{floor(mn)+1}.

@@ -76,7 +76,7 @@ def test_criterion_03_isotropic_limit_convergence():
     with _report(3, "isotropic model converges to sinh(h m*)/(h m*)") as rep:
         beta, h = 2.2, 1.0
         r = asy.m_star(beta, HALF)
-        assert abs(2 * beta * r.location - asy.x_star(r.location, HALF)) < 1e-9
+        assert abs(2 * beta * r.location - oracles.x_star(r.location, HALF)) < 1e-9
         limit = float(np.real(pd.sinhc(h * r.location)))
         gaps = []
         for n in (128, 256, 512, 1024, 2048):

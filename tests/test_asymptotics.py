@@ -160,31 +160,31 @@ def test_x_star_inverts_eta_prime():
         s = ctx.spin
         for frac in (0.05, 0.3, 0.7, 0.95):
             m = frac * s
-            x = asy.x_star(m, ctx)
+            x = oracles.x_star(m, ctx)
             assert asy.eta_prime(x, ctx) == pytest.approx(m, abs=1e-12)
         # identity in the other direction
         for x in (0.02, 0.4, 2.0, 8.0):
-            assert asy.x_star(asy.eta_prime(x, ctx), ctx) == pytest.approx(x, abs=1e-10)
+            assert oracles.x_star(asy.eta_prime(x, ctx), ctx) == pytest.approx(x, abs=1e-10)
 
 
 def test_x_star_odd_and_zero():
-    assert asy.x_star(0.0, HALF) == 0.0
+    assert oracles.x_star(0.0, HALF) == 0.0
     for m in (0.1, 0.33):
-        assert asy.x_star(-m, HALF) == pytest.approx(-asy.x_star(m, HALF), abs=1e-14)
+        assert oracles.x_star(-m, HALF) == pytest.approx(-oracles.x_star(m, HALF), abs=1e-14)
 
 
 def test_x_star_slope_at_zero():
     for ctx in (HALF, ONE, THREE_HALVES):
         s = ctx.spin
-        fd = (asy.x_star(1e-6, ctx) - asy.x_star(-1e-6, ctx)) / 2e-6
+        fd = (oracles.x_star(1e-6, ctx) - oracles.x_star(-1e-6, ctx)) / 2e-6
         assert fd == pytest.approx(3.0 / (s * s + s), abs=1e-6)
 
 
 def test_x_star_domain_error():
     with pytest.raises(ValueError):
-        asy.x_star(0.5, HALF)
+        oracles.x_star(0.5, HALF)
     with pytest.raises(ValueError):
-        asy.x_star(-1.2, ONE)
+        oracles.x_star(-1.2, ONE)
 
 
 def test_g_closed_form_spin_half():
@@ -195,13 +195,13 @@ def test_g_closed_form_spin_half():
             for sgn in (-1.0, 1.0):
                 t = 0.5 + sgn * m
                 closed -= t * math.log(t)
-            assert asy.g_beta(m, beta, HALF) == pytest.approx(closed, abs=1e-12)
+            assert oracles.g_beta(m, beta, HALF) == pytest.approx(closed, abs=1e-12)
 
 
 def test_g_at_zero():
     for ctx in (HALF, ONE):
-        assert asy.g_beta(0.0, 1.7, ctx) == pytest.approx(math.log(ctx.theta), abs=1e-14)
-        fd = (asy.g_beta(1e-7, 1.7, ctx) - asy.g_beta(0.0, 1.7, ctx)) / 1e-7
+        assert oracles.g_beta(0.0, 1.7, ctx) == pytest.approx(math.log(ctx.theta), abs=1e-14)
+        fd = (oracles.g_beta(1e-7, 1.7, ctx) - oracles.g_beta(0.0, 1.7, ctx)) / 1e-7
         assert abs(fd) < 1e-5
 
 
@@ -217,11 +217,11 @@ def test_m_star_transition():
     assert r.location > 0.0
     assert r.second_derivative <= 0.0
     # independent dense-grid oracle and stationarity residual
-    oracle = grid_scan_max(lambda m: asy.g_beta(m, 2.2, HALF), 0.0, 0.5 - 1e-9)
+    oracle = grid_scan_max(lambda m: oracles.g_beta(m, 2.2, HALF), 0.0, 0.5 - 1e-9)
     assert r.location == pytest.approx(oracle, abs=1e-8)
-    fd = (asy.g_beta(r.location + 1e-7, 2.2, HALF) - asy.g_beta(r.location - 1e-7, 2.2, HALF)) / 2e-7
+    fd = (oracles.g_beta(r.location + 1e-7, 2.2, HALF) - oracles.g_beta(r.location - 1e-7, 2.2, HALF)) / 2e-7
     assert abs(fd) < 1e-6
-    assert abs(2 * 2.2 * r.location - asy.x_star(r.location, HALF)) < 1e-10
+    assert abs(2 * 2.2 * r.location - oracles.x_star(r.location, HALF)) < 1e-10
 
 
 def test_m_star_monotone_in_beta():
@@ -238,7 +238,7 @@ def test_stationarity_at_interior_maxima(ctx):
     for beta in (bc * 1.1, bc * 1.5, bc * 2.5):
         r = asy.m_star(beta, ctx)
         assert r.location > 0.0
-        assert abs(2 * beta * r.location - asy.x_star(r.location, ctx)) < 1e-9
+        assert abs(2 * beta * r.location - oracles.x_star(r.location, ctx)) < 1e-9
 
 
 def test_maximizers_just_above_beta_c():
@@ -327,9 +327,9 @@ def test_saddle_exponent_identity():
     # exponent equals n (g_beta(m) - beta m^2) for any beta
     ctx = HALF
     n, m, beta = 50, 0.2, 1.23
-    x = asy.x_star(m, ctx)
+    x = oracles.x_star(m, ctx)
     lhs = asy.eta(x, ctx) - m * x
-    rhs = asy.g_beta(m, beta, ctx) - beta * m * m
+    rhs = oracles.g_beta(m, beta, ctx) - beta * m * m
     assert lhs == pytest.approx(rhs, abs=1e-13)
     assert 1.0 - math.exp(-x) > 0.0
 
@@ -368,15 +368,15 @@ def test_pressure_at_saturation():
     # m* rounds to S here, where g_beta takes its limit beta S^2
     assert oracles.pressure(50.0, 0.0, HALF) == pytest.approx(12.5, rel=1e-14)
     assert oracles.pressure(3.0, 40.0, HALF) == pytest.approx(20.75, rel=1e-14)
-    assert asy.g_beta(-0.5, 3.0, HALF) == 0.75
+    assert oracles.g_beta(-0.5, 3.0, HALF) == 0.75
     with pytest.raises(ValueError):
-        asy.x_star(0.5, HALF)
+        oracles.x_star(0.5, HALF)
 
 
 def test_magnetization_stationarity():
     for beta, h in ((1.5, 0.2), (2.0, 0.05), (2.5, 0.4)):
         m = asy.magnetization(beta, h, HALF)
-        assert abs(2 * beta * m - asy.x_star(m, HALF) + h) < 1e-9
+        assert abs(2 * beta * m - oracles.x_star(m, HALF) + h) < 1e-9
 
 
 def test_susceptibility_closed_form_and_fd():
@@ -563,6 +563,29 @@ def test_maximizers_against_mpmath_up_to_deep_order():
             assert r.second_derivative == pytest.approx(float(curvature), rel=1e-12), beta
 
 
+def _mp_classical(mpmath, beta):
+    """50-digit (mu*, value) from the root of x = 2 beta L(x), L(x) = coth x - 1/x."""
+    with mpmath.workdps(50):
+        beta = mpmath.mpf(beta)
+        langevin = lambda x: mpmath.coth(x) - 1 / x
+        x = mpmath.findroot(lambda x: 2 * beta * langevin(x) - x, 2 * beta)
+        mu = langevin(x)
+        return mu, mpmath.log(mpmath.sinh(x) / x) - mu * x + beta * mu * mu
+
+
+def test_classical_maximizer_against_mpmath_from_beta_c():
+    # the value is O((beta - 3/2)^2) near beta_c = 3/2; it keeps 2e-14 relative
+    # there because its O(beta - 3/2) terms cancel in the series, not in rounding
+    mpmath = pytest.importorskip("mpmath")
+    lo = 1.001 * 1.5
+    for k in range(40):
+        beta = lo * (200.0 / lo) ** (k / 39)
+        r = asy.classical_maximizer(beta)
+        mu, value = _mp_classical(mpmath, beta)
+        assert r.location == pytest.approx(float(mu), rel=1e-14), beta
+        assert r.value == pytest.approx(float(value), rel=2e-14), beta
+
+
 def test_each_maximizer_solves_once(monkeypatch):
     # the root fixes everything else: no re-inversion of eta' or the Langevin function
     calls = []
@@ -626,12 +649,12 @@ def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
             for h in (0.0, 1e-9, 1e-4, 0.3, 2.0, 10.0):
                 asy.magnetization(beta, h, ctx)
         for _ in range(20):
-            asy.x_star(rng.uniform(-1.0, 1.0) * ctx.spin, ctx)
+            oracles.x_star(rng.uniform(-1.0, 1.0) * ctx.spin, ctx)
     seeded = [rng.uniform(1.5, 30.0) for _ in range(8)]
     for beta in [1.5 * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded + list(deep):
         asy.classical_maximizer(beta)
     for _ in range(20):  # close to saturation, where the bracket doubles furthest
-        asy.x_star((1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * HALF.spin, HALF)
+        oracles.x_star((1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * HALF.spin, HALF)
     for two_s in (2, 3):  # the benchmark's maximize grid 2:4:0.1
         for k in range(21):
             asy.interchange_maximizer(2.0 + 0.1 * k, asy.SpinContext(two_s))

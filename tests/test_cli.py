@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -143,6 +144,7 @@ _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
         (["pd", "--theta", "2", "--h", "1", "--z-star", "1.5", "--samples", "10"],
          "--z-star must lie in [0, 1]"),
         (["pd", "--theta", "2", "--z-star", "nan"], "--z-star must lie in [0, 1]"),
+        (["pd", "--theta", "inf"], "--theta must be finite"),
     ],
 )
 def test_usage_error_messages(tmp_path, capsys, argv, message):
@@ -547,13 +549,23 @@ def test_pd_samples_usage_error(capsys, samples):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("theta", ["0", "-1", "nan"])
+@pytest.mark.parametrize("theta", ["0", "-1", "nan", "-inf"])
 def test_pd_theta_must_be_positive(capsys, theta):
     rc = main(["pd", "--theta", theta, "--h", "1", "--samples", "100"])
     assert rc == 2
     captured = capsys.readouterr()
     assert "error: --theta must be positive" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("theta, code", [("inf", 2), ("10000", 3)])
+def test_pd_refuses_theta_it_cannot_finish_at_once(capsys, theta, code):
+    # both used to draw 100,000 stick columns (2.5 s at these samples) before failing
+    start = time.perf_counter()
+    assert main(["pd", "--theta", theta, "--h", "1", "--samples", "1000"]) == code
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "theta" in captured.err
 
 
 @pytest.mark.parametrize("theta", ["2.5", "1"])

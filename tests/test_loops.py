@@ -214,8 +214,7 @@ def test_mcmc_rejects_bad_burn_in_and_thin():
             lp.mcmc_run(3, 1, 1.0, 1.0, 2.0, 100, rng, **kwargs)
 
 
-def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin=1,
-                     max_links=None, observable=None):
+def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin=1, observable=None):
     """The chain by full retrace: every proposal re-traces the whole configuration.
 
     Same proposals, random source (lp._uniforms, lp._permutation) and
@@ -256,17 +255,16 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
         elif r < perm_prob + 0.5 * (1.0 - perm_prob):
             stats.proposed_inserts += 1
             k = len(flat)
-            if max_links is None or k < max_links:
-                e = int(draw() * len(edges))
-                t = lo + span * draw()
-                kind = lp.CROSS if draw() < u else lp.BAR
-                flat.append((*edges[e], t, kind))
-                new = trace()
-                if accept(new, math.log(lam / (k + 1))):
-                    cur = new
-                    stats.accepted_inserts += 1
-                else:
-                    flat.pop()
+            e = int(draw() * len(edges))
+            t = lo + span * draw()
+            kind = lp.CROSS if draw() < u else lp.BAR
+            flat.append((*edges[e], t, kind))
+            new = trace()
+            if accept(new, math.log(lam / (k + 1))):
+                cur = new
+                stats.accepted_inserts += 1
+            else:
+                flat.pop()
         else:
             stats.proposed_deletes += 1
             k = len(flat)
@@ -298,8 +296,8 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
         (20, 1, 1.0, 3.0, {}),
         (6, 3, 0.7, 2.0, {}),
         (8, 1, 0.3, 2.0, {}),
-        (6, 2, 0.6, 2.0, {"max_links": 5}),
-        (8, 1, 1.0, 2.0, {"max_links": 3}),
+        (6, 2, 0.6, 2.0, {}),
+        (8, 1, 1.0, 2.0, {}),
         (10, 2, 0.8, 2.0, {"burn_in": 0, "thin": 3}),
         (20, 1, 1.0, 2.0, {"burn_in": 1999, "thin": 7}),
         (4, 4, 0.6, 2.0, {}),
@@ -427,11 +425,13 @@ def test_wrap_loops_match_retrace(two_s):
 @pytest.mark.parametrize("two_s", [2, 3])
 @pytest.mark.parametrize("theta", [1.0, 2.0, 3.0])
 def test_sigma_moves_sample_ewens_cycles(two_s, theta):
-    # with no links, the loops are the cycles of the sigma_i, so each site's
-    # cycle type is Ewens(theta) on S_{2S}
+    # at beta = 1e-12 an insertion is accepted with probability ~1e-12, so
+    # there are no links: the loops are the cycles of the sigma_i, and each
+    # site's cycle type is Ewens(theta) on S_{2S}.  tau_int is ~115 sweeps at
+    # 2S = 3, theta = 2, far below the 25,000-sweep batches of the SE
     n = 3
-    samples, stats = lp.mcmc_run(n, two_s, 2.0, 1.0, theta, 200_000,
-                                 np.random.default_rng(80 + 10 * two_s + int(theta)), max_links=0)
+    samples, stats = lp.mcmc_run(n, two_s, 1e-12, 1.0, theta, 1_000_000,
+                                 np.random.default_rng(80 + 10 * two_s + int(theta)))
     assert stats.accepted_inserts == 0 and stats.accepted_perm_moves > 0
     mean, se = lp.batch_means_se([s.n_loops_total for s in samples])
     target = n * sum(theta / (theta + i) for i in range(two_s))
@@ -496,30 +496,19 @@ def test_mcmc_poisson_equilibrium():
     assert stats.sweeps == 60_000
 
 
-def test_mcmc_capped_toy_chain_matches_exact_stationarity():
-    # n=2, S=1/2, u=1: the loop count depends only on link parity, so the
-    # capped chain has an explicitly solvable stationary law
-    theta, beta, cap = 2.0, 0.8, 2
+def test_mcmc_toy_chain_matches_exact_stationarity():
+    # n=2, S=1/2, u=1: one pseudo-edge of Poisson mass lam = beta/2, and the
+    # loop count is 2 for an even link count k and 1 for an odd one, so the
+    # stationary law is pi(k) = theta^{L(k)} lam^k/k! / (theta^2 cosh lam + theta sinh lam)
+    theta, beta = 2.0, 0.8
     lam = beta / 2
-    loops_of = {0: 2, 1: 1, 2: 2}
-    P = np.zeros((3, 3))
-    for k in range(3):
-        if k < cap:
-            d = loops_of[k + 1] - loops_of[k]
-            P[k, k + 1] = 0.5 * min(1.0, theta**d * lam / (k + 1))
-        if k > 0:
-            d = loops_of[k - 1] - loops_of[k]
-            P[k, k - 1] = 0.5 * min(1.0, theta**d * k / lam)
-        P[k, k] = 1.0 - P[k].sum()
-    w, v = np.linalg.eig(P.T)
-    pi = np.real(v[:, np.argmin(abs(w - 1.0))])
-    pi /= pi.sum()
-    target = np.array([theta ** loops_of[k] * lam**k / math.factorial(k) for k in range(3)])
-    assert np.allclose(pi, target / target.sum(), atol=1e-12)
+    pi = np.array([theta ** (2 - k % 2) * lam**k / math.factorial(k) for k in range(4)])
+    pi /= theta**2 * math.cosh(lam) + theta * math.sinh(lam)
+    pi = np.append(pi, 1.0 - pi.sum())  # k >= 4
     rng = np.random.default_rng(41)
-    _, stats = lp.mcmc_run(2, 1, beta, 1.0, theta, 1_000_000, rng, burn_in=10_000, max_links=cap)
-    ks = np.array(stats.links_trace)
-    emp = np.array([(ks == k).mean() for k in range(3)])
+    _, stats = lp.mcmc_run(2, 1, beta, 1.0, theta, 1_000_000, rng, burn_in=10_000)
+    ks = np.minimum(stats.links_trace, 4)
+    emp = np.bincount(ks, minlength=5) / len(ks)
     assert 0.5 * np.abs(emp - pi).sum() < 1e-3
 
 

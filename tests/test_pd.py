@@ -31,6 +31,34 @@ def test_stick_breaking_invariants():
         assert np.all(residual < 1e-12)
 
 
+class _NoDraws:
+    """A generator stand-in that fails the test on any draw."""
+
+    def random(self, *args):
+        raise AssertionError("drew from the generator")
+
+
+@pytest.mark.parametrize("theta", [math.inf, math.nan, 0.0, -1.0, 3600.0, 10_000.0])
+def test_stick_breaking_refuses_theta_it_cannot_finish(theta):
+    # a row breaks 1 + Poisson(theta log 1e12) sticks: theta = 3600 puts its
+    # mean plus 10 SD past the 100,000-column cap; refused before any draw
+    columns = pd.stick_breaking_columns(theta, 1000, _NoDraws())
+    with pytest.raises(ValueError, match="theta"):
+        next(columns)
+
+
+def test_stick_breaking_runs_below_the_column_cap():
+    # theta = 3500 is not refused: its mean plus 10 SD is about 99,800 columns
+    columns = pd.stick_breaking_columns(3500.0, 1, np.random.default_rng(2))
+    assert next(columns).shape == (1,)
+
+
+@pytest.mark.parametrize("theta", [math.inf, math.nan, 0.0])
+def test_cosh_series_refuses_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be positive and finite"):
+        pd.pd_cosh_series(theta, 1.0)
+
+
 def test_first_stick_mean():
     # Y_1 = B_1 ~ Beta(1, theta) has mean 1/(1 + theta)
     rng = np.random.default_rng(1)

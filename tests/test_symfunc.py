@@ -244,9 +244,10 @@ def test_schur_ratio_limit_check_validation():
         oracles.schur_ratio_limit_check([(4,)], [1.0, 0.0], x=[0.7, 0.7])
 
 
-def test_shape_blocks_split_without_changing_order():
+def test_shape_blocks_split_without_changing_order(monkeypatch):
     whole = np.vstack(list(sf._shape_blocks(30, 4)))
-    small = list(sf._shape_blocks(30, 4, block=7))
+    monkeypatch.setattr(sf, "_BLOCK", 7)
+    small = list(sf._shape_blocks(30, 4))
     assert len(small) > 10
     assert np.array_equal(np.vstack(small), whole)
     assert [tuple(filter(None, row)) for row in whole.tolist()] == list(sf.partitions(30, 4))
