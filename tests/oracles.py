@@ -826,7 +826,6 @@ def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
     return eta(x, ctx) - m * x + beta * m * m
 
 
-
 def saddle_multiplicity(n: int, m: float, ctx: SpinContext) -> float:
     """log of the saddle-point approximation to L_{floor(mn)} - L_{floor(mn)+1}.
 

@@ -560,7 +560,7 @@ def test_pd_theta_must_be_positive(capsys, theta):
 
 @pytest.mark.parametrize("theta, code", [("inf", 2), ("10000", 3)])
 def test_pd_refuses_theta_it_cannot_finish_at_once(capsys, theta, code):
-    # both used to draw 100,000 stick columns (2.5 s at these samples) before failing
+    # both used to draw 100,000 stick columns (about 3 s at these samples) before failing
     start = time.perf_counter()
     assert main(["pd", "--theta", theta, "--h", "1", "--samples", "1000"]) == code
     assert time.perf_counter() - start < 1.0
