@@ -3,9 +3,9 @@
 Subpackages (the engines the command line runs):
     spectra     exact finite-n quantum Gibbs expectations by total-spin sectors
     asymptotics free-energy maximisers and critical exponents
-    pd          Poisson-Dirichlet sampling, closed forms and the function R
+    pd          Poisson-Dirichlet sampling and closed forms
     loops       random loop soup Metropolis chain and its observables
-    symfunc     partitions and the interchange character sum
+    symfunc     the interchange character sum
     cli         command-line front end
 
 The independent references the tests set against these engines (dense

@@ -304,20 +304,18 @@ def susceptibility(beta: float, ctx: SpinContext) -> float:
 
 
 def fit_exponent(samples: list[tuple[float, float]]) -> ExponentFit:
-    """Log-log least-squares slope using the 4 smallest parameters.
+    """Log-log least-squares slope through every (t, y) sample, t and y > 0.
 
-    The samples are (t, y) pairs with t decreasing towards 0; only positive
-    data is admissible.  The fit is restricted to the smallest t values where
-    the power law is cleanest.
+    The caller chooses the points: all of them enter the fit, and its sums
+    run in the order given.  At least 4 samples are needed.
     """
     if len(samples) < 4:
         raise ValueError("fit_exponent needs at least 4 samples")
     if any(t <= 0.0 or y <= 0.0 for t, y in samples):
         raise ValueError("fit_exponent needs strictly positive data")
-    pts = sorted(samples, key=lambda p: p[0])[:4]
-    lt = [math.log(t) for t, _ in pts]
-    ly = [math.log(y) for _, y in pts]
-    k = len(pts)
+    lt = [math.log(t) for t, _ in samples]
+    ly = [math.log(y) for _, y in samples]
+    k = len(samples)
     mt = sum(lt) / k
     my = sum(ly) / k
     sxx = sum((a - mt) ** 2 for a in lt)

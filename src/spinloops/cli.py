@@ -71,8 +71,8 @@ def cmd_exact(args) -> int:
             raise UsageError("heisenberg/xy take a scalar --h")
         h = args.h[0]
         delta = 1.0 if args.model == "heisenberg" else args.delta
-        if args.model == "xy" and not delta < 1.0:
-            raise UsageError("the xy model needs --delta < 1")
+        if args.model == "xy" and not -1.0 <= delta < 1.0:
+            raise UsageError("the xy model needs --delta in [-1, 1)")
         ctx = asymptotics.SpinContext(args.spin)
         exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h).value
         limit = _heisenberg_limit(args.beta, h, delta, ctx)
@@ -122,8 +122,10 @@ def cmd_simulate(args) -> int:
         raise UsageError("--burn-in must lie in [0, --sweeps)")
     if args.model == "interchange":
         two_s, theta, u, hvec = 1, args.theta, 1.0, args.h
-        if len(hvec) != args.theta:
-            raise UsageError(f"interchange needs {args.theta} fields")
+        if theta < 1:
+            raise UsageError("--theta must be >= 1")
+        if len(hvec) != theta:
+            raise UsageError(f"interchange needs {theta} fields")
         q_table = {}
         observable = lambda s: loops.observable_q(s, hvec, args.n, q_table)
     else:
@@ -182,11 +184,10 @@ def cmd_simulate(args) -> int:
         "pooled_se": pooled_se,
         "per_chain": chain_stats,
     }
-    out_dir = args.out or os.environ.get("SPINLOOPS_OUT", ".")
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, f"{args.prefix}spectra.csv")
-        meta_path = os.path.join(out_dir, f"{args.prefix}meta.json")
+        os.makedirs(args.out, exist_ok=True)
+        csv_path = os.path.join(args.out, f"{args.prefix}spectra.csv")
+        meta_path = os.path.join(args.out, f"{args.prefix}meta.json")
         with open(csv_path, "w", newline="") as fh:
             fh.write("chain,sweep,n_loops,observable,lengths\n")
             fh.writelines(_csv_rows(runs, args.n * two_s))
@@ -206,18 +207,18 @@ def cmd_exponents(args) -> int:
     bc = asymptotics.beta_critical(ctx)
     which = args.which
     rows = []
+    # ascending grids: fit_exponent sums in the order given, and this order keeps the printed digits
+    deltas = [10.0**-k for k in range(4, 0, -1)]  # 1e-4 .. 1e-1
     if which in ("magnetization", "all"):
-        deltas = [10.0**-k for k in range(1, 5)]
         pts = [(d, asymptotics.m_star(bc + d, ctx).location) for d in deltas]
         fit = asymptotics.fit_exponent(pts)
         rows.append(("magnetization", 0.5, fit))
     if which in ("susceptibility", "all"):
-        deltas = [10.0**-k for k in range(1, 5)]
         pts = [(d, asymptotics.susceptibility(bc - d, ctx)) for d in deltas]
         fit = asymptotics.fit_exponent(pts)
         rows.append(("susceptibility", -1.0, fit))
     if which in ("critical-isotherm", "transverse", "all"):
-        hs = [10.0**-k for k in range(2, 7)]
+        hs = [10.0**-k for k in range(6, 2, -1)]  # 1e-6 .. 1e-3
         mags = [(h, asymptotics.magnetization(bc, h, ctx)) for h in hs]
     if which in ("critical-isotherm", "all"):
         fit = asymptotics.fit_exponent(mags)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
     p.add_argument("--prefix", default="run_")
     p.set_defaults(func=cmd_simulate)
 

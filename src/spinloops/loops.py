@@ -121,7 +121,6 @@ class LoopSpectrum(NamedTuple):
 
 @dataclass
 class McmcStats:
-    sweeps: int = 0
     proposed_inserts: int = 0
     proposed_deletes: int = 0
     proposed_perm_moves: int = 0
@@ -352,12 +351,13 @@ def mcmc_run(
 
     One sweep is one elementary proposal (insert / delete / sigma resample),
     starting from the empty configuration.  Returns the retained post-burn-in
-    spectra (every `thin`-th sweep) and move statistics, with the final
-    configuration in stats.final_config, its links in the chain's own order
-    (a rejected deletion leaves the proposed link last); burn_in defaults to
-    20% of n_sweeps.  Retained spectra are interned within the run: equal ones are
-    the same object, and `observable` is evaluated exactly once per distinct
-    retained spectrum, its value reused for every later visit.
+    spectra (every `thin`-th sweep) and McmcStats: move counts, retained link
+    counts and observable values (not n_sweeps, which the caller holds), and
+    the final configuration in stats.final_config, its links in the chain's
+    own order (a rejected deletion leaves the proposed link last); burn_in
+    defaults to 20% of n_sweeps.  Retained spectra are interned within the
+    run: equal ones are the same object, and `observable` is evaluated exactly
+    once per distinct retained spectrum, its value reused for every later visit.
     All randomness comes from rng.random in blocks (see _uniforms).
     """
     if not (math.isfinite(beta) and beta > 0.0):
@@ -493,7 +493,6 @@ def mcmc_run(
             keep_links(len(flat))
             if observable is not None:
                 keep_value(value)
-    stats.sweeps = n_sweeps
     stats.proposed_inserts, stats.proposed_deletes, stats.proposed_perm_moves = n_ins, n_del, n_perm
     stats.accepted_inserts, stats.accepted_deletes, stats.accepted_perm_moves = acc_ins, acc_del, acc_perm
     config.links = [(x.thread, x.partner.thread, x.time, x.kind) for x in flat]

@@ -1,11 +1,9 @@
-"""Partitions and the interchange character sum.
+"""The interchange character sum.
 
-Partitions are plain tuples of weakly decreasing positive integers.  The
-module provides lexicographic partition enumeration and the exact finite-n
-expectation of loop observables for the theta^{#loops} interchange measure
-via its character expansion, with Schur values read from one table of
-divided differences of powers, T[l, k] = h_{l-k}(v_1..v_{k+1}) (repeated
-arguments need no special case).
+The exact finite-n expectation of loop observables for the theta^{#loops}
+interchange measure via its character expansion, with Schur values read
+from one table of divided differences of powers, T[l, k] =
+h_{l-k}(v_1..v_{k+1}) (repeated arguments need no special case).
 
 The character expansion uses the fact that composing a Poisson(lambda)
 number of uniform random transpositions multiplies E[chi(sigma)]/dim by
@@ -24,21 +22,7 @@ import numpy as np
 
 from . import pd as _pd
 
-__all__ = [
-    "partitions",
-    "interchange_expectation_exact",
-]
-
-
-def partitions(n: int, max_length: int | None = None):
-    """Yield partitions of n as weakly decreasing tuples, lexicographically.
-
-    max_length restricts the number of parts; partitions(0) yields ().
-    """
-    if n < 0:
-        raise ValueError("partitions of negative integers do not exist")
-    for block in _shape_blocks(n, n if max_length is None else min(max_length, n)):
-        yield from (tuple(filter(None, row)) for row in block.tolist())
+__all__ = ["interchange_expectation_exact"]
 
 
 _BLOCK = 1 << 12  # shapes per vectorised block: bounds memory, stays in cache
@@ -47,8 +31,8 @@ _BLOCK = 1 << 12  # shapes per vectorised block: bounds memory, stays in cache
 def _shape_blocks(n: int, rows: int):
     """Yield the partitions of n with at most `rows` parts as (k, rows) int arrays.
 
-    Zero-padded, in the order of `partitions`; parents expand depth first in
-    groups of about _BLOCK children (at most _BLOCK + n + 1).
+    Zero-padded, in lexicographically decreasing order; parents expand depth
+    first in groups of about _BLOCK children (at most _BLOCK + n + 1).
     """
     def grow(shapes, rest, cap):
         slots = rows - shapes.shape[1]

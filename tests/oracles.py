@@ -3,11 +3,12 @@
 Each function is an independent second route to a number an engine
 computes, or a closed form an engine's output converges to; no command-line
 path reaches any of them.  The sections follow the engine modules: spectra
-(big-integer table, dense eigensolves, Falk-Bruch chain), symfunc (Schur
-polynomials, characters), pd (the general determinant function R, spin
-closed forms, Ewens sampler), loops (pseudo-edge list, free configurations,
-loop tracer, PD comparison) and asymptotics (the inverse x_star of eta', the
-profile g_beta, saddle-point multiplicities, the pressure, phi_beta).
+(big-integer table, dense eigensolves, Falk-Bruch chain), symfunc
+(partitions, Schur polynomials, characters), pd (the general determinant
+function R, spin closed forms, Ewens sampler), loops (pseudo-edge list, free
+configurations, loop tracer, PD comparison) and asymptotics (the inverse
+x_star of eta', the profile g_beta, saddle-point multiplicities, the
+pressure, phi_beta).
 """
 
 from __future__ import annotations
@@ -269,8 +270,32 @@ def falk_bruch_check(n: int, two_s: int, beta: float, h: float, u: float = 0.0) 
 
 
 # ---------------------------------------------------------------------------
-# symfunc: Schur polynomials, power sums, characters
+# symfunc: partitions, Schur polynomials, power sums, characters
 # ---------------------------------------------------------------------------
+
+def partitions(n: int, max_length: int | None = None):
+    """Yield the partitions of n as weakly decreasing tuples, lexicographically decreasing.
+
+    Plain recursion on the first part, sharing no code with the engine's
+    array enumerator symfunc._shape_blocks.  max_length bounds the number of
+    parts; partitions(0) yields ().
+    """
+    if n < 0:
+        raise ValueError("partitions of negative integers do not exist")
+
+    def grow(rest, cap, slots):
+        if rest == 0:
+            yield ()
+            return
+        # the first part is at most cap and at least ceil(rest / slots), so the rest fits
+        for first in range(min(rest, cap), -(-rest // slots) - 1, -1):
+            for tail in grow(rest - first, first, slots - 1):
+                yield (first, *tail)
+
+    slots = n if max_length is None else max_length
+    if n == 0 or slots > 0:
+        yield from grow(n, n, slots)
+
 
 def schur_at_ones(lam, r: int) -> Fraction:
     """s_lambda(1, ..., 1) with r ones: prod_{i<j} (lam_i - i - lam_j + j)/(j - i)."""

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import spinloops
-from spinloops import loops, pd
+from spinloops import asymptotics, loops, pd
 from spinloops.cli import _float_repr, _parse_grid, build_parser, main, parse_h_list, parse_spin
 
 
@@ -124,7 +124,7 @@ _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
         (["exact", "--model", "heisenberg", "--n", "8", "--beta", "1", "--h", "1,0"],
          "heisenberg/xy take a scalar --h"),
         (["exact", "--model", "xy", "--n", "8", "--beta", "1", "--delta", "1", "--h", "1"],
-         "the xy model needs --delta < 1"),
+         "the xy model needs --delta in [-1, 1)"),
         (["exact", "--model", "interchange", "--n", "8", "--theta", "3", "--beta", "1", "--h", "1,0"],
          "interchange needs 3 comma-separated fields"),
         (_SIM + ["--model", "heisenberg", "--sweeps", "0"], "--sweeps must be >= 1"),
@@ -145,6 +145,14 @@ _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
          "--z-star must lie in [0, 1]"),
         (["pd", "--theta", "2", "--z-star", "nan"], "--z-star must lie in [0, 1]"),
         (["pd", "--theta", "inf"], "--theta must be finite"),
+        (["exact", "--model", "xy", "--n", "8", "--beta", "1", "--delta", "-2", "--h", "1"],
+         "the xy model needs --delta in [-1, 1)"),
+        (["exact", "--model", "xy", "--n", "8", "--beta", "1", "--delta", "-inf", "--h", "1"],
+         "the xy model needs --delta in [-1, 1)"),
+        (["exact", "--model", "xy", "--n", "8", "--beta", "1", "--delta", "nan", "--h", "1"],
+         "the xy model needs --delta in [-1, 1)"),
+        (_SIM + ["--model", "interchange", "--theta", "0", "--h", "1"], "--theta must be >= 1"),
+        (_SIM + ["--model", "interchange", "--theta", "-1", "--h", "1"], "--theta must be >= 1"),
     ],
 )
 def test_usage_error_messages(tmp_path, capsys, argv, message):
@@ -316,6 +324,15 @@ def test_exponents_table(capsys):
     assert abs(fits["transverse"] + 2 / 3) < 0.07
 
 
+def test_critical_isotherm_solves_each_field_once(capsys, monkeypatch):
+    calls = []
+    solve = asymptotics.magnetization
+    monkeypatch.setattr(asymptotics, "magnetization", lambda *a: calls.append(a) or solve(*a))
+    assert main(["exponents", "--which", "critical-isotherm"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4
+
+
 def test_maximize_interchange_jump(capsys):
     rc = main(["maximize", "--model", "interchange", "--spin", "1",
                "--beta-grid", "2.5:3.0:0.1"])
@@ -370,13 +387,11 @@ def test_maximize_deep_in_the_ordered_phase(capsys):
             assert float(z_s) == float(mpmath.expm1(u) / (mpmath.exp(u) + 2))
 
 
-def test_simulate_env_var_output(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPINLOOPS_OUT", str(tmp_path / "envout"))
-    rc = main(["simulate", "--model", "heisenberg", "--n", "3", "--spin", "1/2",
-               "--beta", "1.0", "--h", "1", "--sweeps", "500", "--seed", "1"])
-    assert rc == 0
+def test_simulate_writes_to_the_working_directory_by_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_SIM + ["--model", "heisenberg"]) == 0
     capsys.readouterr()
-    assert (tmp_path / "envout" / "run_spectra.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_meta.json", "run_spectra.csv"]
 
 
 def test_numeric_failure_exit_code(capsys):

@@ -14,13 +14,16 @@ import oracles
 
 
 def test_partition_enumeration():
-    assert list(sf.partitions(1)) == [(1,)]
-    assert len(list(sf.partitions(4))) == 5
-    assert list(sf.partitions(6, 2)) == [(6,), (5, 1), (4, 2), (3, 3)]
-    assert list(sf.partitions(0)) == [()]
-    for lam in sf.partitions(8, 3):
+    assert list(oracles.partitions(1)) == [(1,)]
+    assert len(list(oracles.partitions(4))) == 5
+    assert list(oracles.partitions(6, 2)) == [(6,), (5, 1), (4, 2), (3, 3)]
+    assert list(oracles.partitions(0)) == [()]
+    for lam in oracles.partitions(8, 3):
         assert sum(lam) == 8 and len(lam) <= 3
         assert all(a >= b for a, b in zip(lam, lam[1:]))
+    # partitions of n into at most 3 parts number round((n + 3)^2 / 12)
+    for n in range(201):
+        assert sum(1 for _ in oracles.partitions(n, 3)) == round((n + 3) ** 2 / 12)
 
 
 def test_schur_basic_values():
@@ -114,7 +117,7 @@ def test_power_sums():
 
 def test_character_trivial_and_sign():
     for n in (3, 5, 6):
-        for mu in sf.partitions(n):
+        for mu in oracles.partitions(n):
             assert oracles.character((n,), mu).value == 1
             sign = (-1) ** (n - len(mu))
             assert oracles.character((1,) * n, mu).value == sign
@@ -122,7 +125,7 @@ def test_character_trivial_and_sign():
 
 def test_character_dimension_from_hooks():
     for n in (4, 5, 6):
-        for lam in sf.partitions(n):
+        for lam in oracles.partitions(n):
             assert oracles.character(lam, (1,) * n).value == oracles.dimension(lam)
 
 
@@ -135,12 +138,12 @@ def test_power_schur_identity_exact():
     # p_mu(x) = sum over lam of chi_lam(mu) s_lam(x), exact rationals
     xs = [Fraction(1), Fraction(2), Fraction(3)]
     r = 3
-    for mu in sf.partitions(5):
+    for mu in oracles.partitions(5):
         lhs = Fraction(1)
         for part in mu:
             lhs *= sum(x**part for x in xs)
         rhs = Fraction(0)
-        for lam in sf.partitions(5, r):
+        for lam in oracles.partitions(5, r):
             rhs += oracles.character(lam, mu).value * oracles.schur_eval_exact(lam, xs)
         assert lhs == rhs
 
@@ -152,13 +155,13 @@ def test_power_schur_identity_random_rationals(n, r):
     xs = [Fraction(int(rng.integers(1, 12)), int(rng.integers(1, 7))) for _ in range(r)]
     while len(set(xs)) != r:  # schur_eval_exact needs distinct points
         xs = [Fraction(int(rng.integers(1, 12)), int(rng.integers(1, 7))) for _ in range(r)]
-    for mu in sf.partitions(n):
+    for mu in oracles.partitions(n):
         lhs = Fraction(1)
         for part in mu:
             lhs *= sum(x**part for x in xs)
         rhs = sum(
             (oracles.character(lam, mu).value * oracles.schur_eval_exact(lam, xs)
-             for lam in sf.partitions(n, r)),
+             for lam in oracles.partitions(n, r)),
             Fraction(0),
         )
         assert lhs == rhs
@@ -168,7 +171,7 @@ def test_dimension_values():
     assert oracles.dimension((2, 1)) == 2
     assert oracles.dimension((3, 2)) == 5
     for n in range(1, 8):
-        assert sum(oracles.dimension(l) ** 2 for l in sf.partitions(n)) == math.factorial(n)
+        assert sum(oracles.dimension(l) ** 2 for l in oracles.partitions(n)) == math.factorial(n)
 
 
 def test_transposition_ratio():
@@ -176,7 +179,7 @@ def test_transposition_ratio():
     assert oracles.transposition_ratio((1,) * 6) == -1
     for n in range(2, 9):
         mu = (2,) + (1,) * (n - 2)
-        for lam in sf.partitions(n):
+        for lam in oracles.partitions(n):
             expected = Fraction(oracles.character(lam, mu).value, oracles.dimension(lam))
             assert oracles.transposition_ratio(lam) == expected
 
@@ -250,7 +253,11 @@ def test_shape_blocks_split_without_changing_order(monkeypatch):
     small = list(sf._shape_blocks(30, 4))
     assert len(small) > 10
     assert np.array_equal(np.vstack(small), whole)
-    assert [tuple(filter(None, row)) for row in whole.tolist()] == list(sf.partitions(30, 4))
+    assert [tuple(filter(None, row)) for row in whole.tolist()] == list(oracles.partitions(30, 4))
+    for n in range(41):
+        for r in range(6):
+            rows = [tuple(filter(None, row)) for block in sf._shape_blocks(n, r) for row in block.tolist()]
+            assert rows == list(oracles.partitions(n, r)), (n, r)
     # more rows than parts: zero-padded columns
     assert np.vstack(list(sf._shape_blocks(3, 5))).tolist() == [
         [3, 0, 0, 0, 0], [2, 1, 0, 0, 0], [1, 1, 1, 0, 0],
@@ -261,7 +268,7 @@ def _interchange_oracle(n, theta, beta, hv):
     """The character sum one shape at a time, from the exact per-shape functions."""
     xs = [np.exp(complex(h) / n) for h in hv]
     log_w, s_h, s_1 = [], [], []
-    for lam in sf.partitions(n, theta):
+    for lam in oracles.partitions(n, theta):
         r = oracles.transposition_ratio(lam) if n >= 2 else Fraction(1)
         log_w.append(math.log(oracles.dimension(lam)) + beta / n * math.comb(n, 2) * (float(r) - 1))
         s_h.append(oracles.schur_eval(lam, xs))
@@ -349,7 +356,7 @@ def test_interchange_complex_fields_match_high_precision(beta):
     n, hv = 24, _FIELDS["complex"][4]
     with mpmath.workdps(50):
         numer = denom = 0
-        for lam in sf.partitions(n, len(hv)):
+        for lam in oracles.partitions(n, len(hv)):
             content = int(oracles.transposition_ratio(lam) * math.comb(n, 2))
             w = oracles.dimension(lam) * mpmath.exp(mpmath.mpf(beta) / n * (content - math.comb(n, 2)))
             s_h, s_1 = _schur_mp(mpmath, lam, hv)
