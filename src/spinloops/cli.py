@@ -64,6 +64,8 @@ def _heisenberg_limit(beta: float, h: float, delta: float, ctx) -> float:
 
 
 def cmd_exact(args) -> int:
+    if args.n < 1:
+        raise UsageError("--n must be >= 1")
     if not all(map(math.isfinite, args.h)):
         raise ValueError("--h must be finite")
     if args.model in ("heisenberg", "xy"):
@@ -112,6 +114,8 @@ def _csv_rows(runs, total_length: int):
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 2:
+        raise UsageError("--n must be >= 2")
     if args.sweeps < 1:
         raise UsageError("--sweeps must be >= 1")
     if args.chains < 1:

@@ -17,6 +17,14 @@ otherwise), so lengths always sum to 2S n.  Loops of length zero exist and
 are counted in the loop total but not stored.  The tests check the chain
 against tests/oracles.py, which traces free configurations by this pairing.
 
+Model.  Links join threads of different sites only, so for theta = 2 the
+chain samples the pairwise Hamiltonian -(2/n) sum_{i<j} (S_i1 S_j1 + S_i2 S_j2
++ Delta S_i3 S_j3), Delta = 2u - 1.  For spin S >= 1 and u < 1 that is not
+the total-spin form of spinloops.spectra (the exact command), which differs
+from it by the one-site term sum_i (S_i3)^2: at 2S = 2, u = 0.5, n = 3,
+beta = 2, h = 1 the pairwise model gives 1.318045 and the total-spin form
+1.329034.
+
 MCMC.  Metropolis birth/death of single links plus permutation resampling
 targets theta^{#loops} times the Poisson link measure: with Lambda the total
 Poisson mass and k the current link count, an insertion at a uniform

@@ -26,6 +26,7 @@ import numpy as np
 
 from spinloops import asymptotics as _asy
 from spinloops import pd as _pd
+from spinloops import spectra as _spectra
 from spinloops.asymptotics import SpinContext, eta, eta_prime, eta_second, magnetization
 from spinloops.loops import BAR, CROSS, LoopConfiguration, LoopSpectrum, batch_means_se
 from spinloops.loops import empty_configuration, observable_cosh
@@ -189,10 +190,13 @@ def dense_gibbs_oracle(
 
 
 def anisotropic_sector_sums_per_step(width: int, gamma: float, t: complex | float):
-    """spectra._anisotropic_sector_sums with its Jacobi recurrence stepped one k at a time.
+    """Full-range sector sums sum_M e^{-gamma M^2} and sum_M e^{-gamma M^2} <J M|e^{t Sigma1}|J M>.
 
-    Builds each step's coefficients for that k alone, in the same operations
-    and order as the engine's blocked step, so the two agree bit for bit.
+    Both are arrays over every sector 2J = width % 2, ..., width, by the Jacobi
+    three-term recurrence on P_k^{(0,2|M|)}(cosh t) itself, stepped one degree
+    k = J - |M| at a time over every |M|: a second route to
+    spectra._anisotropic_sector_sums, sharing neither its window, its seed,
+    its difference form nor its order of steps.
     """
     b = np.arange(width % 2, width + 1, 2).astype(float)
     m = len(b)
@@ -215,6 +219,47 @@ def anisotropic_sector_sums_per_step(width: int, gamma: float, t: complex | floa
         sector_t[k:] += coef[: m - k] * p_next
         p_prev, p_cur = p_cur[: m - k], p_next
     return sector_s, sector_t
+
+
+def windowed_sector_sums_per_step(width: int, gamma: float, t: complex | float, window):
+    """spectra._anisotropic_sector_sums with its difference recurrence stepped one sector at a time.
+
+    Builds each step's coefficients for that sector alone, in the same
+    operations and order as the engine's blocks, so the two agree bit for bit.
+    The seed rows and log cosh(t/2) come from the engine's _jacobi_seed and
+    _log_cosh_half, which test_jacobi_seed_against_mpmath and
+    test_log_cosh_half_against_mpmath set against mpmath on their own.
+    """
+    j_lo, j_hi, i_hi = window
+    w = width % 2
+    cols = np.arange(i_hi + 1, dtype=float)
+    b = w + 2.0 * cols
+    coef = np.where(b > 0, 2.0, 1.0) * np.exp(b * (_spectra._log_cosh_half(t) - 0.25 * gamma * b))
+    u = 2.0 * np.sinh(0.5 * t) ** 2
+    n_seed = max(0, min(len(b), j_lo - 1))
+    seed = _spectra._jacobi_seed(j_lo - cols[:n_seed], b[:n_seed], u) if n_seed else None
+    if seed is None:
+        n_seed, seed = 0, (np.empty(0), np.empty(0))
+    start = j_lo if n_seed or j_lo < 2 else 0
+    d = np.concatenate((seed[1], 0.5 * (b[n_seed:] + 2.0) * u))
+    p = np.concatenate((seed[0], 1.0 + d[n_seed:]))
+    cc = cols * (cols + w)
+    sums = []
+    for j in range(start, j_hi + 1):
+        if j >= max(start + 1, 2):
+            r = min(len(b), j - 1)
+            c = 2.0 * j + w
+            q = j * (j + w) - cc[:r]
+            a = ((j - 1) * (j - 1 + w) - cc[:r]) * (c / (c - 2.0)) / q
+            e = (c - 1.0) * c * (0.5 * u) / q
+            d[:r] = d[:r] * a + e * p[:r]
+            p[:r] = p[:r] + d[:r]
+        top = min(j, len(b))
+        sums.append(coef[:top] @ p[:top])
+    sums = np.array(sums, dtype=np.result_type(coef, p))
+    for i in range(start, min(i_hi, j_hi) + 1):
+        sums[i - start] += coef[i]  # P_0 = 1 at sector i
+    return sums[j_lo - start :]
 
 
 def falk_bruch_check(n: int, two_s: int, beta: float, h: float, u: float = 0.0) -> FalkBruchResult:

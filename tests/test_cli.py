@@ -604,6 +604,13 @@ def test_pd_z_star_needs_integer_theta(capsys, theta):
         ["pd", "--theta", "2", "--h", "1,2,3", "--z-star", "0.5", "--samples", "100"],
         ["maximize", "--model", "classical", "--beta-grid", "0:1:1e-320"],
         ["maximize", "--model", "classical", "--beta-grid", "0:1e7:1"],
+        # an --n below the engine's minimum
+        ["exact", "--model", "heisenberg", "--n", "0", "--beta", "1", "--h", "1"],
+        ["exact", "--model", "xy", "--n", "-3", "--beta", "1", "--h", "1"],
+        ["exact", "--model", "interchange", "--n", "0", "--theta", "3", "--beta", "2", "--h", "1,0,0"],
+        ["simulate", "--model", "heisenberg", "--n", "1", "--beta", "1", "--sweeps", "10", "--seed", "1"],
+        ["simulate", "--model", "interchange", "--theta", "2", "--n", "1", "--beta", "1", "--h", "1,0",
+         "--sweeps", "10", "--seed", "1"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):

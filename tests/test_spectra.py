@@ -214,6 +214,21 @@ def test_convergence_past_beta_c_to_n_10000(delta, beta):
         assert 1.8 <= a / b <= 2.2, gaps
 
 
+def test_xy_convergence_past_beta_c_to_n_10e6():
+    # Delta = 0, beta = 3 = 1.5 beta_c, S = 1/2: the windowed sector sum takes about
+    # 0.3 s at n = 10^6.  The gap ratios measure 2 - 1.1e-7, 2 - 5e-8 and 2 - 2.5e-8,
+    # so the tighter bound catches an error of 1e-12 in a value (one that weighted
+    # the numerator and the denominator with separately rounded weights was 4e-11 off)
+    limit = float(i0(m_star(3.0, SpinContext(1)).location))  # h = 1
+    gaps = [
+        abs(sp.heisenberg_expectation_exact(n, 1, 3.0, 0.0, 1.0).value - limit)
+        for n in (125_000, 250_000, 500_000, 1_000_000)
+    ]
+    for a, b in zip(gaps, gaps[1:]):
+        assert 1.8 <= a / b <= 2.2, gaps
+        assert abs(a / b - 2.0) < 1e-5, gaps
+
+
 def _window_amplitude(two_s, x, h=1.0):
     """lim sqrt(n) (<e^{(h/n) Sigma1}> - 1) at beta = beta_c (1 + x/sqrt(n)), Delta = 1.
 
@@ -351,23 +366,154 @@ _BLOCK_WIDTHS = [0, 1, 2, 3, 4, 5, 127, 128, 129, 1023, 1024, 1025, 4001,
                  pytest.param(10**4, marks=pytest.mark.slow)]
 
 
+def _windows(width):
+    """The full window and a seeded one whose |M| range stops below its lower edge;
+    below width 10^4 (which would take 30 s) also one from J = 1/2 or 1, a seeded
+    one whose |M| range reaches past its lower edge, and narrow ones."""
+    m = width // 2 + 1
+    wins = [(0, m - 1, m - 1), (m // 3, m - 1, m // 4)]
+    if width < 10**4:
+        wins += [(min(1, m - 1), m - 1, m // 4), (m - 1 - m // 8, m - 1, m - 1),
+                 (m // 2, min(m - 1, m // 2 + 3), 2), (m - 1, m - 1, 0)]
+    return sorted({(lo, hi, min(i_hi, hi)) for lo, hi, i_hi in wins})
+
+
 @pytest.mark.parametrize("width", _BLOCK_WIDTHS)
 def test_blocked_sector_sums_match_per_step_recurrence(width):
-    # blocks of 64 rows up to width 1023, then the 2^15-entry cap (16 rows at 4001,
-    # 6 at 10^4); large t overflows cosh(t/2)^b on both routes alike
-    for gamma in (0.0, 5.0 / max(width, 1), 0.3):
-        for t in (1e-9, 1.0 / max(width, 1), 0.7, 0.3 + 0.2j, -0.01j, 2 - 1j):
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = sp._anisotropic_sector_sums(width, gamma, t)
-                want = oracles.anisotropic_sector_sums_per_step(width, gamma, t)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype
-                assert np.array_equal(g, w, equal_nan=True), (width, gamma, t)
+    # blocks of 64 steps up to width 1023, then the 2^15-entry cap (16 steps at 4001,
+    # 6 at 10^4), each from the full window or one seeded at its lower edge; large t
+    # overflows cosh(t/2)^b on both routes alike
+    for window in _windows(width):
+        for gamma in (0.0, 5.0 / max(width, 1), 0.3):
+            for t in (1e-9, 1.0 / max(width, 1), 0.7, 0.3 + 0.2j, -0.01j, 2 - 1j):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = sp._anisotropic_sector_sums(width, gamma, t, window)
+                    want = oracles.windowed_sector_sums_per_step(width, gamma, t, window)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want, equal_nan=True), (width, window, gamma, t)
 
 
 @pytest.mark.parametrize("n, two_s, delta, h", [(500, 1, 0.0, 1.0), (128, 2, 0.0, 1.0),
                                                 (300, 3, 0.5, 1.0 + 0.5j), (1000, 1, -0.5, 1.0)])
 def test_xy_value_unchanged_by_blocked_recurrence(monkeypatch, n, two_s, delta, h):
     got = sp.heisenberg_expectation_exact(n, two_s, 3.0, delta, h).value
-    monkeypatch.setattr(sp, "_anisotropic_sector_sums", oracles.anisotropic_sector_sums_per_step)
+    monkeypatch.setattr(sp, "_anisotropic_sector_sums", oracles.windowed_sector_sums_per_step)
     assert got == sp.heisenberg_expectation_exact(n, two_s, 3.0, delta, h).value
+
+
+def _spy(monkeypatch, name):
+    """Record (args, result) of every call to spectra.<name>."""
+    calls, inner = [], getattr(sp, name)
+
+    def spy(*args):
+        calls.append((args, inner(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sp, name, spy)
+    return calls
+
+
+def _mp_sector(width, gamma, t, j, i_hi):
+    """sum_{i <= min(j, i_hi)} e^{-gamma M^2} cosh(t/2)^b P^{(0,b)}_{j-i}(cosh t) by mpmath.jacobi."""
+    import mpmath as mp
+
+    t, gamma = mp.mpmathify(t), mp.mpf(gamma)
+    x, ch = mp.cosh(t), mp.cosh(t / 2)
+    total = 0
+    for i in range(min(j, i_hi) + 1):
+        b = width % 2 + 2 * i
+        total += (2 if b else 1) * mp.exp(-gamma * b * b / 4) * ch**b * mp.jacobi(j - i, 0, b, x)
+    return complex(total)
+
+
+_SECTOR_GRID = [(10_000, beta, delta, h) for beta in (1.0, 2.0, 3.0) for delta in (-1.0, 0.0, 0.5)
+                for h in (1.0, 1.0 + 0.5j)]
+_SECTOR_GRID += [pytest.param(40_000, beta, delta, 1.0 + 0.5j, marks=pytest.mark.slow)
+                 for beta, delta in ((1.0, 0.5), (2.0, -1.0), (3.0, 0.0))]
+
+
+@pytest.mark.parametrize("n, beta, delta, h", _SECTOR_GRID)
+def test_windowed_sectors_against_40_digit_mpmath(monkeypatch, n, beta, delta, h):
+    # S = 1/2, beta_c = 2: the window starts at J = 0 below and at beta_c and is
+    # seeded at its lower edge above it; measured worst 8e-16 over this grid and
+    # the window's middle sectors
+    calls = _spy(monkeypatch, "_anisotropic_sector_sums")
+    sp.heisenberg_expectation_exact(n, 1, beta, delta, h)
+    ((width, gamma, t, (j_lo, j_hi, i_hi)), sums), = calls
+    assert (j_lo > 0) == (beta > 2.0)
+    import mpmath as mp
+
+    with mp.workdps(40):
+        for j in (max(j_lo, 1), j_hi):
+            want = _mp_sector(width, gamma, t, j, i_hi)
+            assert abs(sums[j - j_lo] - want) < 1e-14 * abs(want), (j, sums[j - j_lo], want)
+
+
+@pytest.mark.parametrize("n", [500, 4000])
+@pytest.mark.parametrize("delta", [-1.0, 0.0, 0.5])
+@pytest.mark.parametrize("h", [1.0, 3.0 - 2.0j, 4.0j])
+def test_window_bound_covers_dropped_mass(monkeypatch, n, delta, h):
+    # a loose target makes the window drop real mass; |<J M|e^{t Sigma1}|J M>| is at
+    # most <J M|e^{Re t Sigma1}|J M>, so the mass dropped at Re t, from the full-range
+    # oracle, is at least the mass dropped at t
+    monkeypatch.setattr(sp, "_TARGET", 1e-7)
+    windows = _spy(monkeypatch, "_sector_window")
+    sp.heisenberg_expectation_exact(n, 1, 3.0, delta, h)
+    ((log_w, log_z, two_js, idx, mass, a), (window, bound)), = windows
+    j_lo, j_hi, i_hi = window
+    assert 0.0 < bound <= 2e-7 and i_hi < n // 2
+    width, gamma, t = n, (1.0 - delta) * 3.0 / n, h / n
+    weights, inside = np.exp(log_w), (idx >= j_lo) & (idx <= j_hi)
+    for t_cells in (t, t.real):
+        full = oracles.anisotropic_sector_sums_per_step(width, gamma, t_cells)[1][idx]
+        kept = sp._anisotropic_sector_sums(width, gamma, t_cells, window)[idx[inside] - j_lo]
+        total = np.dot(weights, full)
+        dropped = abs(total - np.dot(weights[inside], kept))
+        assert dropped <= bound + 1e-14 * abs(total), (t_cells, dropped, bound)  # = at t = 0
+    assert dropped > 1e-3 * bound  # at Re t the bound is not vacuous
+
+
+def test_window_widens_to_full_where_its_bound_fails(monkeypatch):
+    # near the zero of the generating function at h = 5.6i the kept sum is too small
+    # against the dropped-mass bound, so the sum runs again over every cell
+    calls = _spy(monkeypatch, "_anisotropic_sector_sums")
+    got = sp.heisenberg_expectation_exact(200, 1, 3.0, 0.0, 5.6j).value
+    assert [c[0][3] for c in calls] == [(0, 100, 50), (0, 100, 100)]
+    assert abs(got) < 0.01
+    monkeypatch.setattr(sp, "_sector_window", lambda *args: ((0, 100, 100), 0.0))
+    assert got == sp.heisenberg_expectation_exact(200, 1, 3.0, 0.0, 5.6j).value
+
+
+@pytest.mark.parametrize("u", [1e-10, 3e-5, 0.02, 2e-5 + 1e-5j, -1e-4j])
+def test_jacobi_seed_against_mpmath(u):
+    # one column at a time: a column past the 200-term cap (x = k (k+b) |u| / 2
+    # beyond about 5000) refuses the whole seed, and so does, for u off the real
+    # axis, one whose terms cancel
+    import mpmath as mp
+
+    for k, b in [(2, 0), (7, 5), (150, 64), (3000, 1), (40_000, 900)]:
+        seed = sp._jacobi_seed(np.array([float(k)]), np.array([float(b)]), u)
+        if k * (k + b) * abs(u) / 2 > 5e3 or (seed is None and isinstance(u, complex) and k > 150):
+            assert seed is None, (k, b)
+            continue
+        with mp.workdps(40):
+            x = 1 + mp.mpmathify(u)
+            want = complex(mp.jacobi(k, 0, b, x))
+            diff = complex(mp.jacobi(k, 0, b, x) - mp.jacobi(k - 1, 0, b, x))
+        assert abs(seed[0][0] - want) < 1e-15 * abs(want), (k, b)
+        assert abs(seed[1][0] - diff) < 1e-15 * abs(diff), (k, b)
+
+
+def test_jacobi_seed_refuses_an_overflow_or_cancelling_sum():
+    assert sp._jacobi_seed(np.array([1e5]), np.array([0.0]), 1e-4) is None  # x = 5e5
+    # u on the imaginary axis: the terms alternate in sign and P_k is far below their sum
+    assert sp._jacobi_seed(np.array([2000.0]), np.array([0.0]), -4e-6 + 0j) is None
+
+
+@pytest.mark.parametrize("t", [1.0 / 40_000, 3e-9, 0.7, 2.5e-5 * (1 + 0.5j), 1e-6j, 0.3 + 0.2j])
+def test_log_cosh_half_against_mpmath(t):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        want = complex(mp.log(mp.cosh(mp.mpmathify(t) / 2)))
+    assert abs(sp._log_cosh_half(t) - want) < 4e-16 * abs(want)
