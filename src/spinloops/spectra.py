@@ -27,7 +27,8 @@ recurrence over a window of sectors and |M| whose dropped mass is bounded
 (see heisenberg_expectation_exact).  The tests set it against oracles in
 tests/oracles.py: the big-integer multiplicity table, a dense Kronecker
 eigensolve blind to angular momentum sectors, the full-range three-term
-recurrence, the per-step windowed recurrence, and 40-digit mpmath sectors.
+recurrence, the unseeded difference recurrence from J = 0, and 40-digit
+mpmath sectors.
 
 Half-integers are carried as doubled integers (2M, 2J, 2S) throughout; all
 sector sums share a common subtracted maximum exponent so that e^{beta n}
@@ -165,26 +166,27 @@ def _log_cosh_half(t):
 
 
 def _jacobi_seed(k, b, u):
-    """(P_k, P_k - P_{k-1}) of P^{(0,b)}(1 + u) by the terminating series, or None.
+    """(P_k, D_k) of P^{(0,b)}(1 + u) by the terminating series, or None.
 
-    P_k = sum_m T_m, T_m = C(k, m) (k+b+1)_m / m! (u/2)^m (DLMF 18.5.7), and
-    the difference is sum_m T_m m (2k+b) / (k (k+b+m)), so neither is formed
-    by cancellation.  |T_{m+1} / T_m| falls with m, so the sums stop once every
-    term is at most 2^-64 of its sum of |T_m| and the last ratio at most 1/2.
-    None where that takes more than _SEED_TERMS terms, where the sum overflows,
-    or where the rounding bound 2^-53 sum |T_m| passes 2^-50 |P_k| (u far off
-    the real axis).
+    D_k = k (k+b) (P_k - P_{k-1}) / (2k+b) is the difference that
+    _anisotropic_sector_sums carries.  P_k = sum_m T_m, T_m = C(k, m)
+    (k+b+1)_m / m! (u/2)^m (DLMF 18.5.7), and D_k = sum_m m T_m (k+b) /
+    (k+b+m), so neither is formed by cancellation and k = 0 gives (1, 0).
+    |T_{m+1} / T_m| falls with m, so the sums stop once every term is at most
+    2^-64 of its sum of |T_m| and the last ratio at most 1/2.  None where that
+    takes more than _SEED_TERMS terms, where the sum overflows, or where the
+    rounding bound 2^-53 sum |T_m| passes 2^-50 |P_k| (u far off the real axis).
     """
     term = np.ones(len(k), dtype=np.result_type(k, u))
     p, d, size = term.copy(), np.zeros_like(term), np.ones(len(k))
-    kb1, g = k + b + 1.0, (2.0 * k + b) / k
+    kb = k + b
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the last test
         for m in range(_SEED_TERMS):
-            rise = kb1 + m
+            rise = kb + 1.0 + m
             ratio = (k - m) * rise
             term = term * (ratio * (0.5 * u / (m + 1.0) ** 2))
             p += term
-            d += term * ((m + 1.0) * g / rise)
+            d += term * ((m + 1.0) * kb / rise)
             mag = np.abs(term)
             size += mag
             if mag.max() <= 2.0**-64 * size.min() and ratio.max() * abs(0.5 * u) <= 0.5 * (m + 1.0) ** 2:
@@ -200,25 +202,24 @@ def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float, windo
     """sum_{|M| <= M_hi} e^{-gamma M^2} <J M|e^{t Sigma1}|J M> over the sectors of a window.
 
     window = (j_lo, j_hi, i_hi) from _sector_window: sector j has 2J = w + 2j and
-    column i has 2|M| = b_i = w + 2i, w = width % 2, i <= min(j, i_hi); the
+    column i has 2|M| = b = w + 2i, w = width % 2, i <= min(j, i_hi); the
     result is an array over j = j_lo..j_hi.  <J M|e^{t Sigma1}|J M> =
     cosh(t/2)^b P_k^{(0,b)}(1 + u), k = j - i, u = cosh t - 1 = 2 sinh(t/2)^2
     (Wigner small-d at imaginary angle).  The sum steps j and is vectorised
-    over i, so each column's degree k rises by one a step.  Since P_k(1) = 1,
-    the Jacobi three-term recurrence is run on p_k = P_k and d_k = P_k - P_{k-1}:
+    over i; at sector j column i stands at degree max(j - i, 0), so with
+    (P_0, D_0) = (1, 0) it enters at its own sector.  On
+    D_k = k (k+b) (P_k - P_{k-1}) / c, c = 2k + b = 2j + w (one value a
+    sector), the Jacobi recurrence is the running sum
 
-        d_k = a d_{k-1} + e p_{k-1},  p_k = p_{k-1} + d_k,
-        a = q_{k-1} c / (q_k (c - 2)),  e = (c - 1) c u / (2 q_k),
+        D_k = D_{k-1} + (c - 1) (u/2) P_{k-1},  P_k = P_{k-1} + (1/k + 1/(k+b)) D_k,
 
-    with q_k = k (k+b) and c = 2k + b = 2j + w.  For real t every term is
-    positive, and rounding does not pile up over the steps as it does in the
-    three-term form on p alone (5.8e-12 off 40-digit mpmath after 1290 steps
-    at n = 4 10^4, against 1e-15 here).  Columns i <= j_lo - 2 start at sector j_lo from
-    degree j_lo - i by _jacobi_seed (from j_lo = 0 where the seed fails), the
-    others at sector i + 1 from p_1 = 1 + (b+2) u / 2 with P_0 = 1 at sector
-    i.  q = j (j+w) - i (i+w) is an exact integer, and a and e are built for
-    blocks of up to 64 steps (at most 2^15 entries a block); each block takes
-    the same operations in the same order as a step built alone.
+    whose 1/k = 1/(j - i) and 1/(k+b) = 1/(j + i + w) are two slices of one
+    table.  For real t every term is positive, so rounding does not pile up
+    over the steps: sampled sectors are within 1e-15 of 40-digit mpmath up to
+    n = 4 10^4.  D is carried as D / s, s = max(j_hi, 1), and the P update
+    multiplies it by s/k + s/(k+b); since D_k <= k (P_k - P_{k-1}), D / s
+    overflows no sooner than P.  One _jacobi_seed call sets every column at
+    sector j_lo - 1; where it fails, or j_lo <= 1, the sum steps from sector 0.
     """
     j_lo, j_hi, i_hi = window
     w = width % 2
@@ -226,37 +227,20 @@ def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float, windo
     b = w + 2.0 * cols
     coef = np.where(b > 0, 2.0, 1.0) * np.exp(b * (_log_cosh_half(t) - 0.25 * gamma * b))
     u = 2.0 * np.sinh(0.5 * t) ** 2
-    n_seed = max(0, min(len(b), j_lo - 1))  # columns i <= j_lo - 2 start at degree j_lo - i
-    seed = _jacobi_seed(j_lo - cols[:n_seed], b[:n_seed], u) if n_seed else None
+    start, seed = j_lo, _jacobi_seed(np.maximum(j_lo - 1.0 - cols, 0.0), b, u) if j_lo > 1 else None
     if seed is None:
-        n_seed, seed = 0, (np.empty(0), np.empty(0))
-    start = j_lo if n_seed or j_lo < 2 else 0
-    d = np.concatenate((seed[1], 0.5 * (b[n_seed:] + 2.0) * u))
-    p = np.concatenate((seed[0], 1.0 + d[n_seed:]))
+        start, seed = 0, (np.ones_like(b * u), np.zeros_like(b * u))
+    s = max(j_hi, 1)
+    p, d = seed[0], seed[1] / s
+    inv = s / np.arange(1.0, 2 * j_hi + w + 1)  # s / m at m - 1
+    half_u = 0.5 * u / s
     sums = np.empty(j_hi - start + 1, dtype=np.result_type(coef, p))
-    first = max(start + 1, 2)  # sectors below take no step
-    for j in range(start, min(first, j_hi + 1)):
-        sums[j - start] = coef[: min(j, len(b))] @ p[: min(j, len(b))]
-    cc = cols * (cols + w)
-    rows = max(1, min(64, 2**15 // len(b)))
-    for j0 in range(first, j_hi + 1, rows):
-        j1 = min(j0 + rows, j_hi + 1)
-        js = np.arange(j0 - 1, j1, dtype=float)
-        q = (js * (js + w))[:, None] - cc[: min(len(b), j1 - 2)]
-        c = 2.0 * js[1:, None] + w
-        with np.errstate(divide="ignore", invalid="ignore"):  # q = 0 at i = j, which no step reads
-            a = q[:-1] * (c / (c - 2.0)) / q[1:]
-            e = (c - 1.0) * c * (0.5 * u) / q[1:]
-        for row, j in enumerate(range(j0, j1)):
-            r = min(len(b), j - 1)
-            dv, pv = d[:r], p[:r]
-            dv *= a[row, :r]
-            dv += e[row, :r] * pv
-            pv += dv
-            top = min(j, len(b))
-            sums[j - start] = coef[:top] @ p[:top]
-    top = min(i_hi, j_hi) + 1
-    sums[: max(0, top - start)] += coef[start:top]  # P_0 = 1 at sector i
+    for j in range(start, j_hi + 1):
+        r = min(j, len(b))
+        dv, pv = d[:r], p[:r]
+        dv += ((2 * j + w - 1) * half_u) * pv
+        pv += dv * (inv[j - r : j][::-1] + inv[j + w - 1 : j + w - 1 + r])
+        sums[j - start] = coef[: j + 1] @ p[: j + 1]
     return sums[j_lo - start :]
 
 
@@ -290,11 +274,12 @@ def heisenberg_expectation_exact(
     of it.  The window is kept where the two bounds together are
     at most 2^-52 of the kept sum, which always holds for real h; otherwise
     (near a zero of the sum at complex h) the sum runs over every cell.  The
-    recurrence is seeded at the window's lower edge (_jacobi_seed) and costs
-    O(window), which is O(n^{3/4} n^{1/2}) cells at beta_c and
-    O(n^{1/2} n^{1/2}) above it.  At Delta = 0, h = 1 and S = 1/2 it takes
-    0.010 s at n = 10^4, 0.026 s at 4 10^4 and 0.31 s at 10^6 for beta = 3 =
-    1.5 beta_c, and 2.6 s at n = 10^6 for beta = beta_c (2-core x86_64).
+    recurrence is a running sum over sectors (_anisotropic_sector_sums),
+    seeded at the window's lower edge (_jacobi_seed), and costs O(window),
+    which is O(n^{3/4} n^{1/2}) cells at beta_c and O(n^{1/2} n^{1/2}) above
+    it.  At Delta = 0, h = 1 and S = 1/2 it takes 0.005 s at n = 10^4,
+    0.014 s at 4 10^4 and 0.21 s at 10^6 for beta = 3 = 1.5 beta_c, and 0.48 s
+    at n = 2.5 10^5 and 1.8 s at 10^6 for beta = beta_c (2-core x86_64).
 
     All sector sums subtract a common maximum exponent before exponentiating.
     """

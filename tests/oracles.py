@@ -222,13 +222,18 @@ def anisotropic_sector_sums_per_step(width: int, gamma: float, t: complex | floa
 
 
 def windowed_sector_sums_per_step(width: int, gamma: float, t: complex | float, window):
-    """spectra._anisotropic_sector_sums with its difference recurrence stepped one sector at a time.
+    """spectra._anisotropic_sector_sums by the difference recurrence on P_k and P_k - P_{k-1}, from J = 0.
 
-    Builds each step's coefficients for that sector alone, in the same
-    operations and order as the engine's blocks, so the two agree bit for bit.
-    The seed rows and log cosh(t/2) come from the engine's _jacobi_seed and
-    _log_cosh_half, which test_jacobi_seed_against_mpmath and
-    test_log_cosh_half_against_mpmath set against mpmath on their own.
+    Column i (2|M| = b = w + 2i) enters at sector i with P_0 = 1 and raises
+    its degree k = j - i by one a sector, from d_1 = (b + 2) u / 2 on by
+
+        d_k = a d_{k-1} + e p_{k-1},  p_k = p_{k-1} + d_k,
+        a = q_{k-1} c / (q_k (c - 2)),  e = (c - 1) c u / (2 q_k),
+
+    with q_k = k (k+b) and c = 2k + b: a second route to the engine, which
+    runs every sector below the window and has no seed, running sum or
+    scale.  log cosh(t/2) comes from the engine's _log_cosh_half, which
+    test_log_cosh_half_against_mpmath sets against mpmath on its own.
     """
     j_lo, j_hi, i_hi = window
     w = width % 2
@@ -236,30 +241,20 @@ def windowed_sector_sums_per_step(width: int, gamma: float, t: complex | float, 
     b = w + 2.0 * cols
     coef = np.where(b > 0, 2.0, 1.0) * np.exp(b * (_spectra._log_cosh_half(t) - 0.25 * gamma * b))
     u = 2.0 * np.sinh(0.5 * t) ** 2
-    n_seed = max(0, min(len(b), j_lo - 1))
-    seed = _spectra._jacobi_seed(j_lo - cols[:n_seed], b[:n_seed], u) if n_seed else None
-    if seed is None:
-        n_seed, seed = 0, (np.empty(0), np.empty(0))
-    start = j_lo if n_seed or j_lo < 2 else 0
-    d = np.concatenate((seed[1], 0.5 * (b[n_seed:] + 2.0) * u))
-    p = np.concatenate((seed[0], 1.0 + d[n_seed:]))
-    cc = cols * (cols + w)
+    p = np.ones(len(b), dtype=np.result_type(b, u))
+    d = 0.5 * (b + 2.0) * u  # d_1, taken by column i at sector i + 1
+    cc = cols * (cols + w)  # q_k = k (k+b) = j (j+w) - i (i+w)
     sums = []
-    for j in range(start, j_hi + 1):
-        if j >= max(start + 1, 2):
-            r = min(len(b), j - 1)
-            c = 2.0 * j + w
+    for j in range(j_hi + 1):
+        r, c = min(j - 1, len(b)), 2.0 * j + w
+        if r > 0:  # columns i <= j - 2 step to k = j - i >= 2
             q = j * (j + w) - cc[:r]
             a = ((j - 1) * (j - 1 + w) - cc[:r]) * (c / (c - 2.0)) / q
-            e = (c - 1.0) * c * (0.5 * u) / q
-            d[:r] = d[:r] * a + e * p[:r]
-            p[:r] = p[:r] + d[:r]
-        top = min(j, len(b))
-        sums.append(coef[:top] @ p[:top])
-    sums = np.array(sums, dtype=np.result_type(coef, p))
-    for i in range(start, min(i_hi, j_hi) + 1):
-        sums[i - start] += coef[i]  # P_0 = 1 at sector i
-    return sums[j_lo - start :]
+            d[:r] = d[:r] * a + (c - 1.0) * c * (0.5 * u) / q * p[:r]
+        p[: min(j, len(b))] += d[: min(j, len(b))]
+        if j >= j_lo:
+            sums.append(coef[: j + 1] @ p[: j + 1])
+    return np.array(sums, dtype=np.result_type(coef, p))
 
 
 def falk_bruch_check(n: int, two_s: int, beta: float, h: float, u: float = 0.0) -> FalkBruchResult:

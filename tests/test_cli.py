@@ -153,6 +153,9 @@ _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
          "the xy model needs --delta in [-1, 1)"),
         (_SIM + ["--model", "interchange", "--theta", "0", "--h", "1"], "--theta must be >= 1"),
         (_SIM + ["--model", "interchange", "--theta", "-1", "--h", "1"], "--theta must be >= 1"),
+        (["simulate", "--model", "heisenberg", "--n", "3", "--beta", "2", "--sweeps", "10",
+          "--burn-in", "9", "--seed", "1"],
+         "--sweeps, --burn-in and --thin must keep at least 2 samples a chain"),
     ],
 )
 def test_usage_error_messages(tmp_path, capsys, argv, message):
@@ -192,6 +195,9 @@ def test_exact_usage_errors(capsys):
         (["--sweeps", "0"], "--sweeps"),
         (["--h", "1,2"], "heisenberg/xy take a scalar --h"),
         (["--model", "xy", "--h", "1,2"], "heisenberg/xy take a scalar --h"),
+        # one retained sample: at sweep 0 with the default burn-in, at sweep 40 with thin 160
+        (["--sweeps", "1"], "at least 2 samples"),
+        (["--thin", "160"], "at least 2 samples"),
     ],
 )
 def test_simulate_usage_errors(tmp_path, capsys, extra, message):
@@ -553,6 +559,14 @@ def test_pd_zero_and_repeated_fields_share_rows(capsys):
     for line in (lines[2], lines[4]):
         check, h, series, mean, se, verdict = line.split(",")
         assert (h, series, mean, se, verdict) == ("0.0", "1.0", "1.0", "0.0", "pass")
+
+
+def test_pd_cosh_verdict_floors_a_vanishing_se(capsys):
+    # at theta = 1e-300 the first stick holds all but about 1e-300 of the mass, so
+    # every sample is cosh(h) to rounding and the SE is 0 or rounding noise
+    assert main(["pd", "--theta", "1e-300", "--h", "1,5,100", "--samples", "20", "--seed", "3"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["pass"] * 3
 
 
 @pytest.mark.parametrize("samples", ["0", "1"])
