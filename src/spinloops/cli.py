@@ -76,7 +76,7 @@ def cmd_exact(args) -> int:
         if args.model == "xy" and not -1.0 <= delta < 1.0:
             raise UsageError("the xy model needs --delta in [-1, 1)")
         ctx = asymptotics.SpinContext(args.spin)
-        exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h).value
+        exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h)
         limit = _heisenberg_limit(args.beta, h, delta, ctx)
     else:
         hvec = args.h

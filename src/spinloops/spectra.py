@@ -18,17 +18,17 @@ at 2S = 2, Delta = 0 (u = 0.5), n = 3, beta = 2, h = 1 this engine gives
 
 heisenberg_expectation_exact decomposes the Hilbert space into total-spin
 sectors.  The degeneracies d_J = L_J - L_{J+1} of the multiplicities L_{M,n}
-of Sigma3 come from Miller's recurrence in O(n 2S) steps: in log space on
-the ratios L_{M,n} / L_{M-1,n}, so no sector underflows, or in exact
-integers on request.  For Delta = 1 each sector contributes a sinh-ratio
-character; for Delta < 1 the diagonal of e^{t Sigma1} in each sector is a
-Wigner small-d function at imaginary angle, summed over |M| by a Jacobi
-recurrence over a window of sectors and |M| whose dropped mass is bounded
-(see heisenberg_expectation_exact).  The tests set it against oracles in
-tests/oracles.py: the big-integer multiplicity table, a dense Kronecker
-eigensolve blind to angular momentum sectors, the full-range three-term
-recurrence, the unseeded difference recurrence from J = 0, and 40-digit
-mpmath sectors.
+of Sigma3 come from Miller's recurrence in O(n 2S) steps, in log space on
+the ratios L_{M,n} / L_{M-1,n}, so no sector underflows.  For Delta = 1
+each sector contributes a sinh-ratio character; for Delta < 1 the diagonal
+of e^{t Sigma1} in each sector is a Wigner small-d function at imaginary
+angle, summed over |M| by a Jacobi recurrence over a window of sectors and
+|M| whose dropped mass is bounded (see heisenberg_expectation_exact).  The
+tests set it against oracles in tests/oracles.py: the big-integer
+multiplicity table, Miller's recurrence in exact integers, a dense
+Kronecker eigensolve blind to angular momentum sectors, the full-range
+three-term recurrence, the unseeded difference recurrence from J = 0, and
+40-digit mpmath sectors.
 
 Half-integers are carried as doubled integers (2M, 2J, 2S) throughout; all
 sector sums share a common subtracted maximum exponent so that e^{beta n}
@@ -38,21 +38,12 @@ scales never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import pd as _pd
 
-__all__ = [
-    "GibbsValue",
-    "heisenberg_expectation_exact",
-]
-
-
-@dataclass(frozen=True)
-class GibbsValue:
-    value: complex | float
+__all__ = ["heisenberg_expectation_exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -88,31 +79,17 @@ def _half_row(n: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
     return log_c, log_frac
 
 
-def _exact_half_row(n: int, two_s: int) -> list[int]:
-    """c_k = L_{k - S n, n}, k = 0..floor(n two_s / 2), by Miller's recurrence in exact integers."""
-    c = [1]
-    for k in range(1, n * two_s // 2 + 1):
-        c.append(sum(((n + 1) * j - k) * c[k - j] for j in range(1, min(two_s, k) + 1)) // k)
-    return c
-
-
-def _log_degeneracies(n: int, two_s: int, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+def _log_degeneracies(n: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
     """(two_j values, log d_J) for all sectors with d_J > 0.
 
-    With c_k = L_{J,n} at the mirrored index k = S n - J, d_J = c_k - c_{k-1}.
-    exact=True takes it from the exact integers of _exact_half_row;
-    otherwise log d_J = log c_k + log(1 - c_{k-1}/c_k) from _half_row.
+    With c_k = L_{J,n} at the mirrored index k = S n - J, d_J = c_k - c_{k-1},
+    so log d_J = log c_k + log(1 - c_{k-1}/c_k) from _half_row.
     """
     width = n * two_s
     two_js = np.arange(width % 2, width + 1, 2)
     ks = (width - two_js) // 2
-    if exact:
-        c = _exact_half_row(n, two_s)
-        degs = [c[k] - (c[k - 1] if k else 0) for k in ks.tolist()]
-        logd = np.array([math.log(d) if d > 0 else -math.inf for d in degs])
-    else:
-        log_c, log_frac = _half_row(n, two_s)
-        logd = log_c[ks] + log_frac[ks]
+    log_c, log_frac = _half_row(n, two_s)
+    logd = log_c[ks] + log_frac[ks]
     keep = logd > -math.inf
     return two_js[keep], logd[keep]
 
@@ -250,14 +227,11 @@ def heisenberg_expectation_exact(
     beta: float,
     delta: float = 1.0,
     h: complex | float = 0.0,
-    exact_degeneracies: bool = False,
-) -> GibbsValue:
+) -> complex | float:
     """Gibbs expectation of e^{(h/n) Sigma1} via total-spin sectors.
 
     Sector degeneracies come in log space from Miller's recurrence
     (_half_row), accurate in every sector, so Delta = 1 costs O(n 2S) in all.
-    exact_degeneracies=True runs the same recurrence in exact integers
-    (_exact_half_row) instead.
 
     Delta = 1: each sector contributes the character sum
     sinh((2J+1) h / 2n) / sinh(h / 2n), one array expression over sectors.
@@ -282,6 +256,8 @@ def heisenberg_expectation_exact(
     at n = 2.5 10^5 and 1.8 s at 10^6 for beta = beta_c (2-core x86_64).
 
     All sector sums subtract a common maximum exponent before exponentiating.
+    Raises ArithmeticError where the sum is not finite (at Delta = 1 the top
+    sector's character overflows once S |Re h| passes about 710).
     """
     if n < 1 or two_s < 1:
         raise ValueError("need n >= 1 and two_s >= 1")
@@ -291,38 +267,39 @@ def heisenberg_expectation_exact(
         raise ValueError("delta must lie in [-1, 1]")
     kind, h = _pd._fields(h)
     if h == 0:
-        return GibbsValue(kind(1.0))
-    two_js, logd = _log_degeneracies(n, two_s, exact_degeneracies)
+        return kind(1.0)
+    two_js, logd = _log_degeneracies(n, two_s)
     jj1 = 0.25 * two_js * (two_js + 2.0)  # J(J+1)
     log_w = logd + (beta / n) * jj1
-    if delta == 1.0:
-        weights = np.exp(log_w - log_w.max())
-        if abs(h) / (2.0 * n) < 1e-150:
-            chars = two_js + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        if delta == 1.0:
+            weights = np.exp(log_w - log_w.max())
+            if abs(h) / (2.0 * n) < 1e-150:
+                chars = two_js + 1.0
+            else:
+                chars = np.sinh((two_js + 1.0) * (h / (2.0 * n))) / np.sinh(h / (2.0 * n))
+            value = np.dot(weights, chars) / np.dot(weights, two_js + 1.0)
         else:
-            chars = np.sinh((two_js + 1.0) * (h / (2.0 * n))) / np.sinh(h / (2.0 * n))
-        value = np.dot(weights, chars) / np.dot(weights, two_js + 1.0)
-    else:
-        width = n * two_s
-        gamma, t = (1.0 - delta) * beta / n, h / n
-        b = np.arange(width % 2, width + 1, 2, dtype=float)
-        mass = np.where(b > 0, 2.0, 1.0) * np.exp(-0.25 * gamma * b * b)  # M = +-b/2
-        idx = (two_js - width % 2) // 2
-        sector_s = np.cumsum(mass)[idx]
-        log_z = log_w + np.log(sector_s)
-        log_w, log_z = log_w - log_z.max(), log_z - log_z.max()
-        weights = np.exp(log_z)  # numerator and denominator share its rounding
+            width = n * two_s
+            gamma, t = (1.0 - delta) * beta / n, h / n
+            b = np.arange(width % 2, width + 1, 2, dtype=float)
+            mass = np.where(b > 0, 2.0, 1.0) * np.exp(-0.25 * gamma * b * b)  # M = +-b/2
+            idx = (two_js - width % 2) // 2
+            sector_s = np.cumsum(mass)[idx]
+            log_z = log_w + np.log(sector_s)
+            log_w, log_z = log_w - log_z.max(), log_z - log_z.max()
+            weights = np.exp(log_z)  # numerator and denominator share its rounding
 
-        def kept_sum(window):
-            inside = (idx >= window[0]) & (idx <= window[1])
-            sums = _anisotropic_sector_sums(width, gamma, t, window)[idx[inside] - window[0]]
-            return np.dot(weights[inside], sums / sector_s[inside])
+            def kept_sum(window):
+                inside = (idx >= window[0]) & (idx <= window[1])
+                sums = _anisotropic_sector_sums(width, gamma, t, window)[idx[inside] - window[0]]
+                return np.dot(weights[inside], sums / sector_s[inside])
 
-        window, bound = _sector_window(log_w, log_z, two_js, idx, mass, abs(np.real(t)))
-        numer = kept_sum(window)
-        if bound > _ACCEPT * abs(numer):
-            numer = kept_sum((0, len(b) - 1, len(b) - 1))
-        value = numer / weights.sum()
+            window, bound = _sector_window(log_w, log_z, two_js, idx, mass, abs(np.real(t)))
+            numer = kept_sum(window)
+            if bound > _ACCEPT * abs(numer):
+                numer = kept_sum((0, len(b) - 1, len(b) - 1))
+            value = numer / weights.sum()
     if not np.isfinite(value):
         raise ArithmeticError("non-finite Gibbs sum; parameters out of range")
-    return GibbsValue(kind(value))
+    return kind(value)

@@ -113,22 +113,23 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
     if len(hv) != theta:
         raise ValueError(f"hvec must have length theta = {theta}")
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + theta)])
-    schur = _schur_exp(hv / n, n + theta - 1)
-    iu, ju = np.triu_indices(theta, 1)
-    top, numer, denom = -np.inf, 0.0, 0.0
-    for shapes in _shape_blocks(n, theta):
-        l = shapes + np.arange(theta - 1, -1, -1)
-        gaps = l[:, iu] - l[:, ju]
-        content = (shapes * (shapes - 1) // 2 - np.arange(theta) * shapes).sum(axis=1)
-        log_w = np.log(gaps).sum(axis=1) - log_fact[l].sum(axis=1)
-        log_w += (beta / n) * (content - math.comb(n, 2))
-        peak = log_w.max()
-        if peak > top:
-            numer, denom, top = numer * np.exp(top - peak), denom * np.exp(top - peak), peak
-        w = np.exp(log_w - top)
-        numer = numer + w @ schur(l)
-        denom = denom + w @ np.prod(gaps / (ju - iu), axis=1)
-    value = numer / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        schur = _schur_exp(hv / n, n + theta - 1)
+        iu, ju = np.triu_indices(theta, 1)
+        top, numer, denom = -np.inf, 0.0, 0.0
+        for shapes in _shape_blocks(n, theta):
+            l = shapes + np.arange(theta - 1, -1, -1)
+            gaps = l[:, iu] - l[:, ju]
+            content = (shapes * (shapes - 1) // 2 - np.arange(theta) * shapes).sum(axis=1)
+            log_w = np.log(gaps).sum(axis=1) - log_fact[l].sum(axis=1)
+            log_w += (beta / n) * (content - math.comb(n, 2))
+            peak = log_w.max()
+            if peak > top:
+                numer, denom, top = numer * np.exp(top - peak), denom * np.exp(top - peak), peak
+            w = np.exp(log_w - top)
+            numer = numer + w @ schur(l)
+            denom = denom + w @ np.prod(gaps / (ju - iu), axis=1)
+        value = numer / denom
     if not np.isfinite(value):
         raise ArithmeticError(f"interchange_expectation_exact is not finite at h = {hv}")
     return kind(value)

@@ -3,7 +3,8 @@
 Each function is an independent second route to a number an engine
 computes, or a closed form an engine's output converges to; no command-line
 path reaches any of them.  The sections follow the engine modules: spectra
-(big-integer table, dense eigensolves, Falk-Bruch chain), symfunc
+(big-integer table, Miller's recurrence in exact integers, dense
+eigensolves, Falk-Bruch chain), symfunc
 (partitions, Schur polynomials, characters), pd (the general determinant
 function R, spin closed forms, Ewens sampler), loops (pseudo-edge list, free
 configurations, loop tracer, PD comparison) and asymptotics (the inverse
@@ -30,7 +31,6 @@ from spinloops import spectra as _spectra
 from spinloops.asymptotics import SpinContext, eta, eta_prime, eta_second, magnetization
 from spinloops.loops import BAR, CROSS, LoopConfiguration, LoopSpectrum, batch_means_se
 from spinloops.loops import empty_configuration, observable_cosh
-from spinloops.spectra import GibbsValue
 from spinloops.pd import _MATH, _fields
 from spinloops.symfunc import _divided_powers, _schur_exp
 
@@ -39,7 +39,8 @@ DENSE_CAP = 6561    # largest (2S+1)^n for the dense oracle
 
 
 # ---------------------------------------------------------------------------
-# spectra: big-integer multiplicities, dense Gibbs oracle, Falk-Bruch chain
+# spectra: big-integer multiplicities, exact Miller route, dense Gibbs oracle,
+# Falk-Bruch chain
 # ---------------------------------------------------------------------------
 
 class CapExceededError(ValueError):
@@ -120,6 +121,37 @@ def irrep_spectrum(table: MultiplicityTable) -> IrrepSpectrum:
     return IrrepSpectrum(table.n, table.two_s, degs)
 
 
+def exact_half_row(n: int, two_s: int) -> list[int]:
+    """c_k = L_{k - S n, n}, k = 0..floor(n two_s / 2), by Miller's recurrence in exact integers.
+
+    The recurrence spectra._half_row runs on ratios in floating point,
+    k c_k = sum_{j=1}^{two_s} ((n+1) j - k) c_{k-j}, here on the integers
+    themselves; n two_s / 2 steps, so it reaches past multiplicity_table's cap.
+    """
+    c = [1]
+    for k in range(1, n * two_s // 2 + 1):
+        c.append(sum(((n + 1) * j - k) * c[k - j] for j in range(1, min(two_s, k) + 1)) // k)
+    return c
+
+
+def exact_log_degeneracies(n: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(two_j values, log d_J) for all sectors with d_J > 0, from exact_half_row.
+
+    A drop-in for spectra._log_degeneracies: d_J = c_k - c_{k-1} at
+    k = S n - J in exact integers, each log taken once.
+    """
+    width = n * two_s
+    c = exact_half_row(n, two_s)
+    two_js, logd = [], []
+    for two_j in range(width % 2, width + 1, 2):
+        k = (width - two_j) // 2
+        d = c[k] - (c[k - 1] if k else 0)
+        if d > 0:
+            two_js.append(two_j)
+            logd.append(math.log(d))
+    return np.array(two_js), np.array(logd)
+
+
 def _one_site_spin(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Sx, Sy, Sz) for a single spin S = two_s / 2."""
     dim = two_s + 1
@@ -163,7 +195,7 @@ def _dense_eig(n: int, two_s: int, delta: float):
 
 def dense_gibbs_oracle(
     n: int, two_s: int, beta: float, delta: float = 1.0, h: complex | float = 0.0
-) -> GibbsValue:
+) -> complex | float:
     """Brute-force Gibbs expectation of e^{(h/n) Sigma1} by dense eigensolves.
 
     Builds Sigma1, Sigma3 and Sigma^2 as Kronecker sums over one-site spin
@@ -186,7 +218,7 @@ def dense_gibbs_oracle(
         value = numer / denom
         if not isinstance(h, complex):
             value = float(np.real(value))
-    return GibbsValue(value)
+    return value
 
 
 def anisotropic_sector_sums_per_step(width: int, gamma: float, t: complex | float):

@@ -66,8 +66,8 @@ def test_criterion_02_oracle_equivalence():
             for delta in (1.0, 0.0, -1.0):
                 for beta in (0.5, 2.0, 4.0):
                     for h in (0.0, 1.0, 2.0):
-                        a = sp.heisenberg_expectation_exact(n, two_s, beta, delta, h).value
-                        b = oracles.dense_gibbs_oracle(n, two_s, beta, delta, h).value
+                        a = sp.heisenberg_expectation_exact(n, two_s, beta, delta, h)
+                        b = oracles.dense_gibbs_oracle(n, two_s, beta, delta, h)
                         assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), (n, two_s, beta, delta, h)
         assert rep.elapsed < 30.0
 
@@ -80,7 +80,7 @@ def test_criterion_03_isotropic_limit_convergence():
         limit = float(np.real(pd.sinhc(h * r.location)))
         gaps = []
         for n in (128, 256, 512, 1024, 2048):
-            v = sp.heisenberg_expectation_exact(n, 1, beta, 1.0, h).value
+            v = sp.heisenberg_expectation_exact(n, 1, beta, 1.0, h)
             gaps.append(abs(v - limit))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.02
@@ -94,7 +94,7 @@ def test_criterion_04_transverse_limit_convergence():
         limit = float(i0(h * m))
         gaps = []
         for n in (64, 128, 256, 512):
-            v = sp.heisenberg_expectation_exact(n, 1, beta, 0.0, h).value
+            v = sp.heisenberg_expectation_exact(n, 1, beta, 0.0, h)
             gaps.append(abs(v - limit))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.05
@@ -268,7 +268,7 @@ def test_criterion_10_interchange_cross_engine():
     with _report(10, "interchange: character sum vs spin-1/2 model and loop MCMC") as rep:
         for beta in (1.0, 2.0, 4.0):
             a = sf.interchange_expectation_exact(4, 2, beta, [0.5, -0.5])
-            b = sp.heisenberg_expectation_exact(4, 1, beta, 1.0, 1.0).value
+            b = sp.heisenberg_expectation_exact(4, 1, beta, 1.0, 1.0)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
         seeds = {(4, 2): 101, (4, 3): 103, (6, 2): 107, (6, 3): 109}
         hv_of = {2: [0.5, -0.5], 3: [1.0, 0.0, 0.0]}
@@ -292,7 +292,7 @@ def test_criterion_11_loop_mcmc_vs_quantum_oracle():
         n, beta, h = 4, 2.0, 1.0
         for u, seed in ((1.0, 211), (0.5, 223)):
             delta = 2.0 * u - 1.0
-            exact = sp.heisenberg_expectation_exact(n, 1, beta, delta, h).value
+            exact = sp.heisenberg_expectation_exact(n, 1, beta, delta, h)
             rng = np.random.default_rng(seed)
             _, stats = lp.mcmc_run(
                 n, 1, beta, u, 2.0, 200_000, rng,

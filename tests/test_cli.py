@@ -97,7 +97,6 @@ def test_exact_interchange_large_field_limit(capsys):
     assert limit == pytest.approx(5.3774e13, rel=1e-4)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exact_interchange_overflow_is_a_numeric_failure(capsys):
     # Schur values overflow near max|h| = 700: exit 3 with no rows
     rc = main(["exact", "--model", "interchange", "--n", "60", "--theta", "3",
@@ -105,6 +104,16 @@ def test_exact_interchange_overflow_is_a_numeric_failure(capsys):
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("model, h", [("heisenberg", "5000"), ("xy", "5000"), ("interchange", "8000,0,0")])
+def test_exact_overflow_is_one_error_line(capsys, model, h):
+    # the sector and character sums overflow; the suite turns a RuntimeWarning into
+    # an error, so a warning on the way to the engine's ArithmeticError fails here
+    rc = main(["exact", "--model", model, "--n", "10", "--beta", "3", "--h", h])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_exact_xy_model(capsys):

@@ -33,8 +33,8 @@ def _r_two_level(hv):
 
 # engine -> (takes a vector of three fields, evaluator)
 ENGINES = {
-    "heisenberg_delta_1": (False, lambda h: spectra.heisenberg_expectation_exact(12, 1, 2.0, 1.0, h).value),
-    "heisenberg_delta_0": (False, lambda h: spectra.heisenberg_expectation_exact(12, 1, 2.0, 0.0, h).value),
+    "heisenberg_delta_1": (False, lambda h: spectra.heisenberg_expectation_exact(12, 1, 2.0, 1.0, h)),
+    "heisenberg_delta_0": (False, lambda h: spectra.heisenberg_expectation_exact(12, 1, 2.0, 0.0, h)),
     "pd_cosh_series": (False, lambda h: pd.pd_cosh_series(3.0, h)),
     "sinhc": (False, pd.sinhc),
     "interchange_expectation_exact": (True, lambda hv: symfunc.interchange_expectation_exact(8, 3, 2.0, hv)),
