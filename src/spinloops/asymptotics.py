@@ -17,8 +17,10 @@ theta >= 3, solves beta z(u) = u in u = log(x_1/x_2) past the peak of
 beta z(u) - u, compared against the uniform point.
 
 Conventions:
-  * half-integer spins are carried as doubled integers (two_s = 2S),
-  * theta = 2S + 1 is the number of one-site levels,
+  * the spin-S functions take S as the doubled integer two_s = 2S >= 1, as
+    spectra and loops do,
+  * the interchange functions take theta = 2S + 1 >= 2, the number of
+    one-site levels, as symfunc and pd do,
   * all functions are pure; no shared mutable state.
 """
 
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "SpinContext",
     "MaximizerResult",
     "ExponentFit",
     "beta_critical",
@@ -67,25 +68,6 @@ _LOG_SINHC_C = tuple(c / (2 * k) for k, c in enumerate(_LANGEVIN_C, 1))  # the i
 _CLASSICAL_VALUE_C = tuple(a - 0.5 * c for a, c in zip(_LOG_SINHC_C, _LANGEVIN_C))[1:]
 
 
-@dataclass(frozen=True)
-class SpinContext:
-    """Spin quantum number S stored as the integer two_s = 2S."""
-
-    two_s: int
-
-    def __post_init__(self):
-        if self.two_s < 1:
-            raise ValueError(f"two_s must be a positive integer, got {self.two_s}")
-
-    @property
-    def theta(self) -> int:
-        return self.two_s + 1
-
-    @property
-    def spin(self) -> float:
-        return 0.5 * self.two_s
-
-
 @dataclass
 class MaximizerResult:
     """Location/value/curvature of a scalar free-energy maximum.
@@ -110,9 +92,11 @@ class ExponentFit:
     r_squared: float
 
 
-def beta_critical(ctx: SpinContext) -> float:
+def beta_critical(two_s: int) -> float:
     """Inverse critical temperature (3/2)/(S(S+1)) of the Heisenberg model."""
-    s = ctx.spin
+    if two_s < 1:
+        raise ValueError(f"two_s must be a positive integer, got {two_s}")
+    s = 0.5 * two_s
     return 1.5 / (s * s + s)
 
 
@@ -159,27 +143,27 @@ def _langevin_prime(t: float) -> float:
     return 1.0 / (a * a) - c * (c + 2.0)
 
 
-def eta(x: float, ctx: SpinContext) -> float:
+def eta(x: float, two_s: int) -> float:
     """log( sinh((2S+1)x/2) / sinh(x/2) ); eta(0) = log(2S+1).
 
     From a = |x| = 1 on it is S a + log1p(-e^{-theta a}) - log1p(-e^{-a}),
     whose two small terms carry no rounding error of S a.
     """
-    th = ctx.theta
+    th = two_s + 1
     a = abs(x)
     if a < 1.0:
         return math.log(th) + _log_sinhc(0.5 * th * x) - _log_sinhc(0.5 * x)
-    return ctx.spin * a + math.log1p(-math.exp(-th * a)) - math.log1p(-math.exp(-a))
+    return 0.5 * two_s * a + math.log1p(-math.exp(-th * a)) - math.log1p(-math.exp(-a))
 
 
-def eta_prime(x: float, ctx: SpinContext) -> float:
+def eta_prime(x: float, two_s: int) -> float:
     """d eta/dx; odd, increasing from -S to S.
 
     From a = |x| = 1 on it is S - c(a/2)/2 + theta c(theta a/2)/2, c = coth - 1
     (_coth_excess), which never exceeds S and keeps S - eta' to full
     relative precision.
     """
-    th = ctx.theta
+    th = two_s + 1
     a = abs(x)
     if a < 1.0:
         return 0.5 * th * _langevin(0.5 * th * x) - 0.5 * _langevin(0.5 * x)
@@ -187,7 +171,7 @@ def eta_prime(x: float, ctx: SpinContext) -> float:
     return math.copysign(0.5 * (th - 1) - gap, x)
 
 
-def eta_second(x: float, ctx: SpinContext) -> float:
+def eta_second(x: float, two_s: int) -> float:
     """d^2 eta/dx^2; even, maximal at 0 where it equals (theta^2-1)/12.
 
     Equals 1/(4 sinh^2(x/2)) - theta^2/(4 sinh^2(theta x/2)): the 1/x^2 poles
@@ -196,7 +180,7 @@ def eta_second(x: float, ctx: SpinContext) -> float:
     difference of the two Langevin derivatives cancels mildly at most.
     Strictly positive until e^{-|x|} underflows (|x| > 745).
     """
-    th = ctx.theta
+    th = two_s + 1
     a = abs(x)
     if a < 1.0:
         return 0.25 * th * th * _langevin_prime(0.5 * th * a) - 0.25 * _langevin_prime(0.5 * a)
@@ -270,34 +254,34 @@ def _mean_field(value, d, d_prime, beta: float, h: float, upper: float, beta_c: 
     return MaximizerResult(m, value(x, m), curv, iters)
 
 
-def _eta_mean_field(beta: float, h: float, ctx: SpinContext) -> MaximizerResult:
-    value = lambda x, m: eta(x, ctx) - m * x + beta * m * m
-    fns = (value, lambda x: eta_prime(x, ctx), lambda x: eta_second(x, ctx))
-    return _mean_field(*fns, beta, h, ctx.spin, beta_critical(ctx))
+def _eta_mean_field(beta: float, h: float, two_s: int) -> MaximizerResult:
+    value = lambda x, m: eta(x, two_s) - m * x + beta * m * m
+    fns = (value, lambda x: eta_prime(x, two_s), lambda x: eta_second(x, two_s))
+    return _mean_field(*fns, beta, h, 0.5 * two_s, beta_critical(two_s))
 
 
-def m_star(beta: float, ctx: SpinContext) -> MaximizerResult:
+def m_star(beta: float, two_s: int) -> MaximizerResult:
     """Maximiser of g_beta on [0, S]; zero iff beta <= beta_critical.
 
     m* = eta'(x*) at the root of x = 2 beta eta'(x) (see _mean_field), with
     curvature g_beta''(m*) = 2 beta - 1/eta''(x*).
     """
-    return _eta_mean_field(beta, 0.0, ctx)
+    return _eta_mean_field(beta, 0.0, two_s)
 
 
-def magnetization(beta: float, h: float, ctx: SpinContext) -> float:
+def magnetization(beta: float, h: float, two_s: int) -> float:
     """argmax of g_beta(m) + h m on [0, S]: m = eta'(x) at the root of x = 2 beta eta'(x) + h.
 
     The root is unique (see _mean_field); at h = 0 it is m_star.
     """
     if h < 0.0:
         raise ValueError("magnetization is defined for h >= 0")
-    return _eta_mean_field(beta, h, ctx).location
+    return _eta_mean_field(beta, h, two_s).location
 
 
-def susceptibility(beta: float, ctx: SpinContext) -> float:
+def susceptibility(beta: float, two_s: int) -> float:
     """Zero-field susceptibility 1/(2 (beta_c - beta)) for beta < beta_c."""
-    bc = beta_critical(ctx)
+    bc = beta_critical(two_s)
     if beta >= bc:
         raise ValueError(f"closed-form susceptibility needs beta < beta_c = {bc}")
     return 1.0 / (2.0 * (bc - beta))
@@ -332,12 +316,13 @@ def fit_exponent(samples: list[tuple[float, float]]) -> ExponentFit:
 # Interchange model: simplex functional and its one-parameter family
 # ---------------------------------------------------------------------------
 
-def interchange_beta_critical(ctx: SpinContext) -> float:
-    """beta_c(S) = 4S/(2S-1) log(2S); 2 at S = 1/2, its limit and beta_critical there."""
-    two_s = ctx.two_s
-    if two_s == 1:
+def interchange_beta_critical(theta: int) -> float:
+    """beta_c = 2(theta-1)/(theta-2) log(theta-1); 2 at theta = 2, its limit and beta_critical there."""
+    if theta < 2:
+        raise ValueError(f"theta must be an integer >= 2, got {theta}")
+    if theta == 2:
         return 2.0
-    return 2.0 * two_s / (two_s - 1) * math.log(two_s)
+    return 2.0 * (theta - 1) / (theta - 2) * math.log(theta - 1)
 
 
 def _phi_family(x1: float, x2: float, beta: float, theta: int) -> float:
@@ -353,7 +338,7 @@ def _phi_family(x1: float, x2: float, beta: float, theta: int) -> float:
     return -a * (beta + math.log(x2) - 0.5 * beta * theta * x2) - x1 * math.log1p(-a)
 
 
-def interchange_maximizer(beta: float, ctx: SpinContext) -> MaximizerResult:
+def interchange_maximizer(beta: float, theta: int) -> MaximizerResult:
     """Maximiser of phi_beta restricted to the one-parameter family.
 
     The remaining theta-1 entries are equal by the uniqueness of the
@@ -367,23 +352,24 @@ def interchange_maximizer(beta: float, ctx: SpinContext) -> MaximizerResult:
     1e-13.  `location` is x_1* in [1/theta, 1] and `z_star` is z*; the
     curvature d^2 phi/dx_1^2 is -inf once x_2* underflows to 0.
     """
-    th = ctx.theta
-    x1 = x2 = 1.0 / th
+    if theta < 2:
+        raise ValueError(f"theta must be an integer >= 2, got {theta}")
+    x1 = x2 = 1.0 / theta
     z, iters = 0.0, 0
-    val = math.log(th) - 0.5 * beta * (th - 1) / th
-    bt = beta * th
-    if bt >= 4.0 * (th - 1):
-        u_peak = math.log(0.5 * (bt - 2.0 * (th - 1) + math.sqrt(bt * (bt - 4.0 * (th - 1)))))
-        g = lambda u: -beta * math.expm1(-u) / (1.0 + (th - 1) * math.exp(-u)) - u
+    val = math.log(theta) - 0.5 * beta * (theta - 1) / theta
+    bt = beta * theta
+    if bt >= 4.0 * (theta - 1):
+        u_peak = math.log(0.5 * (bt - 2.0 * (theta - 1) + math.sqrt(bt * (bt - 4.0 * (theta - 1)))))
+        g = lambda u: -beta * math.expm1(-u) / (1.0 + (theta - 1) * math.exp(-u)) - u
         if g(u_peak) > 0.0:
             u, iters = _brent(g, u_peak, beta)
-            q = 1.0 + (th - 1) * math.exp(-u)
+            q = 1.0 + (theta - 1) * math.exp(-u)
             y2 = math.exp(-u) / q
-            y1 = 1.0 - (th - 1) * y2
-            val_u = _phi_family(y1, y2, beta, th)
+            y1 = 1.0 - (theta - 1) * y2
+            val_u = _phi_family(y1, y2, beta, theta)
             if val_u > val + 1e-13:
                 x1, x2, z, val = y1, y2, -math.expm1(-u) / q, val_u
-    curv = beta * th / (th - 1) - 1.0 / x1 - 1.0 / ((th - 1) * x2) if x2 > 0.0 else -math.inf
+    curv = beta * theta / (theta - 1) - 1.0 / x1 - 1.0 / ((theta - 1) * x2) if x2 > 0.0 else -math.inf
     return MaximizerResult(x1, val, curv, iters, z_star=z)
 
 

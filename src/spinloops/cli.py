@@ -58,8 +58,8 @@ def _float_repr(x) -> str:
     return repr(float(x))
 
 
-def _heisenberg_limit(beta: float, h: float, delta: float, ctx) -> float:
-    m = asymptotics.m_star(beta, ctx).location
+def _heisenberg_limit(beta: float, h: float, delta: float, two_s: int) -> float:
+    m = asymptotics.m_star(beta, two_s).location
     return pd.sinhc(h * m) if delta == 1.0 else float(np.i0(h * m))
 
 
@@ -75,9 +75,8 @@ def cmd_exact(args) -> int:
         delta = 1.0 if args.model == "heisenberg" else args.delta
         if args.model == "xy" and not -1.0 <= delta < 1.0:
             raise UsageError("the xy model needs --delta in [-1, 1)")
-        ctx = asymptotics.SpinContext(args.spin)
         exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h)
-        limit = _heisenberg_limit(args.beta, h, delta, ctx)
+        limit = _heisenberg_limit(args.beta, h, delta, args.spin)
     else:
         hvec = args.h
         if args.theta < 2:
@@ -85,8 +84,7 @@ def cmd_exact(args) -> int:
         if len(hvec) != args.theta:
             raise UsageError(f"interchange needs {args.theta} comma-separated fields")
         exact = symfunc.interchange_expectation_exact(args.n, args.theta, args.beta, hvec)
-        ctx = asymptotics.SpinContext(args.theta - 1)
-        z = asymptotics.interchange_maximizer(args.beta, ctx).z_star
+        z = asymptotics.interchange_maximizer(args.beta, args.theta).z_star
         # R(h; x*) at the two-level maximiser x* = (z + y, y, .., y), y = (1 - z)/theta
         limit = math.exp((1.0 - z) * sum(hvec) / args.theta) * pd.pd_q_expectation_exact(args.theta, hvec, z)
     rows = [{"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)}]
@@ -210,23 +208,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_exponents(args) -> int:
-    ctx = asymptotics.SpinContext(args.spin)
-    bc = asymptotics.beta_critical(ctx)
+    bc = asymptotics.beta_critical(args.spin)
     which = args.which
     rows = []
     # ascending grids: fit_exponent sums in the order given, and this order keeps the printed digits
     deltas = [10.0**-k for k in range(4, 0, -1)]  # 1e-4 .. 1e-1
     if which in ("magnetization", "all"):
-        pts = [(d, asymptotics.m_star(bc + d, ctx).location) for d in deltas]
+        pts = [(d, asymptotics.m_star(bc + d, args.spin).location) for d in deltas]
         fit = asymptotics.fit_exponent(pts)
         rows.append(("magnetization", 0.5, fit))
     if which in ("susceptibility", "all"):
-        pts = [(d, asymptotics.susceptibility(bc - d, ctx)) for d in deltas]
+        pts = [(d, asymptotics.susceptibility(bc - d, args.spin)) for d in deltas]
         fit = asymptotics.fit_exponent(pts)
         rows.append(("susceptibility", -1.0, fit))
     if which in ("critical-isotherm", "transverse", "all"):
         hs = [10.0**-k for k in range(6, 2, -1)]  # 1e-6 .. 1e-3
-        mags = [(h, asymptotics.magnetization(bc, h, ctx)) for h in hs]
+        mags = [(h, asymptotics.magnetization(bc, h, args.spin)) for h in hs]
     if which in ("critical-isotherm", "all"):
         fit = asymptotics.fit_exponent(mags)
         rows.append(("critical-isotherm", 1.0 / 3.0, fit))
@@ -253,21 +250,21 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_maximize(args) -> int:
-    ctx = asymptotics.SpinContext(args.spin)
     if args.model == "heisenberg":
-        print(f"# beta_c = {_float_repr(asymptotics.beta_critical(ctx))}")
+        print(f"# beta_c = {_float_repr(asymptotics.beta_critical(args.spin))}")
         print("beta,m_star,value,second_derivative")
         for b in args.beta_grid:
-            r = asymptotics.m_star(b, ctx)
+            r = asymptotics.m_star(b, args.spin)
             print(
                 f"{_float_repr(b)},{_float_repr(r.location)},{_float_repr(r.value)},"
                 f"{_float_repr(r.second_derivative)}"
             )
     elif args.model == "interchange":
-        print(f"# beta_c = {_float_repr(asymptotics.interchange_beta_critical(ctx))}")
+        theta = args.spin + 1  # args.spin is 2S; theta = 2S + 1
+        print(f"# beta_c = {_float_repr(asymptotics.interchange_beta_critical(theta))}")
         print("beta,x1_star,z_star,value")
         for b in args.beta_grid:
-            r = asymptotics.interchange_maximizer(b, ctx)
+            r = asymptotics.interchange_maximizer(b, theta)
             print(
                 f"{_float_repr(b)},{_float_repr(r.location)},{_float_repr(r.z_star)},"
                 f"{_float_repr(r.value)}"

@@ -234,7 +234,10 @@ def heisenberg_expectation_exact(
     (_half_row), accurate in every sector, so Delta = 1 costs O(n 2S) in all.
 
     Delta = 1: each sector contributes the character sum
-    sinh((2J+1) h / 2n) / sinh(h / 2n), one array expression over sectors.
+    sinh((2J+1) h / 2n) / sinh(h / 2n), one array expression over sectors,
+    taken as e^{2Ja} expm1(-2(2J+1)a) / expm1(-2a) with a = +-h/2n, Re a >= 0.
+    Its factor e^{2J Re a} is added to the log weights, so no character
+    overflows in a sector whose weight is negligible.
 
     Delta < 1: the weight e^{-(1-Delta)(beta/n) M^2} breaks the rotation
     symmetry, so each sector contributes the weighted diagonal of
@@ -256,8 +259,12 @@ def heisenberg_expectation_exact(
     at n = 2.5 10^5 and 1.8 s at 10^6 for beta = beta_c (2-core x86_64).
 
     All sector sums subtract a common maximum exponent before exponentiating.
-    Raises ArithmeticError where the sum is not finite (at Delta = 1 the top
-    sector's character overflows once S |Re h| passes about 710).
+    Raises ArithmeticError where the sum is not finite.  At Delta = 1 that
+    is once the value overflows, or a little earlier once e^c does, c the
+    largest log weight with e^{2J Re a} in it (at n = 1000, beta = 3,
+    S = 1/2 the value overflows from h = 1527 and the sum refuses from
+    h = 1511).  The Delta < 1 sum refuses where the top sector's diagonal
+    overflows, once S |Re h| passes about 710, even where the value is finite.
     """
     if n < 1 or two_s < 1:
         raise ValueError("need n >= 1 and two_s >= 1")
@@ -273,12 +280,15 @@ def heisenberg_expectation_exact(
     log_w = logd + (beta / n) * jj1
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         if delta == 1.0:
-            weights = np.exp(log_w - log_w.max())
-            if abs(h) / (2.0 * n) < 1e-150:
-                chars = two_js + 1.0
-            else:
-                chars = np.sinh((two_js + 1.0) * (h / (2.0 * n))) / np.sinh(h / (2.0 * n))
-            value = np.dot(weights, chars) / np.dot(weights, two_js + 1.0)
+            log_w -= log_w.max()
+            a = h / (2.0 * n)
+            a = -a if a.real < 0.0 else a  # the character is even in h
+            e = log_w + two_js * a  # each character's factor e^{2Ja} joins its log weight
+            c = e.real.max()
+            top = e.real - c > -746.0  # e^{e - c} underflows to 0 elsewhere
+            js = two_js[top]
+            ratio = js + 1.0 if abs(a) < 1e-150 else np.expm1(-2.0 * (js + 1.0) * a) / np.expm1(-2.0 * a)
+            value = np.dot(np.exp(e[top] - c), ratio) / np.dot(np.exp(log_w), two_js + 1.0) * np.exp(c)
         else:
             width = n * two_s
             gamma, t = (1.0 - delta) * beta / n, h / n

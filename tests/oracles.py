@@ -28,7 +28,7 @@ import numpy as np
 from spinloops import asymptotics as _asy
 from spinloops import pd as _pd
 from spinloops import spectra as _spectra
-from spinloops.asymptotics import SpinContext, eta, eta_prime, eta_second, magnetization
+from spinloops.asymptotics import eta, eta_prime, eta_second, magnetization
 from spinloops.loops import BAR, CROSS, LoopConfiguration, LoopSpectrum, batch_means_se
 from spinloops.loops import empty_configuration, observable_cosh
 from spinloops.pd import _MATH, _fields
@@ -896,55 +896,55 @@ def pd_comparison(
 # multiplicities, pressure, phi_beta
 # ---------------------------------------------------------------------------
 
-def x_star(m: float, ctx: SpinContext) -> float:
+def x_star(m: float, two_s: int) -> float:
     """Unique solution x of eta'(x) = m, for |m| < S (eta' is odd and increasing).
 
     Brent's root (asymptotics._brent, looked up at call time) to relative
     precision 1e-15 on [0, hi], hi doubled from 1.
     """
-    s = ctx.spin
+    s = 0.5 * two_s
     if not abs(m) < s:
         raise ValueError(f"x_star requires |m| < S = {s}, got m = {m}")
     if m == 0.0:
         return 0.0
     target, hi = abs(m), 1.0
-    while eta_prime(hi, ctx) <= target:
+    while eta_prime(hi, two_s) <= target:
         hi *= 2.0
         if hi > 1e16:  # unreachable for |m| < S in floating point
             raise ArithmeticError("inverse bracket growth failed")
-    return math.copysign(_asy._brent(lambda x: eta_prime(x, ctx) - target, 0.0, hi)[0], m)
+    return math.copysign(_asy._brent(lambda x: eta_prime(x, two_s) - target, 0.0, hi)[0], m)
 
 
-def g_beta(m: float, beta: float, ctx: SpinContext) -> float:
+def g_beta(m: float, beta: float, two_s: int) -> float:
     """Free-energy profile eta(x*(m)) - m x*(m) + beta m^2 on [-S, S]; beta S^2 at |m| = S."""
-    if abs(m) == ctx.spin:
+    if abs(m) == 0.5 * two_s:
         return beta * m * m
-    x = x_star(m, ctx)
-    return eta(x, ctx) - m * x + beta * m * m
+    x = x_star(m, two_s)
+    return eta(x, two_s) - m * x + beta * m * m
 
 
-def saddle_multiplicity(n: int, m: float, ctx: SpinContext) -> float:
+def saddle_multiplicity(n: int, m: float, two_s: int) -> float:
     """log of the saddle-point approximation to L_{floor(mn)} - L_{floor(mn)+1}.
 
     The approximation is (1 - e^{-x*(m)}) / sqrt(2 pi eta''(x*(m)) n) times
     e^{n (eta(x*(m)) - m x*(m))}; it degenerates at m = 0 where the prefactor
     vanishes.
     """
-    s = ctx.spin
+    s = 0.5 * two_s
     if not 0.0 < m < s:
         raise ValueError(f"saddle asymptotics require m in (0, S), got m = {m}")
-    x = x_star(m, ctx)
+    x = x_star(m, two_s)
     pref = -math.expm1(-x)  # 1 - e^{-x} > 0 for m > 0
-    log_prefactor = math.log(pref) - 0.5 * math.log(2.0 * math.pi * eta_second(x, ctx) * n)
-    return log_prefactor + n * (eta(x, ctx) - m * x)
+    log_prefactor = math.log(pref) - 0.5 * math.log(2.0 * math.pi * eta_second(x, two_s) * n)
+    return log_prefactor + n * (eta(x, two_s) - m * x)
 
 
-def pressure(beta: float, h: float, ctx: SpinContext) -> float:
+def pressure(beta: float, h: float, two_s: int) -> float:
     """max over m in [0, S] of g_beta(m) + h m (h >= 0)."""
     if h < 0.0:
         raise ValueError("pressure is defined for h >= 0")
-    m = magnetization(beta, h, ctx)
-    return g_beta(m, beta, ctx) + h * m
+    m = magnetization(beta, h, two_s)
+    return g_beta(m, beta, two_s) + h * m
 
 
 def phi_beta(x, beta: float) -> float:

@@ -24,8 +24,9 @@ from spinloops import symfunc as sf
 
 import oracles
 
-HALF = asy.SpinContext(1)
-ONE = asy.SpinContext(2)
+# two_s = 2S
+HALF = 1
+ONE = 2
 
 
 def _report(number, description):
@@ -118,20 +119,20 @@ def test_criterion_05_saddle_point_asymptotics():
 
 def test_criterion_06_critical_exponents():
     with _report(6, "critical exponents 1/2, -1, 1/3, -2/3 for S in {1/2, 1}") as rep:
-        for ctx in (HALF, ONE):
-            bc = asy.beta_critical(ctx)
+        for two_s in (HALF, ONE):
+            bc = asy.beta_critical(two_s)
             deltas = (1e-1, 1e-2, 1e-3, 1e-4)
-            fit = asy.fit_exponent([(d, asy.m_star(bc + d, ctx).location) for d in deltas])
+            fit = asy.fit_exponent([(d, asy.m_star(bc + d, two_s).location) for d in deltas])
             assert abs(fit.exponent - 0.5) < 0.05
-            fit = asy.fit_exponent([(d, asy.susceptibility(bc - d, ctx)) for d in deltas])
+            fit = asy.fit_exponent([(d, asy.susceptibility(bc - d, two_s)) for d in deltas])
             assert abs(fit.exponent + 1.0) < 0.05
             # finite-difference cross-check of the closed-form susceptibility
             for d in (1e-1, 1e-2):
                 eps = 1e-7
-                fd = asy.magnetization(bc - d, eps, ctx) / eps
-                assert fd == pytest.approx(asy.susceptibility(bc - d, ctx), rel=1e-3)
+                fd = asy.magnetization(bc - d, eps, two_s) / eps
+                assert fd == pytest.approx(asy.susceptibility(bc - d, two_s), rel=1e-3)
             hs = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-            mags = [(h, asy.magnetization(bc, h, ctx)) for h in hs]
+            mags = [(h, asy.magnetization(bc, h, two_s)) for h in hs]
             fit = asy.fit_exponent(mags)
             assert abs(fit.exponent - 1.0 / 3.0) < 0.05
             fit = asy.fit_exponent([(h, m / h) for h, m in mags])
@@ -320,7 +321,7 @@ def test_criterion_13_simplex_grid_vs_family():
     with _report(13, "simplex functional: no off-family maximum (1/200 grid)") as rep:
         resolution = 200
         for beta in (2.0, 3.0, 4.0):
-            family = asy.interchange_maximizer(beta, ONE).value
+            family = asy.interchange_maximizer(beta, 3).value
             best = -math.inf
             for a in range(resolution, -1, -1):
                 for b in range(min(a, resolution - a), -1, -1):

@@ -10,9 +10,10 @@ from spinloops import asymptotics as asy
 
 import oracles
 
-HALF = asy.SpinContext(1)
-ONE = asy.SpinContext(2)
-THREE_HALVES = asy.SpinContext(3)
+# two_s = 2S
+HALF = 1
+ONE = 2
+THREE_HALVES = 3
 
 
 def grid_scan_max(f, lo, hi, n_coarse=4000):
@@ -36,48 +37,47 @@ def grid_scan_max(f, lo, hi, n_coarse=4000):
 
 
 def test_eta_at_zero():
-    for ctx in (HALF, ONE, THREE_HALVES):
-        assert asy.eta(0.0, ctx) == pytest.approx(math.log(ctx.theta), abs=1e-15)
-        assert asy.eta_prime(0.0, ctx) == 0.0
+    for two_s in (HALF, ONE, THREE_HALVES):
+        assert asy.eta(0.0, two_s) == pytest.approx(math.log(two_s + 1), abs=1e-15)
+        assert asy.eta_prime(0.0, two_s) == 0.0
 
 
 def test_eta_prime_saturates():
-    for ctx in (HALF, ONE, THREE_HALVES):
-        assert asy.eta_prime(80.0, ctx) == pytest.approx(ctx.spin, abs=1e-12)
-        assert asy.eta_prime(-80.0, ctx) == pytest.approx(-ctx.spin, abs=1e-12)
+    for two_s in (HALF, ONE, THREE_HALVES):
+        assert asy.eta_prime(80.0, two_s) == pytest.approx(0.5 * two_s, abs=1e-12)
+        assert asy.eta_prime(-80.0, two_s) == pytest.approx(-0.5 * two_s, abs=1e-12)
     # never past S in floating point: m* = eta'(x*) must stay in [0, S]
     xs = [10.0 ** (k / 100) for k in range(301)]  # log grid, 1 .. 1000
     for two_s in (1, 2, 3, 5, 9):
-        ctx = asy.SpinContext(two_s)
-        assert all(asy.eta_prime(x, ctx) <= ctx.spin for x in xs)
+        assert all(asy.eta_prime(x, two_s) <= 0.5 * two_s for x in xs)
 
 
 def test_eta_even_and_direct_formula():
     # compare against the raw sinh-ratio definition where it is safe
-    for ctx in (HALF, ONE):
+    for two_s in (HALF, ONE):
         for x in (0.5, 1.0, 3.0, 10.0):
-            raw = math.log(math.sinh(ctx.theta * x / 2) / math.sinh(x / 2))
-            assert asy.eta(x, ctx) == pytest.approx(raw, rel=1e-13)
-            assert asy.eta(-x, ctx) == pytest.approx(raw, rel=1e-13)
+            raw = math.log(math.sinh((two_s + 1) * x / 2) / math.sinh(x / 2))
+            assert asy.eta(x, two_s) == pytest.approx(raw, rel=1e-13)
+            assert asy.eta(-x, two_s) == pytest.approx(raw, rel=1e-13)
 
 
 def test_eta_derivatives_by_finite_differences():
     # x values keep the stencil clear of the series/direct switch, where the
     # direct sinh-ratio branch carries its inherent ~1e-13 cancellation noise
     eps = 1e-6
-    for ctx in (HALF, THREE_HALVES):
+    for two_s in (HALF, THREE_HALVES):
         for x in (0.0004, 0.5, 4.0):
-            fd1 = (asy.eta(x + eps, ctx) - asy.eta(x - eps, ctx)) / (2 * eps)
-            assert asy.eta_prime(x, ctx) == pytest.approx(fd1, abs=2e-9)
-            fd2 = (asy.eta_prime(x + eps, ctx) - asy.eta_prime(x - eps, ctx)) / (2 * eps)
-            assert asy.eta_second(x, ctx) == pytest.approx(fd2, abs=2e-9)
+            fd1 = (asy.eta(x + eps, two_s) - asy.eta(x - eps, two_s)) / (2 * eps)
+            assert asy.eta_prime(x, two_s) == pytest.approx(fd1, abs=2e-9)
+            fd2 = (asy.eta_prime(x + eps, two_s) - asy.eta_prime(x - eps, two_s)) / (2 * eps)
+            assert asy.eta_second(x, two_s) == pytest.approx(fd2, abs=2e-9)
 
 
 def test_eta_second_positive_on_log_grid():
-    for ctx in (HALF, ONE, THREE_HALVES, asy.SpinContext(5)):
+    for two_s in (HALF, ONE, THREE_HALVES, 5):
         for k in range(241):
             x = 1e-6 * 7e8 ** (k / 240)  # log grid, 1e-6 .. 700
-            assert asy.eta_second(x, ctx) > 0.0, (ctx.two_s, x)
+            assert asy.eta_second(x, two_s) > 0.0, (two_s, x)
 
 
 def test_eta_second_against_mpmath():
@@ -88,13 +88,13 @@ def test_eta_second_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for two_s in (1, 2, 3, 5):
-            ctx, th = asy.SpinContext(two_s), two_s + 1
+            th = two_s + 1
             for k in range(0, 121, 3):
                 x = 1e-6 * 7e8 ** (k / 120)  # log grid, 1e-6 .. 700
                 xm = mpmath.mpf(x)
                 ref = (0.25 / mpmath.sinh(xm / 2) ** 2
                        - 0.25 * th**2 / mpmath.sinh(th * xm / 2) ** 2)
-                rel = abs((asy.eta_second(x, ctx) - ref) / ref)
+                rel = abs((asy.eta_second(x, two_s) - ref) / ref)
                 assert rel < 2e-15, (two_s, x, float(rel))
 
 
@@ -104,12 +104,12 @@ def test_eta_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for two_s in (1, 2, 3, 5):
-            ctx, th = asy.SpinContext(two_s), two_s + 1
+            th = two_s + 1
             for k in range(0, 121, 3):
                 x = 1e-6 * 7e8 ** (k / 120)
                 xm = mpmath.mpf(x)
                 ref = mpmath.log(mpmath.sinh(th * xm / 2) / mpmath.sinh(xm / 2))
-                assert abs((asy.eta(x, ctx) - ref) / ref) < 5e-16, (two_s, x)
+                assert abs((asy.eta(x, two_s) - ref) / ref) < 5e-16, (two_s, x)
 
 
 def test_heisenberg_half_maximum_at_large_beta_against_mpmath():
@@ -156,15 +156,15 @@ def test_log_sinhc_against_mpmath():
 
 
 def test_x_star_inverts_eta_prime():
-    for ctx in (HALF, ONE, THREE_HALVES):
-        s = ctx.spin
+    for two_s in (HALF, ONE, THREE_HALVES):
+        s = 0.5 * two_s
         for frac in (0.05, 0.3, 0.7, 0.95):
             m = frac * s
-            x = oracles.x_star(m, ctx)
-            assert asy.eta_prime(x, ctx) == pytest.approx(m, abs=1e-12)
+            x = oracles.x_star(m, two_s)
+            assert asy.eta_prime(x, two_s) == pytest.approx(m, abs=1e-12)
         # identity in the other direction
         for x in (0.02, 0.4, 2.0, 8.0):
-            assert oracles.x_star(asy.eta_prime(x, ctx), ctx) == pytest.approx(x, abs=1e-10)
+            assert oracles.x_star(asy.eta_prime(x, two_s), two_s) == pytest.approx(x, abs=1e-10)
 
 
 def test_x_star_odd_and_zero():
@@ -174,9 +174,9 @@ def test_x_star_odd_and_zero():
 
 
 def test_x_star_slope_at_zero():
-    for ctx in (HALF, ONE, THREE_HALVES):
-        s = ctx.spin
-        fd = (oracles.x_star(1e-6, ctx) - oracles.x_star(-1e-6, ctx)) / 2e-6
+    for two_s in (HALF, ONE, THREE_HALVES):
+        s = 0.5 * two_s
+        fd = (oracles.x_star(1e-6, two_s) - oracles.x_star(-1e-6, two_s)) / 2e-6
         assert fd == pytest.approx(3.0 / (s * s + s), abs=1e-6)
 
 
@@ -199,15 +199,27 @@ def test_g_closed_form_spin_half():
 
 
 def test_g_at_zero():
-    for ctx in (HALF, ONE):
-        assert oracles.g_beta(0.0, 1.7, ctx) == pytest.approx(math.log(ctx.theta), abs=1e-14)
-        fd = (oracles.g_beta(1e-7, 1.7, ctx) - oracles.g_beta(0.0, 1.7, ctx)) / 1e-7
+    for two_s in (HALF, ONE):
+        assert oracles.g_beta(0.0, 1.7, two_s) == pytest.approx(math.log(two_s + 1), abs=1e-14)
+        fd = (oracles.g_beta(1e-7, 1.7, two_s) - oracles.g_beta(0.0, 1.7, two_s)) / 1e-7
         assert abs(fd) < 1e-5
 
 
 def test_beta_critical():
     assert asy.beta_critical(HALF) == pytest.approx(2.0)
     assert asy.beta_critical(ONE) == pytest.approx(0.75)
+
+
+def test_spin_and_theta_below_their_least_values_raise():
+    # two_s = 2S >= 1 on the spin side, theta = 2S + 1 >= 2 on the interchange side
+    for call in (
+        lambda: asy.beta_critical(0),
+        lambda: asy.m_star(3.0, 0),
+        lambda: asy.interchange_beta_critical(1),
+        lambda: asy.interchange_maximizer(4.0, 1),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_m_star_transition():
@@ -232,13 +244,14 @@ def test_m_star_monotone_in_beta():
         prev = cur
 
 
-@pytest.mark.parametrize("ctx", [HALF, ONE])
-def test_stationarity_at_interior_maxima(ctx):
-    bc = asy.beta_critical(ctx)
+# explicit ids keep these cases' test ids stable
+@pytest.mark.parametrize("two_s", [HALF, ONE], ids=["ctx0", "ctx1"])
+def test_stationarity_at_interior_maxima(two_s):
+    bc = asy.beta_critical(two_s)
     for beta in (bc * 1.1, bc * 1.5, bc * 2.5):
-        r = asy.m_star(beta, ctx)
+        r = asy.m_star(beta, two_s)
         assert r.location > 0.0
-        assert abs(2 * beta * r.location - oracles.x_star(r.location, ctx)) < 1e-9
+        assert abs(2 * beta * r.location - oracles.x_star(r.location, two_s)) < 1e-9
 
 
 def test_maximizers_just_above_beta_c():
@@ -263,7 +276,7 @@ def test_mean_field_derivatives_non_increasing():
     # eta' and the Langevin function are concave on [0, inf): the premise of
     # the uniqueness of the positive self-consistency root
     xs = [1e-6 * 5e7 ** (k / 186) for k in range(187)]  # log grid, 1e-6 .. 50
-    fns = [lambda x, c=asy.SpinContext(t): asy.eta_second(x, c) for t in (1, 2, 3, 5)]
+    fns = [lambda x, t=t: asy.eta_second(x, t) for t in (1, 2, 3, 5)]
     for fn in fns + [asy._langevin_prime]:
         vals = [fn(x) for x in xs]
         assert all(b <= a + 1e-18 for a, b in zip(vals, vals[1:]))
@@ -300,48 +313,52 @@ def _mp_interchange(mpmath, theta, beta, u0):
         return x1, z_of(u), value, curvature
 
 
+_SATURATED = [
+    (HALF, 10.0, 0.49995456085761625, 2.5000454195276163),
+    (HALF, 50.0, 0.5, 12.5),
+    (HALF, 200.0, 0.5, 50.0),
+    (ONE, 10.0, 0.9999999979388463, 10.000000002061153),
+    (ONE, 50.0, 1.0, 50.0),
+    (ONE, 200.0, 1.0, 200.0),
+]
+
+
+# explicit ids keep these cases' test ids stable
 @pytest.mark.parametrize(
-    "ctx,beta,location,value",
-    [
-        (HALF, 10.0, 0.49995456085761625, 2.5000454195276163),
-        (HALF, 50.0, 0.5, 12.5),
-        (HALF, 200.0, 0.5, 50.0),
-        (ONE, 10.0, 0.9999999979388463, 10.000000002061153),
-        (ONE, 50.0, 1.0, 50.0),
-        (ONE, 200.0, 1.0, 200.0),
-    ],
+    "two_s,beta,location,value", _SATURATED,
+    ids=[f"ctx{i}-{b}-{loc}-{v}" for i, (_, b, loc, v) in enumerate(_SATURATED)],
 )
-def test_m_star_saturated(ctx, beta, location, value):
+def test_m_star_saturated(two_s, beta, location, value):
     # references: 40-digit mpmath roots of x = 2 beta eta'(x), rounded; at
     # beta = 50 and 200, S - m* < 1e-21, so the correctly rounded m* is S
-    r = asy.m_star(beta, ctx)
-    assert 0.0 <= r.location <= ctx.spin
+    r = asy.m_star(beta, two_s)
+    assert 0.0 <= r.location <= 0.5 * two_s
     assert r.location == pytest.approx(location, rel=1e-15)
     assert r.value == pytest.approx(value, rel=1e-15)
     mpmath = pytest.importorskip("mpmath")
-    curvature = _mp_mean_field(mpmath, ctx.two_s, beta)[2]
+    curvature = _mp_mean_field(mpmath, two_s, beta)[2]
     assert r.second_derivative == pytest.approx(float(curvature), rel=1e-12)
 
 
 def test_saddle_exponent_identity():
     # exponent equals n (g_beta(m) - beta m^2) for any beta
-    ctx = HALF
+    two_s = HALF
     n, m, beta = 50, 0.2, 1.23
-    x = oracles.x_star(m, ctx)
-    lhs = asy.eta(x, ctx) - m * x
-    rhs = oracles.g_beta(m, beta, ctx) - beta * m * m
+    x = oracles.x_star(m, two_s)
+    lhs = asy.eta(x, two_s) - m * x
+    rhs = oracles.g_beta(m, beta, two_s) - beta * m * m
     assert lhs == pytest.approx(rhs, abs=1e-13)
     assert 1.0 - math.exp(-x) > 0.0
 
 
 def test_saddle_against_exact_counts():
-    ctx = HALF
+    two_s = HALF
     errors = []
     for n in (100, 200, 400):
         t = oracles.multiplicity_table(n, 1)
         two_m = 2 * int(0.2 * n)
         exact = t.count(two_m) - t.count(two_m + 2)
-        ratio = math.exp(math.log(exact) - oracles.saddle_multiplicity(n, 0.2, ctx))
+        ratio = math.exp(math.log(exact) - oracles.saddle_multiplicity(n, 0.2, two_s))
         errors.append(abs(ratio - 1.0))
     assert errors[0] > errors[1] > errors[2]
     assert errors[-1] < 0.03
@@ -431,17 +448,17 @@ def test_phi_beta_validation():
 
 
 def test_interchange_critical_value():
-    assert asy.interchange_beta_critical(ONE) == pytest.approx(4 * math.log(2.0))
+    assert asy.interchange_beta_critical(3) == pytest.approx(4 * math.log(2.0))
     # the theta -> 2 limit of the formula, and the Heisenberg value at S = 1/2
-    assert asy.interchange_beta_critical(HALF) == 2.0 == asy.beta_critical(HALF)
+    assert asy.interchange_beta_critical(2) == 2.0 == asy.beta_critical(HALF)
 
 
 def test_interchange_maximizer_uniform_below_critical():
-    bc = asy.interchange_beta_critical(ONE)
-    r = asy.interchange_maximizer(bc - 0.2, ONE)
+    bc = asy.interchange_beta_critical(3)
+    r = asy.interchange_maximizer(bc - 0.2, 3)
     assert r.location == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert r.z_star == 0.0
-    r2 = asy.interchange_maximizer(bc + 0.2, ONE)
+    r2 = asy.interchange_maximizer(bc + 0.2, 3)
     assert r2.z_star > 0.0
 
 
@@ -450,7 +467,7 @@ def test_interchange_family_beats_simplex_grid():
     theta = 3
     resolution = 200
     for beta in (2.0, 3.0, 4.0):
-        fam = asy.interchange_maximizer(beta, ONE).value
+        fam = asy.interchange_maximizer(beta, theta).value
         best = -math.inf
         for a in range(resolution, -1, -1):
             for b in range(min(a, resolution - a), -1, -1):
@@ -466,7 +483,7 @@ def test_interchange_family_beats_simplex_grid():
 def test_interchange_family_beats_simplex_grid_theta4():
     resolution = 120
     beta = 3.2
-    fam = asy.interchange_maximizer(beta, THREE_HALVES).value
+    fam = asy.interchange_maximizer(beta, 4).value
     best = -math.inf
     for a in range(resolution, -1, -1):
         for b in range(min(a, resolution - a), -1, -1):
@@ -485,7 +502,7 @@ def test_interchange_theta2_matches_heisenberg_maximizer():
     # theta = 2 simplex profile is the S = 1/2 free-energy profile shifted by
     # beta/4, so x1* = 1/2 + m* and z* = 2 m*
     for beta in (1.8, 2.2, 3.0):
-        fam = asy.interchange_maximizer(beta, HALF)
+        fam = asy.interchange_maximizer(beta, 2)
         m = asy.m_star(beta, HALF).location
         assert fam.location == pytest.approx(0.5 + m, abs=1e-12)
         assert fam.z_star == pytest.approx(2.0 * m, abs=1e-12)
@@ -495,10 +512,9 @@ def test_interchange_theta2_matches_heisenberg_maximizer():
 def test_interchange_jump_at_beta_c(theta):
     # first-order transition: z* jumps from 0 to (theta-2)/(theta-1) at beta_c,
     # where phi at the two maxima differs by O(beta - beta_c) = O(1e-9)
-    ctx = asy.SpinContext(theta - 1)
-    bc = asy.interchange_beta_critical(ctx)
-    assert asy.interchange_maximizer(bc * (1.0 - 1e-9), ctx).z_star == 0.0
-    above = asy.interchange_maximizer(bc * (1.0 + 1e-9), ctx)
+    bc = asy.interchange_beta_critical(theta)
+    assert asy.interchange_maximizer(bc * (1.0 - 1e-9), theta).z_star == 0.0
+    above = asy.interchange_maximizer(bc * (1.0 + 1e-9), theta)
     assert above.z_star == pytest.approx((theta - 2) / (theta - 1), abs=1e-6)
 
 
@@ -508,11 +524,10 @@ def test_interchange_maximizer_against_mpmath_root(theta):
     # in u = log(x1/x2), x1 - x2 = (e^u - 1)/(e^u + theta - 1) = z.  The
     # factors 15 and 30 put the root past x1 = 1 - 1e-12, where x1* rounds to 1
     mpmath = pytest.importorskip("mpmath")
-    ctx = asy.SpinContext(theta - 1)
-    bc = asy.interchange_beta_critical(ctx)
+    bc = asy.interchange_beta_critical(theta)
     for factor in (1.05, 1.5, 3.0, 6.0, 15.0, 30.0):
         beta = bc * factor
-        r = asy.interchange_maximizer(beta, ctx)
+        r = asy.interchange_maximizer(beta, theta)
         assert r.z_star > 0.0 and r.second_derivative < 0.0
         ref, z, _, _ = _mp_interchange(mpmath, theta, beta, beta * r.z_star)
         assert abs(r.location - ref) < 1e-14, (beta, float(r.location - ref))
@@ -524,9 +539,9 @@ def test_interchange_maximizer_saturated():
     # beta ~ 37 + log(theta), x1* and z* round to 1 and the root is the
     # bracket end u = beta, found without iterations
     mpmath = pytest.importorskip("mpmath")
-    for ctx, beta in itertools.product((HALF, ONE, THREE_HALVES), (30.0, 40.0, 60.0)):
-        r = asy.interchange_maximizer(beta, ctx)
-        x1, z, value, curvature = _mp_interchange(mpmath, ctx.theta, beta, beta)
+    for theta, beta in itertools.product((2, 3, 4), (30.0, 40.0, 60.0)):
+        r = asy.interchange_maximizer(beta, theta)
+        x1, z, value, curvature = _mp_interchange(mpmath, theta, beta, beta)
         assert r.location <= 1.0 and r.z_star <= 1.0
         assert r.location == pytest.approx(float(x1), rel=1e-15)
         assert r.z_star == pytest.approx(float(z), rel=1e-15)
@@ -541,21 +556,19 @@ def test_maximizers_against_mpmath_up_to_deep_order():
     # of g_beta is about -e^{2 beta S}
     mpmath = pytest.importorskip("mpmath")
     for two_s in (1, 2, 3):
-        ctx = asy.SpinContext(two_s)
-        lo = 1.01 * asy.beta_critical(ctx)
+        lo = 1.01 * asy.beta_critical(two_s)
         for k in range(13):
             beta = lo * (200.0 / lo) ** (k / 12)
-            r = asy.m_star(beta, ctx)
+            r = asy.m_star(beta, two_s)
             m, value, curvature = _mp_mean_field(mpmath, two_s, beta)
             assert r.location == pytest.approx(float(m), rel=1e-14), beta
             assert r.value == pytest.approx(float(value), rel=1e-14), beta
             assert r.second_derivative == pytest.approx(float(curvature), rel=1e-12), beta
     for theta in (2, 3, 4, 6):
-        ctx = asy.SpinContext(theta - 1)
-        lo = 1.01 * asy.interchange_beta_critical(ctx)
+        lo = 1.01 * asy.interchange_beta_critical(theta)
         for k in range(13):
             beta = lo * (60.0 / lo) ** (k / 12)
-            r = asy.interchange_maximizer(beta, ctx)
+            r = asy.interchange_maximizer(beta, theta)
             x1, z, value, curvature = _mp_interchange(mpmath, theta, beta, beta * r.z_star)
             assert r.location == pytest.approx(float(x1), rel=1e-14), beta
             assert r.z_star == pytest.approx(float(z), rel=1e-14), beta
@@ -602,8 +615,8 @@ def test_each_maximizer_solves_once(monkeypatch):
         lambda: asy.magnetization(1.0, 0.5, ONE),
         lambda: asy.magnetization(-2.0, 0.5, ONE),
         lambda: asy.classical_maximizer(4.0),
-        lambda: asy.interchange_maximizer(3.0, ONE),
-        lambda: asy.interchange_maximizer(60.0, THREE_HALVES),
+        lambda: asy.interchange_maximizer(3.0, 3),
+        lambda: asy.interchange_maximizer(60.0, 4),
     ):
         calls.clear()
         run()
@@ -641,28 +654,26 @@ def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
     rng = random.Random(29)
     deep = (30.0, 50.0, 100.0, 200.0)
     for two_s in (1, 2, 3, 5):
-        ctx = asy.SpinContext(two_s)
-        bc = asy.beta_critical(ctx)
+        bc = asy.beta_critical(two_s)
         seeded = [bc * rng.uniform(1.0, 20.0) for _ in range(4)]
         for beta in [bc * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded + list(deep):
-            asy.m_star(beta, ctx)
+            asy.m_star(beta, two_s)
             for h in (0.0, 1e-9, 1e-4, 0.3, 2.0, 10.0):
-                asy.magnetization(beta, h, ctx)
+                asy.magnetization(beta, h, two_s)
         for _ in range(20):
-            oracles.x_star(rng.uniform(-1.0, 1.0) * ctx.spin, ctx)
+            oracles.x_star(rng.uniform(-1.0, 1.0) * 0.5 * two_s, two_s)
     seeded = [rng.uniform(1.5, 30.0) for _ in range(8)]
     for beta in [1.5 * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded + list(deep):
         asy.classical_maximizer(beta)
     for _ in range(20):  # close to saturation, where the bracket doubles furthest
-        oracles.x_star((1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * HALF.spin, HALF)
-    for two_s in (2, 3):  # the benchmark's maximize grid 2:4:0.1
+        oracles.x_star((1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * 0.5 * HALF, HALF)
+    for theta in (3, 4):  # the benchmark's maximize grid 2:4:0.1
         for k in range(21):
-            asy.interchange_maximizer(2.0 + 0.1 * k, asy.SpinContext(two_s))
-    for two_s in range(1, 6):
-        ctx = asy.SpinContext(two_s)
-        bc = asy.interchange_beta_critical(ctx)
+            asy.interchange_maximizer(2.0 + 0.1 * k, theta)
+    for theta in range(2, 7):
+        bc = asy.interchange_beta_critical(theta)
         for beta in [bc * rng.uniform(1.0, 10.0) for _ in range(8)] + [30.0, 40.0, 60.0]:
-            asy.interchange_maximizer(beta, ctx)
+            asy.interchange_maximizer(beta, theta)
     assert len(calls) >= 760  # 76 of them interchange roots
     at_end = 0
     for f, lo, hi, (root, iterations) in calls:

@@ -88,7 +88,7 @@ def test_exact_interchange_large_field_limit(capsys):
                "--beta", "4", "--h", "40,0,0"])
     assert rc == 0
     limit = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[2])
-    z = asymptotics.interchange_maximizer(4.0, asymptotics.SpinContext(2)).z_star
+    z = asymptotics.interchange_maximizer(4.0, 3).z_star
     with mpmath.workdps(60):
         zm = mpmath.mpf(z)
         a = 40 * zm
@@ -420,7 +420,7 @@ def test_unconverged_root_exit_code(capsys, monkeypatch):
     from spinloops import asymptotics
 
     # with eta' = 0 the self-consistency root sits at m -> 0+, out of Brent's reach
-    monkeypatch.setattr(asymptotics, "eta_prime", lambda x, ctx: 0.0)
+    monkeypatch.setattr(asymptotics, "eta_prime", lambda x, two_s: 0.0)
     rc = main(["maximize", "--model", "heisenberg", "--spin", "1/2", "--beta-grid", "3:3:1"])
     assert rc == 3
     assert "did not converge" in capsys.readouterr().err
@@ -690,6 +690,12 @@ def test_maximize_interchange_spin_half(capsys):
     assert lines[0] == "# beta_c = 2.0"
     rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
     assert [r[2] == 0.0 for r in rows] == [True, True, False, False]
+
+
+def test_maximize_interchange_spin_three_halves_beta_c(capsys):
+    # --spin 3/2 is theta = 2S + 1 = 4, whose beta_c = 2 (theta-1)/(theta-2) log(theta-1) is 3 log 3
+    assert main(["maximize", "--model", "interchange", "--spin", "3/2", "--beta-grid", "2:4:1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# beta_c = 3.295836866004329"
 
 
 def test_exact_heisenberg_n_one_million(capsys):

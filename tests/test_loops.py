@@ -589,8 +589,7 @@ def test_pd_comparison_ordered_phase_matches_limits():
     # calibrated cross-check of the conjectured limit laws at n = 128
     from spinloops import asymptotics as asy
 
-    ctx = asy.SpinContext(1)
-    z = asy.m_star(3.0, ctx).location / 0.5
+    z = asy.m_star(3.0, 1).location / 0.5
     n = 128
     rng = np.random.default_rng(57)
     samples, _ = lp.mcmc_run(n, 1, 3.0, 1.0, 2.0, 60_000, rng, thin=5)

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import i0
 
 from spinloops import spectra as sp
-from spinloops.asymptotics import SpinContext, beta_critical, m_star
+from spinloops.asymptotics import beta_critical, m_star
 from spinloops.pd import sinhc
 
 import oracles
@@ -190,10 +190,32 @@ def test_complex_field():
 
 @pytest.mark.parametrize("delta", [1.0, 0.0])
 def test_overflowing_sums_raise_arithmetic_error(delta):
-    # S h = 2500: the top sectors' characters (Delta = 1) and the Jacobi sums
-    # (Delta = 0) overflow, and the engine raises with no RuntimeWarning first
+    # S h = 2500: the value itself (Delta = 1) and the Jacobi sums (Delta = 0)
+    # overflow, and the engine raises with no RuntimeWarning first
     with pytest.raises(ArithmeticError):
         sp.heisenberg_expectation_exact(10, 1, 3.0, delta, 5000.0)
+
+
+def test_delta_one_sum_is_finite_where_its_value_is():
+    # n = 1000, beta = 3, h = 1500: the value is 3.45e302, while the character
+    # sinh((2J+1)h/2n) of the top sectors, whose weight is negligible, overflows.
+    # Against 40-digit mpmath over the same log degeneracies; measured 1.5e-14,
+    # the rounding of log weights near 800
+    mpmath = pytest.importorskip("mpmath")
+    n, beta, h = 1000, 3.0, 1500.0
+    two_js, logd = sp._log_degeneracies(n, 1)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(h) / (2 * n)
+        num = den = mpmath.mpf(0)
+        for two_j, log_d in zip(two_js.tolist(), logd.tolist()):
+            j = mpmath.mpf(two_j) / 2
+            w = mpmath.exp(log_d + beta * j * (j + 1) / n)
+            num += w * mpmath.sinh((2 * j + 1) * a) / mpmath.sinh(a)
+            den += w * (2 * j + 1)
+        want = num / den
+        for field in (h, -h):
+            got = sp.heisenberg_expectation_exact(n, 1, beta, 1.0, field)
+            assert abs(got / want - 1) < 1e-13, (field, got)
 
 
 @pytest.mark.parametrize("n,two_s,beta", [(60, 1, 2.5), (2000, 1, 10.0), (1000, 2, 3.0)])
@@ -208,7 +230,7 @@ def test_log_path_matches_big_integer_past_beta_c(monkeypatch, n, two_s, beta):
 
 @pytest.mark.parametrize("delta,beta", [(1.0, 4.0), (0.0, 5.0)])
 def test_convergence_past_beta_c_to_n_10000(delta, beta):
-    m = m_star(beta, SpinContext(1)).location
+    m = m_star(beta, 1).location
     limit = float(np.real(sinhc(m))) if delta == 1.0 else float(i0(m))  # h = 1
     gaps = [
         abs(sp.heisenberg_expectation_exact(n, 1, beta, delta, 1.0) - limit)
@@ -223,7 +245,7 @@ def test_xy_convergence_past_beta_c_to_n_10e6():
     # 0.3 s at n = 10^6.  The gap ratios measure 2 - 1.1e-7, 2 - 5e-8 and 2 - 2.5e-8,
     # so the tighter bound catches an error of 1e-12 in a value (one that weighted
     # the numerator and the denominator with separately rounded weights was 4e-11 off)
-    limit = float(i0(m_star(3.0, SpinContext(1)).location))  # h = 1
+    limit = float(i0(m_star(3.0, 1).location))  # h = 1
     gaps = [
         abs(sp.heisenberg_expectation_exact(n, 1, 3.0, 0.0, 1.0) - limit)
         for n in (125_000, 250_000, 500_000, 1_000_000)
@@ -250,7 +272,7 @@ def _window_amplitude(two_s, x, h=1.0):
     c_s = -(m4 - 3 * m2 * m2) / (24 * m2**4)
     if x == 0.0:
         return h * h / 6 * math.gamma(1.25) / math.gamma(0.75) / math.sqrt(c_s)
-    beta_c = beta_critical(SpinContext(two_s))
+    beta_c = beta_critical(two_s)
 
     def moment(power):
         return quad(lambda r: r**power * math.exp(beta_c * x * r * r - c_s * r**4), 0, math.inf)[0]
@@ -280,7 +302,7 @@ def test_critical_window_gap_amplitude(two_s, x, ns):
     # the gap ratio per quadrupling is 2 (1 + a/(2 sqrt(n))), and the
     # Richardson value 2 x_{4n} - x_n is within b/n of A, |b| <= 1.1.
     amp = _window_amplitude(two_s, x)
-    beta_c = beta_critical(SpinContext(two_s))
+    beta_c = beta_critical(two_s)
     gaps = [
         sp.heisenberg_expectation_exact(n, two_s, beta_c * (1 + x / math.sqrt(n)), 1.0, 1.0)
         - 1.0
@@ -314,8 +336,7 @@ def test_anisotropic_sum_against_40_digit_reference():
 
 
 def test_monotone_convergence_to_limit():
-    ctx = SpinContext(1)
-    m = m_star(2.2, ctx).location
+    m = m_star(2.2, 1).location
     limit = sinhc(m)  # h = 1
     gaps = []
     for n in (64, 128, 256, 512, 1024):

@@ -218,8 +218,7 @@ def test_interchange_heisenberg_equivalence(beta):
 def test_interchange_trend_to_limit():
     from spinloops import asymptotics as asy
 
-    ctx = asy.SpinContext(2)
-    r = asy.interchange_maximizer(4.0, ctx)
+    r = asy.interchange_maximizer(4.0, 3)
     y = (1.0 - r.z_star) / 3.0
     limit = math.exp(y) * pd.pd_q_expectation_exact(3, [1.0, 0.0, 0.0], r.z_star)
     gaps = []
@@ -379,7 +378,7 @@ def _interchange_gaps(theta, ns, beta=4.0):
     from spinloops import asymptotics as asy
 
     hv = [1.0] + [0.0] * (theta - 1)
-    z = asy.interchange_maximizer(beta, asy.SpinContext(theta - 1)).z_star
+    z = asy.interchange_maximizer(beta, theta).z_star
     y = (1.0 - z) / theta
     limit = math.exp(y) * pd.pd_q_expectation_exact(theta, hv, z)  # R(h; x*), sum h = 1
     return [sf.interchange_expectation_exact(n, theta, beta, hv) - limit for n in ns]
