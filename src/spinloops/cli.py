@@ -18,6 +18,7 @@ chain count.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
@@ -122,7 +123,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--thin must be >= 1")
     if args.burn_in is not None and not 0 <= args.burn_in < args.sweeps:
         raise UsageError("--burn-in must lie in [0, --sweeps)")
-    burn_in = args.sweeps // 5 if args.burn_in is None else args.burn_in  # mcmc_run's default
+    burn_in = args.sweeps // 5 if args.burn_in is None else args.burn_in
     if args.sweeps - burn_in <= args.thin:  # one kept sample; the standard error needs two
         raise UsageError("--sweeps, --burn-in and --thin must keep at least 2 samples a chain")
     if args.model == "interchange":
@@ -155,7 +156,7 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(seed)
         samples, stats = loops.mcmc_run(
             args.n, two_s, args.beta, u, float(theta), args.sweeps, rng,
-            burn_in=args.burn_in, thin=args.thin, observable=observable,
+            burn_in=burn_in, thin=args.thin, observable=observable,
         )
         mean, se = loops.batch_means_se(stats.observable_trace)
         chain_stats.append(
@@ -240,13 +241,16 @@ def cmd_exponents(args) -> int:
 
 
 def _parse_grid(text: str) -> list[float]:
-    lo, hi, step = (float(x) for x in text.split(":"))
-    if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
-        raise ValueError("grid must be lo:hi:step with finite lo <= hi and step > 0")
-    last = (hi - lo) / step + 1e-9  # the points are lo + k step, k <= last
-    if not last < 10**6:
+    """The points lo + k step <= hi of lo:hi:step, each summed in decimal from the text and rounded once."""
+    try:
+        lo, hi, step = (decimal.Decimal(x) for x in text.split(":"))
+    except decimal.InvalidOperation:  # an ArithmeticError, which argparse would not report
+        raise ValueError(f"grid {text!r} must hold three numbers") from None
+    if not (math.isfinite(float(lo)) and math.isfinite(float(hi)) and 0 < float(step) < math.inf and hi >= lo):
+        raise ValueError("grid must be lo:hi:step with finite lo <= hi and finite step > 0")
+    if hi - lo >= step * 10**6:  # before the division, which fails past 28 digits
         raise ValueError("grid must have at most 10^6 points")
-    return [round(lo + k * step, 12) for k in range(math.floor(last) + 1)]
+    return [float(lo + k * step) for k in range(int((hi - lo) // step) + 1)]
 
 
 def cmd_maximize(args) -> int:

@@ -70,10 +70,8 @@ from . import pd as _pd
 __all__ = [
     "CROSS",
     "BAR",
-    "LoopConfiguration",
     "LoopSpectrum",
     "McmcStats",
-    "empty_configuration",
     "mcmc_run",
     "observable_cosh",
     "observable_q",
@@ -84,40 +82,6 @@ CROSS = 0
 BAR = 1
 _BLOCK = 4096  # uniforms the chain draws from its generator per call
 _BATCHES = 32  # batches of batch_means_se
-
-
-@dataclass
-class LoopConfiguration:
-    """Poisson link marks plus per-site wrap permutations.
-
-    links is a list of (v, w, time, kind) tuples, one per link, in no
-    particular order: v < w index threads on different sites (thread (i, a)
-    has index i * two_s + a), and no two link ends on one thread share a
-    time.  site_perms[i] maps thread slot a to sigma_i(a); it is the
-    identity for two_s = 1.
-    """
-
-    n: int
-    two_s: int
-    beta: float
-    u: float
-    links: list[tuple[int, int, float, int]]
-    site_perms: list[tuple[int, ...]]
-
-    @property
-    def n_threads(self) -> int:
-        return self.n * self.two_s
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        span = self.beta / self.n
-        if self.two_s == 1:
-            return (0.0, span)
-        return (-0.5 * span, 0.5 * span)
-
-    @property
-    def n_links(self) -> int:
-        return len(self.links)
 
 
 class LoopSpectrum(NamedTuple):
@@ -137,15 +101,6 @@ class McmcStats:
     accepted_perm_moves: int = 0
     observable_trace: list[float] = field(default_factory=list)
     links_trace: list[int] = field(default_factory=list)
-    final_config: LoopConfiguration | None = field(default=None, compare=False, repr=False)
-
-
-def empty_configuration(n: int, two_s: int, beta: float, u: float) -> LoopConfiguration:
-    if n < 2:
-        raise ValueError("need n >= 2 sites")
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u must lie in [0, 1]")
-    return LoopConfiguration(n, two_s, beta, u, [], [tuple(range(two_s))] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +119,10 @@ class _Event:
     and `sense` are its loop's record and sense (see the module docstring).
     """
 
-    __slots__ = ("time", "kind", "thread", "marked", "partner", "up", "down", "loop", "sense")
+    __slots__ = ("time", "kind", "marked", "partner", "up", "down", "loop", "sense")
 
-    def __init__(self, time: float, kind: int, thread: int, marked: int = 0):
-        self.time, self.kind, self.thread, self.marked = time, kind, thread, marked
+    def __init__(self, time: float, kind: int, marked: int = 0):
+        self.time, self.kind, self.marked = time, kind, marked
 
 
 class _Loop:
@@ -360,12 +315,11 @@ def mcmc_run(
     One sweep is one elementary proposal (insert / delete / sigma resample),
     starting from the empty configuration.  Returns the retained post-burn-in
     spectra (every `thin`-th sweep) and McmcStats: move counts, retained link
-    counts and observable values (not n_sweeps, which the caller holds), and
-    the final configuration in stats.final_config, its links in the chain's
-    own order (a rejected deletion leaves the proposed link last); burn_in
-    defaults to 20% of n_sweeps.  Retained spectra are interned within the
-    run: equal ones are the same object, and `observable` is evaluated exactly
-    once per distinct retained spectrum, its value reused for every later visit.
+    counts and observable values (not n_sweeps, which the caller holds);
+    burn_in defaults to 20% of n_sweeps.  Retained spectra are interned within
+    the run: equal ones are the same object, and `observable` is evaluated
+    exactly once per distinct retained spectrum, its value reused for every
+    later visit.
     All randomness comes from rng.random in blocks (see _uniforms).
     """
     if not (math.isfinite(beta) and beta > 0.0):
@@ -380,18 +334,21 @@ def mcmc_run(
         raise ValueError("burn_in must lie in [0, n_sweeps)")
     if thin < 1:
         raise ValueError("thin must be >= 1")
-    config = empty_configuration(n, two_s, beta, u)
-    lo, hi = config.interval
-    span = hi - lo
+    if n < 2:
+        raise ValueError("need n >= 2 sites")
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("u must lie in [0, 1]")
+    span = beta / n  # link times lie in [lo, lo + span), time 0 marked (module docstring)
+    lo = 0.0 if two_s == 1 else -0.5 * span
     block = two_s * two_s  # edges between two sites
     # site-major index of site i's first edge (to sites j > i)
     offsets = [block * (i * (2 * n - i - 1) // 2) for i in range(n)]
     n_edges = block * (n * (n - 1) // 2)
     lam = n_edges * span
-    perms = config.site_perms
+    perms = [tuple(range(two_s))] * n
     n_threads = n * two_s
-    bottoms = [_Event(-math.inf, CROSS, v, 1) for v in range(n_threads)]
-    tops = [_Event(math.inf, CROSS, v) for v in range(n_threads)]
+    bottoms = [_Event(-math.inf, CROSS, 1) for _ in range(n_threads)]
+    tops = [_Event(math.inf, CROSS) for _ in range(n_threads)]
     for bottom, top in zip(bottoms, tops):
         # the empty configuration: every thread closes on itself through one marked point
         bottom.up, top.down, bottom.loop, bottom.sense = top, bottom, _Loop(1, 1), True
@@ -447,7 +404,7 @@ def mcmc_run(
                 log_ratio = d_loops * log_theta + log(lam / (len(flat) + 1))
                 if log_ratio >= 0.0 or draw() < exp(log_ratio):
                     loop = a.loop if one else _merge(a, b, not split, lengths)
-                    x, y = _Event(t, kind, v), _Event(t, kind, w)
+                    x, y = _Event(t, kind), _Event(t, kind)
                     x.partner, y.partner = y, x
                     _attach(x, a)
                     _attach(y, b)
@@ -503,8 +460,6 @@ def mcmc_run(
                 keep_value(value)
     stats.proposed_inserts, stats.proposed_deletes, stats.proposed_perm_moves = n_ins, n_del, n_perm
     stats.accepted_inserts, stats.accepted_deletes, stats.accepted_perm_moves = acc_ins, acc_del, acc_perm
-    config.links = [(x.thread, x.partner.thread, x.time, x.kind) for x in flat]
-    stats.final_config = config
     return samples, stats
 
 

@@ -11,6 +11,9 @@ exp(lambda (r - 1)) per step, where r is the character ratio at a
 transposition; summing over shapes with Schur coefficients turns products
 of cycle observables into a ratio of explicit finite sums.  The per-shape
 Schur values, characters and dimensions it is tested with are in tests/oracles.py.
+At beta = 4 and h = (1, 0, ..) it takes 0.25 s at n = 2560 and 3.9 s at
+n = 10^4 for theta = 3, and 0.12 s at n = 300 and 0.52 s at n = 500 for
+theta = 4 (2-core x86_64).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ path reaches any of them.  The sections follow the engine modules: spectra
 (big-integer table, Miller's recurrence in exact integers, dense
 eigensolves, Falk-Bruch chain), symfunc
 (partitions, Schur polynomials, characters), pd (the general determinant
-function R, spin closed forms, Ewens sampler), loops (pseudo-edge list, free
-configurations, loop tracer, PD comparison) and asymptotics (the inverse
+function R, spin closed forms, Ewens sampler), loops (the flat
+configuration format, pseudo-edge list, free configurations, loop tracer,
+PD comparison) and asymptotics (the inverse
 x_star of eta', the profile g_beta, saddle-point multiplicities, the
 pressure, phi_beta).
 """
@@ -29,8 +30,7 @@ from spinloops import asymptotics as _asy
 from spinloops import pd as _pd
 from spinloops import spectra as _spectra
 from spinloops.asymptotics import eta, eta_prime, eta_second, magnetization
-from spinloops.loops import BAR, CROSS, LoopConfiguration, LoopSpectrum, batch_means_se
-from spinloops.loops import empty_configuration, observable_cosh
+from spinloops.loops import BAR, CROSS, LoopSpectrum, batch_means_se, observable_cosh
 from spinloops.pd import _MATH, _fields
 from spinloops.symfunc import _divided_powers, _schur_exp
 
@@ -686,8 +686,51 @@ def ewens_sample(n: int, theta: float, rng: np.random.Generator) -> EwensPermuta
 
 
 # ---------------------------------------------------------------------------
-# loops: pseudo-edge list, free configurations, loop tracing, PD comparison
+# loops: configurations, pseudo-edge list, free configurations, loop tracing,
+# PD comparison
 # ---------------------------------------------------------------------------
+
+@dataclass
+class LoopConfiguration:
+    """Poisson link marks plus per-site wrap permutations, as one flat list.
+
+    links is a list of (v, w, time, kind) tuples, one per link, in no
+    particular order: v < w index threads on different sites (thread (i, a)
+    has index i * two_s + a), and no two link ends on one thread share a
+    time.  site_perms[i] maps thread slot a to sigma_i(a); it is the
+    identity for two_s = 1.
+    """
+
+    n: int
+    two_s: int
+    beta: float
+    links: list[tuple[int, int, float, int]]
+    site_perms: list[tuple[int, ...]]
+
+    @property
+    def n_threads(self) -> int:
+        return self.n * self.two_s
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        span = self.beta / self.n
+        if self.two_s == 1:
+            return (0.0, span)
+        return (-0.5 * span, 0.5 * span)
+
+    @property
+    def n_links(self) -> int:
+        return len(self.links)
+
+
+def empty_configuration(n: int, two_s: int, beta: float, u: float) -> LoopConfiguration:
+    """No links and identity wrap permutations; raises ValueError where mcmc_run does."""
+    if n < 2:
+        raise ValueError("need n >= 2 sites")
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("u must lie in [0, 1]")
+    return LoopConfiguration(n, two_s, beta, [], [tuple(range(two_s))] * n)
+
 
 @lru_cache(maxsize=64)
 def pseudo_edges(n: int, two_s: int) -> tuple[tuple[int, int], ...]:

@@ -45,6 +45,15 @@ def test_parse_grid_points_are_lo_plus_k_step():
     assert accumulated("0:1000:0.1")[-1] < 1000.0  # the accumulated grid misses its end
 
 
+def test_grid_points_keep_every_digit(capsys):
+    # each point is lo + k step in exact decimal, rounded once to a float; rounding
+    # every point to 12 decimals made the first grid three rows at beta = 0.0
+    assert main(["maximize", "--model", "classical", "--beta-grid", "1e-15:3e-15:1e-15"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["1e-15", "2e-15", "3e-15"]
+    assert _parse_grid("0.1234567890123456:0.2:0.05") == [0.1234567890123456, 0.1734567890123456]
+
+
 def test_parse_h_list():
     assert parse_h_list("1") == [1.0]
     assert parse_h_list("1,0,-0.5") == [1.0, 0.0, -0.5]
@@ -634,6 +643,8 @@ def test_pd_z_star_needs_integer_theta(capsys, theta):
         ["simulate", "--model", "heisenberg", "--n", "1", "--beta", "1", "--sweeps", "10", "--seed", "1"],
         ["simulate", "--model", "interchange", "--theta", "2", "--n", "1", "--beta", "1", "--h", "1,0",
          "--sweeps", "10", "--seed", "1"],
+        # a grid number the decimal parser refuses (an ArithmeticError, not a ValueError)
+        ["maximize", "--model", "classical", "--beta-grid", "x:1:1"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):

@@ -40,20 +40,20 @@ def test_free_sampler_counts_and_kinds():
 
 def test_trace_no_links():
     for n, two_s in [(4, 1), (3, 3)]:
-        spec = oracles.trace_loops(lp.empty_configuration(n, two_s, 2.0, 1.0))
+        spec = oracles.trace_loops(oracles.empty_configuration(n, two_s, 2.0, 1.0))
         assert spec == lp.LoopSpectrum((1,) * (n * two_s), n * two_s)
 
 
 def test_trace_single_link_two_sites():
     for kind in (lp.CROSS, lp.BAR):
-        cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
+        cfg = oracles.empty_configuration(2, 1, 2.0, 1.0)
         cfg.links.append((0, 1, 0.3, kind))
         assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2,), 1)
 
 
 def test_trace_two_links_same_edge():
     # two crosses compose to the identity: two loops, each wrapping once
-    cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
+    cfg = oracles.empty_configuration(2, 1, 2.0, 1.0)
     cfg.links = [(0, 1, 0.3, lp.CROSS), (0, 1, 0.7, lp.CROSS)]
     assert oracles.trace_loops(cfg) == lp.LoopSpectrum((1, 1), 2)
     # a cross and a bar chain into a single double-wrap loop
@@ -66,14 +66,14 @@ def test_trace_two_links_same_edge():
 
 def test_trace_complete_graph_realization():
     # single cross on one K_4 edge: one loop of length 2 and two trivial loops
-    cfg = lp.empty_configuration(4, 1, 2.0, 1.0)
+    cfg = oracles.empty_configuration(4, 1, 2.0, 1.0)
     cfg.links.append((0, 1, 0.1, lp.CROSS))
     assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2, 1, 1), 3)
 
 
 def test_trace_zero_length_loop():
     # two bars above the wrap line enclose a loop that never touches level 0
-    cfg = lp.empty_configuration(2, 2, 4.0, 0.0)
+    cfg = oracles.empty_configuration(2, 2, 4.0, 0.0)
     # threads 0,1 belong to site 0, threads 2,3 to site 1; edge (0, 2)
     assert (0, 2) in oracles.pseudo_edges(2, 2)
     cfg.links = [(0, 2, 0.3, lp.BAR), (0, 2, 0.6, lp.BAR)]
@@ -83,10 +83,10 @@ def test_trace_zero_length_loop():
 
 
 def test_trace_sigma_rewiring():
-    cfg = lp.empty_configuration(2, 2, 2.0, 1.0)
+    cfg = oracles.empty_configuration(2, 2, 2.0, 1.0)
     cfg.site_perms[0] = (1, 0)
     assert oracles.trace_loops(cfg) == lp.LoopSpectrum((2, 1, 1), 3)
-    cfg3 = lp.empty_configuration(2, 3, 2.0, 1.0)
+    cfg3 = oracles.empty_configuration(2, 3, 2.0, 1.0)
     cfg3.site_perms[1] = (1, 2, 0)  # 3-cycle
     spec = oracles.trace_loops(cfg3)
     assert spec == lp.LoopSpectrum((3, 1, 1, 1), 4)
@@ -103,7 +103,7 @@ def test_length_conservation_and_determinism(n, two_s):
 
 
 def test_trace_rejects_bad_times():
-    cfg = lp.empty_configuration(2, 1, 2.0, 1.0)
+    cfg = oracles.empty_configuration(2, 1, 2.0, 1.0)
     assert oracles.trace_loops(cfg) == lp.LoopSpectrum((1, 1), 2)
     bad = [
         [(0, 1, 5.0, lp.CROSS)],  # outside [0, beta/n)
@@ -113,7 +113,7 @@ def test_trace_rejects_bad_times():
         [(0, 2, 0.5, lp.CROSS)],  # no thread 2
         [(-1, 1, 0.5, lp.CROSS)],
     ]
-    cfg3 = lp.empty_configuration(3, 2, 6.0, 1.0)  # sites 0, 1, 2 hold threads 0-1, 2-3, 4-5
+    cfg3 = oracles.empty_configuration(3, 2, 6.0, 1.0)  # sites 0, 1, 2 hold threads 0-1, 2-3, 4-5
     bad3 = [
         [(0, 1, 0.5, lp.CROSS)],  # both threads on site 0
         [(0, 2, 0.5, lp.CROSS), (0, 4, 0.5, lp.BAR)],  # two edges meet thread 0 at one time
@@ -214,16 +214,26 @@ def test_mcmc_rejects_bad_burn_in_and_thin():
             lp.mcmc_run(3, 1, 1.0, 1.0, 2.0, 100, rng, **kwargs)
 
 
+def test_mcmc_rejects_too_few_sites_and_bad_u():
+    rng = np.random.default_rng(0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="need n >= 2 sites"):
+            lp.mcmc_run(n, 1, 1.0, 1.0, 2.0, 100, rng)
+    for u in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+            lp.mcmc_run(3, 1, 1.0, u, 2.0, 100, rng)
+
+
 def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin=1, observable=None):
     """The chain by full retrace: every proposal re-traces the whole configuration.
 
     Same proposals, random source (lp._uniforms, lp._permutation) and
     acceptance rule as mcmc_run; a rejected deletion leaves the proposed link
-    last in the list.  Returns the samples, the stats and the final link list.
+    last in the list.  Returns the samples and the stats.
     """
     if burn_in is None:
         burn_in = n_sweeps // 5
-    lo, hi = lp.empty_configuration(n, two_s, beta, u).interval
+    lo, hi = oracles.empty_configuration(n, two_s, beta, u).interval
     span = hi - lo
     edges = oracles.pseudo_edges(n, two_s)
     lam = len(edges) * span
@@ -283,7 +293,7 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
             stats.links_trace.append(len(flat))
             if observable is not None:
                 stats.observable_trace.append(float(observable(cur)))
-    return samples, stats, flat
+    return samples, stats
 
 
 @pytest.mark.parametrize(
@@ -313,15 +323,11 @@ def test_mcmc_matches_full_retrace_chain(n, two_s, u, theta, kwargs):
     for seed in (3, 4):
         got, stats = lp.mcmc_run(n, two_s, beta, u, theta, sweeps, np.random.default_rng(seed),
                                  observable=observable, **kwargs)
-        want, want_stats, want_links = _reference_chain(n, two_s, beta, u, theta, sweeps,
-                                            np.random.default_rng(seed), observable=observable,
-                                            **kwargs)
+        want, want_stats = _reference_chain(n, two_s, beta, u, theta, sweeps, np.random.default_rng(seed),
+                                            observable=observable, **kwargs)
         assert got == want
         assert stats == want_stats
         assert stats.accepted_inserts > 0 and stats.accepted_deletes > 0
-        assert stats.final_config.links == want_links  # order included
-        assert oracles.trace_loops(stats.final_config) == got[-1]  # the last sweep is kept
-        assert stats.final_config.n_links == stats.links_trace[-1]
 
 
 @pytest.mark.parametrize("n, two_s, u, theta", [(8, 1, 0.5, 2.0), (5, 2, 0.0, 3.0), (4, 3, 0.6, 2.0)])
@@ -344,7 +350,7 @@ def test_mcmc_loop_records_match_a_fresh_walk(n, two_s, u, theta, monkeypatch):
         # bottom sentinels and the ends of links still in place
         live = [x for x in events if x.time == -math.inf or
                 (x.time < math.inf and x.partner is not None and x.partner.partner is x)]
-        assert len(live) == n * two_s + 2 * stats.final_config.n_links
+        assert len(live) == n * two_s + 2 * stats.links_trace[-1]  # the last sweep is kept
         records, seen = set(), set()
         for start in live:
             if start in seen:
@@ -370,12 +376,12 @@ def _event_lists(config):
     Every loop through a wrap segment carries a record; the others, which
     no sigma move touches, are left unlabelled.
     """
-    bottoms = [lp._Event(-math.inf, lp.CROSS, v, 1) for v in range(config.n_threads)]
-    tops = [lp._Event(math.inf, lp.CROSS, v) for v in range(config.n_threads)]
+    bottoms = [lp._Event(-math.inf, lp.CROSS, 1) for _ in range(config.n_threads)]
+    tops = [lp._Event(math.inf, lp.CROSS) for _ in range(config.n_threads)]
     for bottom, top in zip(bottoms, tops):
         bottom.up, top.down = top, bottom
     for v, w, t, kind in config.links:
-        x, y = lp._Event(t, kind, v), lp._Event(t, kind, w)
+        x, y = lp._Event(t, kind), lp._Event(t, kind)
         x.partner, y.partner = y, x
         lp._attach(x, lp._below(bottoms[v], t))
         lp._attach(y, lp._below(bottoms[w], t))
@@ -609,7 +615,7 @@ def test_sigma_noop_moves_skip_the_walk(monkeypatch, two_s):
 
     def spy(tops, bottoms, site, sigma):
         base = site * len(sigma)
-        calls.append(tuple(tops[base + a].partner.thread - base for a in range(len(sigma))) == sigma)
+        calls.append(all(tops[base + a].partner is bottoms[base + b] for a, b in enumerate(sigma)))
         return rewire(tops, bottoms, site, sigma)
 
     monkeypatch.setattr(lp, "_rewire", spy)

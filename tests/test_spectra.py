@@ -197,25 +197,28 @@ def test_overflowing_sums_raise_arithmetic_error(delta):
 
 
 def test_delta_one_sum_is_finite_where_its_value_is():
-    # n = 1000, beta = 3, h = 1500: the value is 3.45e302, while the character
-    # sinh((2J+1)h/2n) of the top sectors, whose weight is negligible, overflows.
-    # Against 40-digit mpmath over the same log degeneracies; measured 1.5e-14,
-    # the rounding of log weights near 800
+    # n = 1000, beta = 3.  h = 1500 at S = 1/2: the value is 3.45e302, while the
+    # character sinh((2J+1)h/2n) of the top sectors, whose weight is negligible,
+    # overflows.  h = 1520 at S = 1/2 and h = 714 at S = 1: the values are 5.99e306
+    # and 3.33e306, while the scale e^c, c the largest log weight with e^{2Ja} in
+    # it, overflows.  Against 40-digit mpmath over the same log degeneracies;
+    # measured 1.5e-14, 8.5e-15 and 6.1e-14, the rounding of log weights near 800
     mpmath = pytest.importorskip("mpmath")
-    n, beta, h = 1000, 3.0, 1500.0
-    two_js, logd = sp._log_degeneracies(n, 1)
-    with mpmath.workdps(40):
-        a = mpmath.mpf(h) / (2 * n)
-        num = den = mpmath.mpf(0)
-        for two_j, log_d in zip(two_js.tolist(), logd.tolist()):
-            j = mpmath.mpf(two_j) / 2
-            w = mpmath.exp(log_d + beta * j * (j + 1) / n)
-            num += w * mpmath.sinh((2 * j + 1) * a) / mpmath.sinh(a)
-            den += w * (2 * j + 1)
-        want = num / den
-        for field in (h, -h):
-            got = sp.heisenberg_expectation_exact(n, 1, beta, 1.0, field)
-            assert abs(got / want - 1) < 1e-13, (field, got)
+    n, beta = 1000, 3.0
+    for two_s, h in ((1, 1500.0), (1, 1520.0), (2, 714.0)):
+        two_js, logd = sp._log_degeneracies(n, two_s)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(h) / (2 * n)
+            num = den = mpmath.mpf(0)
+            for two_j, log_d in zip(two_js.tolist(), logd.tolist()):
+                j = mpmath.mpf(two_j) / 2
+                w = mpmath.exp(log_d + beta * j * (j + 1) / n)
+                num += w * mpmath.sinh((2 * j + 1) * a) / mpmath.sinh(a)
+                den += w * (2 * j + 1)
+            want = num / den
+            for field in (h, -h):
+                got = sp.heisenberg_expectation_exact(n, two_s, beta, 1.0, field)
+                assert abs(got / want - 1) < 1e-13, (two_s, field, got)
 
 
 @pytest.mark.parametrize("n,two_s,beta", [(60, 1, 2.5), (2000, 1, 10.0), (1000, 2, 3.0)])
