@@ -9,9 +9,10 @@ simplex functional phi_beta with its order parameter z_star, the classical
 x_star of eta', the saddle-point multiplicity, the pressure and phi_beta
 itself are oracles in tests/oracles.py, which the tests compare with.
 
-Every maximiser is one Brent root in a dual variable, which fixes the rest.
-The Heisenberg and classical maximisers m* in [0, S] (classically [0, 1]) are
-d(x) at the positive root of x = 2 beta d(x) + h, d = eta' or the Langevin
+Every maximiser is one root in a dual variable, which fixes the rest, found by
+Newton's method from the end that meets Fourier's condition (_newton).  The
+Heisenberg and classical maximisers m* in [0, S] (classically [0, 1]) are d(x)
+at the positive root of x = 2 beta d(x) + h, d = eta' or the Langevin
 function.  The interchange maximiser x_1* in [1/theta, 1], which jumps for
 theta >= 3, solves beta z(u) = u in u = log(x_1/x_2) past the peak of
 beta z(u) - u, compared against the uniform point.
@@ -72,8 +73,8 @@ _CLASSICAL_VALUE_C = tuple(a - 0.5 * c for a, c in zip(_LOG_SINHC_C, _LANGEVIN_C
 class MaximizerResult:
     """Location/value/curvature of a scalar free-energy maximum.
 
-    `iterations` counts the iterations of the Brent solve that located the
-    maximum: 0 when no solve was needed or the root was an end of the bracket.
+    `iterations` counts the steps of the Newton solve that located the
+    maximum: 0 when no solve was needed or the solve started at the root.
     """
 
     location: float
@@ -188,67 +189,46 @@ def eta_second(x: float, two_s: int) -> float:
     return math.exp(-a) / (d1 * d1) - th * th * math.exp(-th * a) / (d2 * d2)
 
 
-def _brent(f, lo: float, hi: float) -> tuple[float, int]:
-    """Root of f in [lo, hi], where f(lo) and f(hi) differ in sign, and the iteration count.
+def _newton(f, df, start: float, stop: float) -> tuple[float, int]:
+    """Root of f between start and stop by Newton's method from start, and the step count.
 
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) in the form of the common C routine brentq, step for step, at
-    xtol 1e-300 and rtol 1e-15: secant or inverse quadratic steps, bisection
-    when a step is not short enough.  Raises ArithmeticError after 100
-    iterations.
+    Between the two ends f is monotone, f'' keeps one sign and f f'' >= 0 at
+    start, Fourier's condition (Ostrowski, Solution of Equations and Systems
+    of Equations, 1960, ch. 7): then every iterate moves toward the root and
+    none passes it.  Iteration ends at the first step that is zero or does not
+    move toward stop, which rounding makes at the root.  Raises
+    ArithmeticError after 100 steps or when a step passes stop.
     """
-    xpre, xcur = lo, hi
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return (xpre if fpre == 0.0 else xcur), 0
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(f"f({lo}) and f({hi}) must differ in sign")
-    xblk = fblk = spre = scur = 0.0
-    for it in range(1, 101):
-        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):  # new bracket [xpre, xcur]
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-300 + 1e-15 * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, it
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    raise ArithmeticError(f"Brent's method did not converge in 100 iterations (at {xcur})")
+    x, direction = start, stop - start
+    for steps in range(100):
+        nxt = x - f(x) / df(x)
+        if (nxt - x) * direction <= 0.0:
+            return x, steps
+        if (nxt - stop) * direction > 0.0:
+            raise ArithmeticError(f"Newton's method did not converge: a step from {x} passes {stop}")
+        x = nxt
+    raise ArithmeticError(f"Newton's method did not converge in 100 steps (at {x})")
 
 
 def _mean_field(value, d, d_prime, beta: float, h: float, upper: float, beta_c: float) -> MaximizerResult:
     """Maximiser m* in [0, upper] of entropy(x(m)) - m x(m) + beta m^2 + h m, x(m) inverting d = entropy'.
 
     d is odd, increasing and concave on [0, inf), with slope 1/(2 beta_c) at 0
-    and supremum `upper`.  The field x = 2 beta m* + h is the one root of
-    G(x) = 2 beta d(x) + h - x on [0, h + 2 max(beta, 0) upper] if h > 0 or
-    beta > beta_c, else 0; at h = 0 the root x = 0 is divided out, and G(x)/x
-    tends to beta/beta_c - 1 as x -> 0.  Returns m* = d(x), the value
-    value(x, m*) = entropy(x) - m* x + beta m*^2 and the curvature
-    2 beta - 1/d'(x), -inf where d'(x) underflows to 0.
+    and supremum `upper`; h >= 0.  The field x = 2 beta m* + h is 0 if h = 0
+    and beta <= beta_c, else the largest root of G(x) = 2 beta d(x) + h - x, by
+    Newton's method (G' = 2 beta d' - 1) from the end that meets Fourier's
+    condition.  For beta >= 0, G is concave on [0, inf), and G = 2 beta (d -
+    upper) <= 0 at the start h + 2 beta upper; for beta < 0, G is convex, with
+    G = h > 0 at the start 0 and G = 2 beta d(h) <= 0 at the stop h.  Returns
+    m* = d(x), the value value(x, m*) = entropy(x) - m* x + beta m*^2 and the
+    curvature 2 beta - 1/d'(x), -inf where d'(x) underflows to 0.
     """
     if h == 0.0 and beta <= beta_c:
         x, iters = 0.0, 0
-    elif h == 0.0:
-        f = lambda x: 2.0 * beta * d(x) / x - 1.0 if x > 0.0 else beta / beta_c - 1.0
-        x, iters = _brent(f, 0.0, 2.0 * beta * upper)
     else:
-        x, iters = _brent(lambda x: 2.0 * beta * d(x) + h - x, 0.0, h + 2.0 * max(beta, 0.0) * upper)
+        start, stop = (h + 2.0 * beta * upper, 0.0) if beta >= 0.0 else (0.0, h)
+        x, iters = _newton(lambda x: 2.0 * beta * d(x) + h - x, lambda x: 2.0 * beta * d_prime(x) - 1.0,
+                           start, stop)
     m, slope = d(x), d_prime(x)
     curv = 2.0 * beta - 1.0 / slope if slope > 0.0 else -math.inf
     return MaximizerResult(m, value(x, m), curv, iters)
@@ -347,10 +327,13 @@ def interchange_maximizer(beta: float, theta: int) -> MaximizerResult:
     where G(u) = beta z(u) - u = 0.  G(0) = 0 is the uniform point; G peaks at
     u_peak = log w, w the larger root of w^2 - (beta theta - 2(theta-1)) w
     + (theta-1)^2 (real iff beta theta >= 4(theta-1)), and G(beta) <= 0.  So
-    phi has an interior maximum with z > 0 iff G(u_peak) > 0, at Brent's root
-    of G in [u_peak, beta], kept if it beats the uniform point by more than
-    1e-13.  `location` is x_1* in [1/theta, 1] and `z_star` is z*; the
-    curvature d^2 phi/dx_1^2 is -inf once x_2* underflows to 0.
+    phi has an interior maximum with z > 0 iff G(u_peak) > 0, at the root of
+    G in [u_peak, beta] by Newton's method from beta, the end that meets
+    Fourier's condition: z' = theta e^-u/q^2 peaks at log(theta-1), before
+    u_peak, the larger root of beta z' = 1, so G is concave on [u_peak, beta].
+    The root is kept if it beats the uniform point by more than 1e-13.
+    `location` is x_1* in [1/theta, 1] and `z_star` is z*; the curvature
+    d^2 phi/dx_1^2 is -inf once x_2* underflows to 0.
     """
     if theta < 2:
         raise ValueError(f"theta must be an integer >= 2, got {theta}")
@@ -361,8 +344,9 @@ def interchange_maximizer(beta: float, theta: int) -> MaximizerResult:
     if bt >= 4.0 * (theta - 1):
         u_peak = math.log(0.5 * (bt - 2.0 * (theta - 1) + math.sqrt(bt * (bt - 4.0 * (theta - 1)))))
         g = lambda u: -beta * math.expm1(-u) / (1.0 + (theta - 1) * math.exp(-u)) - u
+        dg = lambda u: bt * math.exp(-u) / (1.0 + (theta - 1) * math.exp(-u)) ** 2 - 1.0
         if g(u_peak) > 0.0:
-            u, iters = _brent(g, u_peak, beta)
+            u, iters = _newton(g, dg, beta, u_peak)
             q = 1.0 + (theta - 1) * math.exp(-u)
             y2 = math.exp(-u) / q
             y1 = 1.0 - (theta - 1) * y2
@@ -380,9 +364,9 @@ def interchange_maximizer(beta: float, theta: int) -> MaximizerResult:
 def classical_maximizer(beta: float) -> MaximizerResult:
     """Maximiser of log(sinh(x(mu))/x(mu)) - mu x(mu) + beta mu^2 on [0, 1].
 
-    mu* is positive iff beta > 3/2.  It is L(x*) at the root of
-    x = 2 beta L(x) found by Brent's method (see _mean_field), for the
-    Langevin function L(x) = coth x - 1/x, with curvature 2 beta - 1/L'(x*).
+    mu* is positive iff beta > 3/2.  It is L(x*) at the root of x = 2 beta L(x),
+    by Newton from the end that meets Fourier's condition (see _mean_field),
+    for the Langevin function L(x) = coth x - 1/x, with curvature 2 beta - 1/L'(x*).
     The value is log(sinh x*/x*) - x* L(x*)/2 (beta mu*^2 = x* mu*/2), summed
     below |x*| = 1 from its series, which starts at x^4, so nothing cancels.
     """

@@ -182,7 +182,7 @@ def cmd_simulate(args) -> int:
         "u": u,
         "h": args.h,
         "sweeps": args.sweeps,
-        "burn_in": args.burn_in,
+        "burn_in": burn_in,
         "thin": args.thin,
         "chains": args.chains,
         "seed": args.seed,

@@ -259,7 +259,10 @@ def heisenberg_expectation_exact(
     0.014 s at 4 10^4 and 0.21 s at 10^6 for beta = 3 = 1.5 beta_c, and 0.48 s
     at n = 2.5 10^5 and 1.8 s at 10^6 for beta = beta_c (2-core x86_64).
 
-    All sector sums subtract a common maximum exponent before exponentiating.
+    The log weights log d_J + (beta/n) J(J+1) are formed as differences from
+    the heaviest sector's, so they are not rounded at their full size, which
+    reaches several hundred; all sector sums subtract a common maximum
+    exponent before exponentiating.
     Raises ArithmeticError where the sum is not finite.  At Delta = 1 that
     is once the value overflows: the scale e^c, c the largest log weight with
     e^{2J Re a} in it, is applied in two factors after the ratio of sums, so
@@ -279,10 +282,10 @@ def heisenberg_expectation_exact(
         return kind(1.0)
     two_js, logd = _log_degeneracies(n, two_s)
     jj1 = 0.25 * two_js * (two_js + 2.0)  # J(J+1)
-    log_w = logd + (beta / n) * jj1
+    p = np.argmax(logd + (beta / n) * jj1)  # the heaviest sector
+    log_w = (logd - logd[p]) + (beta / n) * (jj1 - jj1[p])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         if delta == 1.0:
-            log_w -= log_w.max()
             a = h / (2.0 * n)
             a = -a if a.real < 0.0 else a  # the character is even in h
             e = log_w + two_js * a  # each character's factor e^{2Ja} joins its log weight

@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spinloops import asymptotics as _asy
 from spinloops import pd as _pd
 from spinloops import spectra as _spectra
 from spinloops.asymptotics import eta, eta_prime, eta_second, magnetization
@@ -942,8 +941,9 @@ def pd_comparison(
 def x_star(m: float, two_s: int) -> float:
     """Unique solution x of eta'(x) = m, for |m| < S (eta' is odd and increasing).
 
-    Brent's root (asymptotics._brent, looked up at call time) to relative
-    precision 1e-15 on [0, hi], hi doubled from 1.
+    scipy's brentq on [0, hi], hi doubled from 1, to relative precision 1e-15:
+    a bracketing solver, independent of the engine's Newton steps from the end
+    that meets Fourier's condition.
     """
     s = 0.5 * two_s
     if not abs(m) < s:
@@ -955,7 +955,9 @@ def x_star(m: float, two_s: int) -> float:
         hi *= 2.0
         if hi > 1e16:  # unreachable for |m| < S in floating point
             raise ArithmeticError("inverse bracket growth failed")
-    return math.copysign(_asy._brent(lambda x: eta_prime(x, two_s) - target, 0.0, hi)[0], m)
+    from scipy.optimize import brentq
+
+    return math.copysign(brentq(lambda x: eta_prime(x, two_s) - target, 0.0, hi, xtol=1e-300, rtol=1e-15), m)
 
 
 def g_beta(m: float, beta: float, two_s: int) -> float:

@@ -602,13 +602,13 @@ def test_classical_maximizer_against_mpmath_from_beta_c():
 def test_each_maximizer_solves_once(monkeypatch):
     # the root fixes everything else: no re-inversion of eta' or the Langevin function
     calls = []
-    brent = asy._brent
+    newton = asy._newton
 
-    def counting(f, lo, hi):
-        calls.append((lo, hi))
-        return brent(f, lo, hi)
+    def counting(f, df, start, stop):
+        calls.append((start, stop))
+        return newton(f, df, start, stop)
 
-    monkeypatch.setattr(asy, "_brent", counting)
+    monkeypatch.setattr(asy, "_newton", counting)
     for run in (
         lambda: asy.m_star(3.0, HALF),
         lambda: asy.m_star(200.0, THREE_HALVES),
@@ -638,58 +638,67 @@ def test_classical_transition():
     assert r.location == pytest.approx(oracle, abs=1e-7)
 
 
-def test_brent_matches_scipy_brentq_bit_for_bit(monkeypatch):
-    # every root the module solves, on the grids the CLI and the benchmark
-    # walk and at beta >> beta_c, against the routine the port follows
+def test_magnetization_below_zero_temperature_matches_brentq():
+    # beta < 0: G(x) = 2 beta eta'(x) + h - x is convex there, so Newton must
+    # start at 0 (G = h > 0); from h it passes the root, at beta = -2, h = 1/2,
+    # S = 1 to 0.0791 against 0.0908
     from scipy.optimize import brentq
 
+    for beta, h, two_s in itertools.product((-10.0, -2.0, -0.5), (0.5, 1.0, 3.0), (HALF, ONE, THREE_HALVES)):
+        x = brentq(lambda x: 2.0 * beta * asy.eta_prime(x, two_s) + h - x, 0.0, h, xtol=1e-300, rtol=1e-15)
+        want = asy.eta_prime(x, two_s)
+        assert asy.magnetization(beta, h, two_s) == pytest.approx(want, rel=1e-14, abs=0.0), (beta, h, two_s)
+
+
+def test_newton_iterates_move_toward_the_root_and_never_pass_it(monkeypatch, capsys):
+    # every solve the CLI's maximize and exponents grids make, and m*, mu* and
+    # magnetisations at beta = beta_c (1 + 10^-k), where the root is flattest,
+    # and at -beta
+    from spinloops.cli import main
+
     calls = []
-    brent = asy._brent
+    newton = asy._newton
 
-    def recording(f, lo, hi):
-        calls.append((f, lo, hi, brent(f, lo, hi)))
-        return calls[-1][3]
+    def recording(f, df, start, stop):
+        points = []
 
-    monkeypatch.setattr(asy, "_brent", recording)
-    rng = random.Random(29)
-    deep = (30.0, 50.0, 100.0, 200.0)
-    for two_s in (1, 2, 3, 5):
-        bc = asy.beta_critical(two_s)
-        seeded = [bc * rng.uniform(1.0, 20.0) for _ in range(4)]
-        for beta in [bc * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded + list(deep):
+        def traced(x):
+            points.append(x)
+            return f(x)
+
+        calls.append((f, start, stop, points, newton(traced, df, start, stop)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(asy, "_newton", recording)
+    for argv in (
+        ["maximize", "--model", "heisenberg", "--spin", "1/2", "--beta-grid", "1:4:0.1"],
+        ["maximize", "--model", "heisenberg", "--spin", "1/2", "--beta-grid", "30:50:10"],
+        ["maximize", "--model", "heisenberg", "--spin", "1", "--beta-grid", "0.7501:0.7505:0.0001"],
+        ["maximize", "--model", "classical", "--beta-grid", "1:3:0.1"],
+        ["maximize", "--model", "interchange", "--spin", "1", "--beta-grid", "2:4:0.1"],
+        ["maximize", "--model", "interchange", "--spin", "1", "--beta-grid", "2.76:2.79:0.01"],
+        ["maximize", "--model", "interchange", "--spin", "1", "--beta-grid", "30:60:10"],
+        ["maximize", "--model", "interchange", "--spin", "3/2", "--beta-grid", "2:4:0.1"],
+    ) + tuple(["exponents", "--which", "all", "--spin", spin] for spin in ("1/2", "1", "3/2")):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for k in range(1, 9):
+        for two_s in (HALF, ONE, THREE_HALVES):
+            beta = asy.beta_critical(two_s) * (1.0 + 10.0**-k)
             asy.m_star(beta, two_s)
-            for h in (0.0, 1e-9, 1e-4, 0.3, 2.0, 10.0):
+            for h in (1e-9, 1e-4, 0.3):
                 asy.magnetization(beta, h, two_s)
-        for _ in range(20):
-            oracles.x_star(rng.uniform(-1.0, 1.0) * 0.5 * two_s, two_s)
-    seeded = [rng.uniform(1.5, 30.0) for _ in range(8)]
-    for beta in [1.5 * (1.0 + 10.0**-k) for k in range(1, 13)] + seeded + list(deep):
-        asy.classical_maximizer(beta)
-    for _ in range(20):  # close to saturation, where the bracket doubles furthest
-        oracles.x_star((1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * 0.5 * HALF, HALF)
-    for theta in (3, 4):  # the benchmark's maximize grid 2:4:0.1
-        for k in range(21):
-            asy.interchange_maximizer(2.0 + 0.1 * k, theta)
-    for theta in range(2, 7):
-        bc = asy.interchange_beta_critical(theta)
-        for beta in [bc * rng.uniform(1.0, 10.0) for _ in range(8)] + [30.0, 40.0, 60.0]:
-            asy.interchange_maximizer(beta, theta)
-    assert len(calls) >= 760  # 76 of them interchange roots
-    at_end = 0
-    for f, lo, hi, (root, iterations) in calls:
-        ref, info = brentq(f, lo, hi, xtol=1e-300, rtol=1e-15, full_output=True)
-        assert root == ref
-        if f(lo) == 0.0 or f(hi) == 0.0:  # brentq leaves its count undefined here
-            at_end += 1
-            assert iterations == 0
-        else:
-            assert iterations == info.iterations
-    assert at_end > 0  # m* = S and x1* = 1 at the deepest points
-
-
-def test_brent_failures():
-    with pytest.raises(ValueError, match="differ in sign"):
-        asy._brent(lambda x: x + 1.0, 0.0, 1.0)
-    # a step at 0: each iteration only halves the bracket towards xtol = 1e-300
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        asy._brent(lambda x: 1.0 if x > 0.0 else -1.0, 0.0, 1.0)
+                asy.magnetization(-beta, h, two_s)
+        asy.classical_maximizer(1.5 * (1.0 + 10.0**-k))
+    assert len(calls) >= 200
+    for f, start, stop, points, (root, steps) in calls:
+        direction = math.copysign(1.0, stop - start)
+        assert len(points) == steps + 1 and points[-1] == root
+        assert all((b - a) * direction > 0.0 for a, b in zip(points, points[1:])), (start, stop)
+        assert (stop - root) * direction > 0.0
+        # f is monotone between start and stop: an iterate that has passed the
+        # root shows f's other sign, beyond the rounding of the terms f sums
+        sign = math.copysign(1.0, f(start))
+        assert all(f(x) * sign > 0.0 for x in points[:-1]), (start, stop)
+        rounding = 8.0 * 2.0**-52 * (abs(start) + abs(stop) + abs(root))
+        assert abs(f(root)) <= rounding, (start, stop, root)

@@ -322,6 +322,16 @@ def test_simulate_schema(tmp_path, capsys):
     }
 
 
+def test_simulate_records_the_burn_in_it_applied(tmp_path, capsys):
+    # the default is 20% of the sweeps, written as a number, not null
+    for extra, want in (([], 20), (["--burn-in", "7"], 7)):
+        rc = main(["simulate", "--model", "heisenberg", "--n", "4", "--beta", "2", "--sweeps", "100",
+                   "--seed", "1", "--out", str(tmp_path)] + extra)
+        assert rc == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "run_meta.json").read_text())["burn_in"] == want
+
+
 def test_simulate_summary_matches_exact(tmp_path, capsys):
     from spinloops import symfunc as sf
 
@@ -428,7 +438,7 @@ def test_numeric_failure_exit_code(capsys):
 def test_unconverged_root_exit_code(capsys, monkeypatch):
     from spinloops import asymptotics
 
-    # with eta' = 0 the self-consistency root sits at m -> 0+, out of Brent's reach
+    # with eta' = 0 but eta'' intact, G(x) = -x disagrees with its slope: the first Newton step passes 0
     monkeypatch.setattr(asymptotics, "eta_prime", lambda x, two_s: 0.0)
     rc = main(["maximize", "--model", "heisenberg", "--spin", "1/2", "--beta-grid", "3:3:1"])
     assert rc == 3

@@ -196,29 +196,45 @@ def test_overflowing_sums_raise_arithmetic_error(delta):
         sp.heisenberg_expectation_exact(10, 1, 3.0, delta, 5000.0)
 
 
+def _mp_delta_one(mpmath, n, two_s, beta, h):
+    """The Delta = 1 sum in 40-digit mpmath over the engine's own log degeneracies."""
+    two_js, logd = sp._log_degeneracies(n, two_s)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(h) / (2 * n)
+        num = den = mpmath.mpf(0)
+        for two_j, log_d in zip(two_js.tolist(), logd.tolist()):
+            j = mpmath.mpf(two_j) / 2
+            w = mpmath.exp(log_d + beta * j * (j + 1) / n)
+            num += w * mpmath.sinh((2 * j + 1) * a) / mpmath.sinh(a)
+            den += w * (2 * j + 1)
+        return num / den
+
+
 def test_delta_one_sum_is_finite_where_its_value_is():
     # n = 1000, beta = 3.  h = 1500 at S = 1/2: the value is 3.45e302, while the
     # character sinh((2J+1)h/2n) of the top sectors, whose weight is negligible,
     # overflows.  h = 1520 at S = 1/2 and h = 714 at S = 1: the values are 5.99e306
     # and 3.33e306, while the scale e^c, c the largest log weight with e^{2Ja} in
     # it, overflows.  Against 40-digit mpmath over the same log degeneracies;
-    # measured 1.5e-14, 8.5e-15 and 6.1e-14, the rounding of log weights near 800
+    # measured 6.8e-15, 9.2e-15 and 6.7e-15, the rounding of exponents with e^{2Ja}
+    # in them, which reach 700
     mpmath = pytest.importorskip("mpmath")
     n, beta = 1000, 3.0
     for two_s, h in ((1, 1500.0), (1, 1520.0), (2, 714.0)):
-        two_js, logd = sp._log_degeneracies(n, two_s)
-        with mpmath.workdps(40):
-            a = mpmath.mpf(h) / (2 * n)
-            num = den = mpmath.mpf(0)
-            for two_j, log_d in zip(two_js.tolist(), logd.tolist()):
-                j = mpmath.mpf(two_j) / 2
-                w = mpmath.exp(log_d + beta * j * (j + 1) / n)
-                num += w * mpmath.sinh((2 * j + 1) * a) / mpmath.sinh(a)
-                den += w * (2 * j + 1)
-            want = num / den
-            for field in (h, -h):
-                got = sp.heisenberg_expectation_exact(n, two_s, beta, 1.0, field)
-                assert abs(got / want - 1) < 1e-13, (two_s, field, got)
+        want = _mp_delta_one(mpmath, n, two_s, beta, h)
+        for field in (h, -h):
+            got = sp.heisenberg_expectation_exact(n, two_s, beta, 1.0, field)
+            assert abs(got / want - 1) < 1e-13, (two_s, field, got)
+
+
+def test_delta_one_log_weights_are_formed_relative_to_the_heaviest_sector():
+    # log d_J + (beta/n) J(J+1) reaches several hundred here; rounded at that
+    # size before the maximum is subtracted it put the value 1.5e-14 off
+    # 40-digit mpmath, formed as differences from the heaviest sector 6.8e-15
+    mpmath = pytest.importorskip("mpmath")
+    want = _mp_delta_one(mpmath, 1000, 1, 3.0, 1500.0)
+    got = sp.heisenberg_expectation_exact(1000, 1, 3.0, 1.0, 1500.0)
+    assert abs(got / want - 1) < 1e-14
 
 
 @pytest.mark.parametrize("n,two_s,beta", [(60, 1, 2.5), (2000, 1, 10.0), (1000, 2, 3.0)])
