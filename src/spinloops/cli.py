@@ -67,15 +67,20 @@ def _heisenberg_limit(beta: float, h: float, delta: float, two_s: int) -> float:
 def cmd_exact(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
+    if args.delta is not None and args.model != "xy":
+        raise UsageError("--delta applies to the xy model only")
     if not all(map(math.isfinite, args.h)):
         raise ValueError("--h must be finite")
     if args.model in ("heisenberg", "xy"):
         if len(args.h) != 1:
             raise UsageError("heisenberg/xy take a scalar --h")
         h = args.h[0]
-        delta = 1.0 if args.model == "heisenberg" else args.delta
-        if args.model == "xy" and not -1.0 <= delta < 1.0:
-            raise UsageError("the xy model needs --delta in [-1, 1)")
+        if args.model == "heisenberg":
+            delta = 1.0
+        else:
+            delta = 0.0 if args.delta is None else args.delta
+            if not -1.0 <= delta < 1.0:
+                raise UsageError("the xy model needs --delta in [-1, 1)")
         exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h)
         limit = _heisenberg_limit(args.beta, h, delta, args.spin)
     else:
@@ -115,6 +120,8 @@ def _csv_rows(runs, total_length: int):
 def cmd_simulate(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
+    if args.u is not None and args.model != "xy":
+        raise UsageError("--u applies to the xy model only")
     if args.sweeps < 1:
         raise UsageError("--sweeps must be >= 1")
     if args.chains < 1:
@@ -132,8 +139,7 @@ def cmd_simulate(args) -> int:
             raise UsageError("--theta must be >= 1")
         if len(hvec) != theta:
             raise UsageError(f"interchange needs {theta} fields")
-        q_table = {}
-        observable = lambda s: loops.observable_q(s, hvec, args.n, q_table)
+        factor = lambda m: pd.q_eval(hvec, m / args.n)
     else:
         if len(args.h) != 1:
             raise UsageError("heisenberg/xy take a scalar --h")
@@ -142,11 +148,11 @@ def cmd_simulate(args) -> int:
         if args.model == "heisenberg":
             u = 1.0
         else:
-            u = args.u
+            u = 0.5 if args.u is None else args.u
             if not 0.0 <= u < 1.0:
                 raise UsageError("the xy model needs --u in [0, 1)")
-        h, cosh_table = float(args.h[0]), {}
-        observable = lambda s: loops.observable_cosh(s, h * two_s / 2, args.n, two_s, cosh_table)
+        hs = float(args.h[0]) * two_s / 2  # the field h S; a loop of length l weighs cosh(h S l / 2Sn)
+        factor = lambda m: math.cosh(hs * m / (two_s * args.n))
     if not all(map(math.isfinite, args.h)):
         raise ValueError("--h must be finite")
     seeds = np.random.SeedSequence(args.seed).spawn(args.chains)
@@ -156,7 +162,7 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(seed)
         samples, stats = loops.mcmc_run(
             args.n, two_s, args.beta, u, float(theta), args.sweeps, rng,
-            burn_in=burn_in, thin=args.thin, observable=observable,
+            burn_in=burn_in, factor=factor, thin=args.thin,
         )
         mean, se = loops.batch_means_se(stats.observable_trace)
         chain_stats.append(
@@ -354,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", type=parse_spin, default="1/2")
     p.add_argument("--theta", type=int, default=3)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=float, default=None, help="xy only (default 0)")
     p.add_argument("--h", type=parse_h_list, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_exact)
@@ -365,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", type=parse_spin, default="1/2")
     p.add_argument("--theta", type=int, default=3)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--u", type=float, default=0.5)
+    p.add_argument("--u", type=float, default=None, help="xy only (default 0.5)")
     p.add_argument("--h", type=parse_h_list, default="1")
     p.add_argument("--sweeps", type=int, default=100_000)
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in")

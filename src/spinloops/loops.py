@@ -50,10 +50,12 @@ C(n,2) (2S)^2 pseudo-edges in site-major order (site pairs i < j, then
 thread slots a, b) and is decoded from per-site offsets; the chain never
 lists the edges.
 
-Samples.  A chain keeps returning to spectra it has seen, so mcmc_run interns
-the retained spectra of a run: equal ones are one object, and the observable
-is evaluated once per distinct spectrum.  The observables multiply one
-factor per loop, each taken from a per-run table of loop lengths.
+Samples.  Every loop observable is a product with one factor per loop
+(cosh(h l / 2Sn) for the spin models, q_h(l / n) for the interchange model),
+and mcmc_run takes that factor.  A chain keeps returning to spectra it has
+seen, so mcmc_run interns the retained spectra of a run: equal ones are one
+object, and the product is formed once per distinct spectrum, from a per-run
+table that computes each loop length's factor once.
 """
 
 from __future__ import annotations
@@ -65,16 +67,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import pd as _pd
-
 __all__ = [
     "CROSS",
     "BAR",
     "LoopSpectrum",
     "McmcStats",
     "mcmc_run",
-    "observable_cosh",
-    "observable_q",
     "batch_means_se",
 ]
 
@@ -306,20 +304,22 @@ def mcmc_run(
     theta: float,
     n_sweeps: int,
     rng: np.random.Generator,
-    burn_in: int | None = None,
+    burn_in: int,
+    factor,
     thin: int = 1,
-    observable=None,
 ) -> tuple[list[LoopSpectrum], McmcStats]:
     """Metropolis chain with stationary law theta^{#loops} x Poisson links.
 
     One sweep is one elementary proposal (insert / delete / sigma resample),
-    starting from the empty configuration.  Returns the retained post-burn-in
-    spectra (every `thin`-th sweep) and McmcStats: move counts, retained link
-    counts and observable values (not n_sweeps, which the caller holds);
-    burn_in defaults to 20% of n_sweeps.  Retained spectra are interned within
-    the run: equal ones are the same object, and `observable` is evaluated
-    exactly once per distinct retained spectrum, its value reused for every
-    later visit.
+    starting from the empty configuration.  Returns the spectra retained
+    after the first burn_in sweeps (every `thin`-th sweep) and McmcStats:
+    move counts, retained link counts and observable values (not n_sweeps,
+    which the caller holds).  The observable of a spectrum is the float
+    product of factor(l) over its loop lengths l, in their order, from the
+    unit factor(0).  factor is called at most once per length in a run.
+    Retained spectra are interned within the run: equal ones are the same
+    object, and the product is formed once per distinct retained spectrum,
+    its value reused for every later visit.
     All randomness comes from rng.random in blocks (see _uniforms).
     """
     if not (math.isfinite(beta) and beta > 0.0):
@@ -328,8 +328,6 @@ def mcmc_run(
         raise ValueError("theta must be finite and >= 1 (smaller weights are not needed here)")
     if n_sweeps < 1:
         raise ValueError("n_sweeps must be positive")
-    if burn_in is None:
-        burn_in = n_sweeps // 5
     if not 0 <= burn_in < n_sweeps:
         raise ValueError("burn_in must lie in [0, n_sweeps)")
     if thin < 1:
@@ -359,12 +357,12 @@ def mcmc_run(
     n_loops = n_threads
     spectrum = None  # the current spectrum once built, until the loops change
     interned: dict[LoopSpectrum, tuple[LoopSpectrum, float]] = {}  # spectrum -> (kept object, value)
+    table = {}  # loop length -> factor, filled as lengths are first kept
     perm_prob = 0.1 if two_s > 1 else 0.0
     insert_below = perm_prob + 0.5 * (1.0 - perm_prob)
     stats = McmcStats()
     samples: list[LoopSpectrum] = []
     keep, keep_links, keep_value = samples.append, stats.links_trace.append, stats.observable_trace.append
-    value = 0.0
     log_theta = math.log(theta) if theta > 1.0 else 0.0
     draw = _uniforms(rng).__next__
     exp, log, bisect_right = math.exp, math.log, bisect.bisect_right
@@ -449,55 +447,20 @@ def mcmc_run(
                 spectrum = tuple.__new__(LoopSpectrum, (tuple(reversed(lengths)), n_loops))
                 seen = interned.get(spectrum)
                 if seen is None:
-                    if observable is not None:
-                        value = float(observable(spectrum))
+                    try:
+                        value = float(math.prod(map(table.__getitem__, spectrum.lengths), start=table[0]))
+                    except KeyError:
+                        table.update((m, factor(m)) for m in (0, *spectrum.lengths) if m not in table)
+                        value = float(math.prod(map(table.__getitem__, spectrum.lengths), start=table[0]))
                     interned[spectrum] = spectrum, value
                 else:
                     spectrum, value = seen
             keep(spectrum)
             keep_links(len(flat))
-            if observable is not None:
-                keep_value(value)
+            keep_value(value)
     stats.proposed_inserts, stats.proposed_deletes, stats.proposed_perm_moves = n_ins, n_del, n_perm
     stats.accepted_inserts, stats.accepted_deletes, stats.accepted_perm_moves = acc_ins, acc_del, acc_perm
     return samples, stats
-
-
-# ---------------------------------------------------------------------------
-# Observables
-# ---------------------------------------------------------------------------
-
-def _table_product(lengths, table: dict | None, factor):
-    """prod of table[l] over `lengths`, in their order, from the unit table[0].
-
-    Missing entries, the unit included, are filled with factor(l) first.
-    """
-    table = {} if table is None else table
-    try:
-        return math.prod(map(table.__getitem__, lengths), start=table[0])
-    except KeyError:
-        table.update((m, factor(m)) for m in (0, *lengths) if m not in table)
-        return math.prod(map(table.__getitem__, lengths), start=table[0])
-
-
-def observable_cosh(spectrum: LoopSpectrum, h: float, n: int, two_s: int, table: dict | None = None) -> float:
-    """prod_i cosh(h l_i / (2 S n)), the rescaled loop generating function.
-
-    `table` maps a loop length to its factor, as in observable_q.
-    """
-    return _table_product(spectrum.lengths, table, lambda m: math.cosh(h * m / (two_s * n)))
-
-
-def observable_q(spectrum: LoopSpectrum, hvec, n: int, table: dict | None = None) -> complex | float:
-    """prod_i q_h(l_i / n) for the interchange loop model; a float for real fields.
-
-    `table` maps a loop length l to q_h(l / n); pass one dict per (hvec, n)
-    to evaluate each length once over a run instead of once per loop.  Its
-    entry at length 0 is the product's unit q_h(0) = 1, a float or complex
-    by the field-type rule of pd.q_eval.  The factors are multiplied in the
-    order of the lengths.
-    """
-    return _table_product(spectrum.lengths, table, lambda m: _pd.q_eval(hvec, m / n))
 
 
 def batch_means_se(values) -> tuple[float, float]:

@@ -29,7 +29,7 @@ import numpy as np
 from spinloops import pd as _pd
 from spinloops import spectra as _spectra
 from spinloops.asymptotics import eta, eta_prime, eta_second, magnetization
-from spinloops.loops import BAR, CROSS, LoopSpectrum, batch_means_se, observable_cosh
+from spinloops.loops import BAR, CROSS, LoopSpectrum, batch_means_se
 from spinloops.pd import _MATH, _fields
 from spinloops.symfunc import _divided_powers, _schur_exp
 
@@ -915,7 +915,7 @@ def pd_comparison(
     """
     rows = []
     for h in h_values:
-        vals = [observable_cosh(s, h, n, two_s) for s in spectra]
+        vals = [observable_cosh_per_loop(s, h, n, two_s) for s in spectra]
         mean, se = batch_means_se(vals)
         limit = float(np.real(_pd.sinhc(h * z_star))) if u == 1.0 else float(np.i0(h * z_star))
         gap = abs(mean - limit)

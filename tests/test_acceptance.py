@@ -278,10 +278,9 @@ def test_criterion_10_interchange_cross_engine():
             hv = hv_of[theta]
             exact = sf.interchange_expectation_exact(n, theta, beta, hv)
             rng = np.random.default_rng(seed)
-            q_table = {}
             _, stats = lp.mcmc_run(
                 n, 1, beta, 1.0, float(theta), 200_000, rng,
-                observable=lambda s: float(np.real(lp.observable_q(s, hv, n, q_table))),
+                burn_in=200_000 // 5, factor=lambda m: pd.q_eval(hv, m / n),
             )
             mean, se = lp.batch_means_se(stats.observable_trace)
             assert abs(mean - exact) < 3 * se, (n, theta, mean, se, exact)
@@ -297,7 +296,7 @@ def test_criterion_11_loop_mcmc_vs_quantum_oracle():
             rng = np.random.default_rng(seed)
             _, stats = lp.mcmc_run(
                 n, 1, beta, u, 2.0, 200_000, rng,
-                observable=lambda s: lp.observable_cosh(s, h / 2, n, 1),
+                burn_in=200_000 // 5, factor=lambda m: math.cosh(h / 2 * m / n),
             )
             mean, se = lp.batch_means_se(stats.observable_trace)
             assert abs(mean - exact) < 3 * se, (u, mean, se, exact)

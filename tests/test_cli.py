@@ -11,8 +11,10 @@ import time
 import pytest
 
 import spinloops
-from spinloops import asymptotics, loops, pd
+from spinloops import asymptotics, loops
 from spinloops.cli import _float_repr, _parse_grid, build_parser, main, parse_h_list, parse_spin
+
+import oracles
 
 
 def test_parse_spin():
@@ -133,6 +135,23 @@ def test_exact_xy_model(capsys):
     assert float(row[3]) < 0.01  # small gap to I0(h m*) already at n = 64
 
 
+@pytest.mark.parametrize("command", ["exact", "simulate"])
+@pytest.mark.parametrize("spin", ["1/2", "1"])
+def test_xy_defaults_are_delta_0_and_u_one_half(tmp_path, capsys, command, spin):
+    # --delta and --u default to nothing; the xy model fills in Delta = 0 and u = 0.5
+    argv = [command, "--model", "xy", "--spin", spin, "--n", "6", "--beta", "2", "--h", "1"]
+    if command == "simulate":
+        argv += ["--sweeps", "500", "--seed", "2"]
+    explicit = ["--delta", "0"] if command == "exact" else ["--u", "0.5"]
+    outputs = []
+    for name, extra in (("default", []), ("explicit", explicit)):
+        out = ["--out", str(tmp_path / name)] if command == "simulate" else []
+        assert main(argv + extra + out) == 0
+        files = [(tmp_path / name / f).read_bytes() for f in ("run_spectra.csv", "run_meta.json")] if out else []
+        outputs.append((capsys.readouterr().out.replace(str(tmp_path / name), ""), files))
+    assert outputs[0] == outputs[1]
+
+
 _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
 
 
@@ -174,6 +193,15 @@ _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
         (["simulate", "--model", "heisenberg", "--n", "3", "--beta", "2", "--sweeps", "10",
           "--burn-in", "9", "--seed", "1"],
          "--sweeps, --burn-in and --thin must keep at least 2 samples a chain"),
+        (_SIM + ["--model", "heisenberg", "--u", "0.2"], "--u applies to the xy model only"),
+        (_SIM + ["--model", "interchange", "--theta", "3", "--h", "1,0,0", "--u", "1"],
+         "--u applies to the xy model only"),
+        (["exact", "--model", "heisenberg", "--n", "10", "--beta", "2", "--h", "1", "--delta", "0.2"],
+         "--delta applies to the xy model only"),
+        (["exact", "--model", "heisenberg", "--n", "10", "--beta", "2", "--h", "1", "--delta", "1"],
+         "--delta applies to the xy model only"),
+        (["exact", "--model", "interchange", "--n", "8", "--theta", "3", "--beta", "1", "--h", "1,0,0",
+          "--delta", "0"], "--delta applies to the xy model only"),
     ],
 )
 def test_usage_error_messages(tmp_path, capsys, argv, message):
@@ -216,6 +244,9 @@ def test_exact_usage_errors(capsys):
         # one retained sample: at sweep 0 with the default burn-in, at sweep 40 with thin 160
         (["--sweeps", "1"], "at least 2 samples"),
         (["--thin", "160"], "at least 2 samples"),
+        (["--u", "0.2"], "--u applies to the xy model only"),
+        (["--u", "1"], "--u applies to the xy model only"),
+        (["--model", "interchange", "--theta", "1", "--u", "0.5"], "--u applies to the xy model only"),
     ],
 )
 def test_simulate_usage_errors(tmp_path, capsys, extra, message):
@@ -246,24 +277,45 @@ def test_simulate_reproducible(tmp_path, capsys):
     assert meta1 == meta2
 
 
-def test_simulate_q_table_matches_per_loop_q_eval(tmp_path, capsys, monkeypatch):
-    # the per-run q table must reproduce, byte for byte, the output of
-    # evaluating q_eval afresh for every loop of every sample
-    def per_loop_q(spectrum, hvec, n, table=None):
-        out = 1.0 + 0.0j
-        for length in spectrum.lengths:
-            out *= pd.q_eval(hvec, length / n)
-        return out.real
+def _simulate_runs(monkeypatch, argv):
+    """The CSV rows of a simulate run and the (samples, stats) of each of its chains."""
+    runs = []
+    run_chain = loops.mcmc_run
+    monkeypatch.setattr(loops, "mcmc_run", lambda *a, **k: runs.append(run_chain(*a, **k)) or runs[-1])
+    assert main(argv) == 0
+    out = argv[argv.index("--out") + 1]
+    with open(os.path.join(out, "run_spectra.csv")) as fh:
+        rows = fh.read().splitlines()[1:]
+    return rows, runs
 
-    argv = ["simulate", "--model", "interchange", "--n", "12", "--theta", "3",
-            "--beta", "2", "--h", "0.7,-0.2,0.1", "--sweeps", "2000", "--seed", "5"]
-    assert main(argv + ["--out", str(tmp_path / "table")]) == 0
-    monkeypatch.setattr(loops, "observable_q", per_loop_q)
-    assert main(argv + ["--out", str(tmp_path / "per_loop")]) == 0
+
+def test_simulate_q_table_matches_per_loop_q_eval(tmp_path, capsys, monkeypatch):
+    # every observable the CSV reports is, byte for byte, the product of
+    # q_eval evaluated afresh for every loop of its sample
+    hvec, n = [0.7, -0.2, 0.1], 12
+    rows, runs = _simulate_runs(monkeypatch, [
+        "simulate", "--model", "interchange", "--n", str(n), "--theta", "3", "--beta", "2",
+        "--h", "0.7,-0.2,0.1", "--sweeps", "2000", "--seed", "5", "--out", str(tmp_path)])
     capsys.readouterr()
-    for name in ("run_spectra.csv", "run_meta.json"):
-        table, per_loop = (tmp_path / d / name for d in ("table", "per_loop"))
-        assert table.read_bytes() == per_loop.read_bytes()
+    (samples, _), = runs
+    assert len(set(samples)) > 10
+    assert [row.split(",")[3] for row in rows] == [
+        _float_repr(oracles.observable_q_per_loop(s, hvec, n)) for s in samples]
+
+
+@pytest.mark.parametrize("model, two_s", [("heisenberg", 1), ("heisenberg", 2), ("heisenberg", 3),
+                                          ("xy", 1), ("xy", 2)])
+def test_simulate_cosh_factor_matches_per_loop_cosh(tmp_path, capsys, monkeypatch, model, two_s):
+    # the field h S, one factor cosh(h S l / 2Sn) a loop, multiplied out afresh for every sample
+    n, h = 6, 1.3
+    rows, runs = _simulate_runs(monkeypatch, [
+        "simulate", "--model", model, "--spin", f"{two_s}/2", "--n", str(n), "--beta", "2",
+        "--h", str(h), "--sweeps", "3000", "--chains", "2", "--seed", "3", "--out", str(tmp_path)])
+    capsys.readouterr()
+    want = [_float_repr(oracles.observable_cosh_per_loop(s, h * two_s / 2, n, two_s))
+            for samples, _ in runs for s in samples]
+    assert len(runs) == 2 and len({s for samples, _ in runs for s in samples}) > 10
+    assert [row.split(",")[3] for row in rows] == want
 
 
 def test_simulate_csv_matches_per_row_formatting(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ double precision whatever the input's width.
 import numpy as np
 import pytest
 
-from spinloops import loops, pd, spectra, symfunc
+from spinloops import pd, spectra, symfunc
 
 # kind -> (constructor, whether the fields are complex)
 KINDS = {
@@ -22,7 +22,6 @@ KINDS = {
     "np.complex128": (np.complex128, True),
 }
 
-_SPECTRUM = loops.LoopSpectrum((9, 4, 2, 1), 6)
 _Z = 0.4  # the two-level x* = (z + y, y, y), y = (1 - z)/3
 
 
@@ -43,7 +42,6 @@ ENGINES = {
     "pd_q_expectation_exact": (True, lambda hv: pd.pd_q_expectation_exact(3, hv, _Z)),
     "pd_q_expectation_mc": (
         True, lambda hv: pd.pd_q_expectation_mc(3, hv, 0.4, 300, np.random.default_rng(1))[0]),
-    "observable_q": (True, lambda hv: loops.observable_q(_SPECTRUM, hv, 16)),
 }
 
 

@@ -139,100 +139,104 @@ def test_insert_delete_reversibility():
     assert oracles.trace_loops(cfg) == before
 
 
+def _one(m):
+    """The factor of an observable the test does not read."""
+    return 1.0
+
+
+def _cosh_factor(h, n, two_s):
+    """The factor cosh(h l / 2Sn) of a loop of length l, as `cli simulate` forms it for the field h S."""
+    return lambda m: math.cosh(h * m / (two_s * n))
+
+
 def test_observables():
-    spec = lp.LoopSpectrum((4, 2), 3)
-    n, two_s = 3, 2
-    h = 1.3
-    direct = math.cosh(h * 4 / 6) * math.cosh(h * 2 / 6)
-    assert lp.observable_cosh(spec, h, n, two_s) == pytest.approx(direct, rel=1e-13)
-    assert lp.observable_cosh(spec, 0.0, n, two_s) == 1.0
-    # a single full-length loop gives cosh(h)
-    full = lp.LoopSpectrum((6,), 1)
-    assert lp.observable_cosh(full, h, n, two_s) == pytest.approx(math.cosh(h), rel=1e-13)
-    # the spin convention of `cli simulate`: field h S divides by 2n
-    for spin2 in (1, 2, 3):
-        assert lp.observable_cosh(spec, h * spin2 / 2, n, spin2) == pytest.approx(
-            math.cosh(h * 4 / 6) * math.cosh(h * 2 / 6), rel=1e-13
-        )
-    qv = lp.observable_q(spec, [1.0, 0.0, 0.0], n)
-    target = pd.q_eval([1.0, 0.0, 0.0], 4 / 3) * pd.q_eval([1.0, 0.0, 0.0], 2 / 3)
-    assert qv == pytest.approx(float(np.real(target)), rel=1e-13)
-
-
-def _random_spectra(rng, total, count):
-    """count random spectra whose lengths sum to total, in decreasing order."""
-    out = []
-    for _ in range(count):
-        cuts = np.sort(rng.choice(np.arange(1, total), size=rng.integers(0, min(total, 12)), replace=False))
-        lengths = np.diff(np.concatenate(([0], cuts, [total])))
-        out.append(lp.LoopSpectrum(tuple(sorted(lengths.tolist(), reverse=True)), len(lengths) + 1))
-    return out
+    # the chain's products against products of the factors written out;
+    # `cli simulate` passes the field h S, so a loop of length l weighs cosh(h l / 2n)
+    n, h = 4, 1.3
+    for two_s in (1, 2, 3):
+        samples, stats = lp.mcmc_run(n, two_s, 2.0, 0.5, 2.0, 3000, np.random.default_rng(two_s),
+                                     burn_in=600, factor=_cosh_factor(h * two_s / 2, n, two_s))
+        assert len({s.lengths for s in samples}) > 3
+        for s, value in zip(samples, stats.observable_trace, strict=True):
+            assert value == pytest.approx(math.prod(math.cosh(h * l / (2 * n)) for l in s.lengths), rel=1e-13)
+        # a single loop through every marked point gives cosh(h S)
+        full = [value for s, value in zip(samples, stats.observable_trace) if len(s.lengths) == 1]
+        assert full and all(v == pytest.approx(math.cosh(h * two_s / 2), rel=1e-13) for v in full)
+        _, stats = lp.mcmc_run(n, two_s, 2.0, 0.5, 2.0, 3000, np.random.default_rng(two_s),
+                               burn_in=600, factor=_cosh_factor(0.0, n, two_s))
+        assert set(stats.observable_trace) == {1.0}
+    hv = [1.0, 0.0, 0.0]
+    samples, stats = lp.mcmc_run(n, 1, 2.0, 1.0, 3.0, 3000, np.random.default_rng(4),
+                                 burn_in=600, factor=lambda m: pd.q_eval(hv, m / n))
+    for s, value in zip(samples, stats.observable_trace, strict=True):
+        target = math.prod(pd.q_eval(hv, l / n) for l in s.lengths)
+        assert value == pytest.approx(float(np.real(target)), rel=1e-13)
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
 def test_observable_cosh_equals_per_loop_product_bit_for_bit(two_s):
-    rng = np.random.default_rng(two_s)
-    n, h, table = 37, 1.7 * two_s / 2, {}
-    for spec in _random_spectra(rng, n * two_s, 300):
-        want = oracles.observable_cosh_per_loop(spec, h, n, two_s)
-        assert lp.observable_cosh(spec, h, n, two_s, table) == want  # the run's table, filled as it goes
-        assert lp.observable_cosh(spec, h, n, two_s) == want
-        assert type(lp.observable_cosh(spec, h, n, two_s, table)) is float
+    # every kept value is the per-loop product multiplied out afresh
+    n, h = 37, 1.7 * two_s / 2
+    samples, stats = lp.mcmc_run(n, two_s, 3.0, 0.5, 2.0, 6000, np.random.default_rng(two_s),
+                                 burn_in=1200, factor=_cosh_factor(h, n, two_s))
+    assert len(set(samples)) > 100
+    for s, value in zip(samples, stats.observable_trace, strict=True):
+        assert type(value) is float
+        assert value == oracles.observable_cosh_per_loop(s, h, n, two_s)
 
 
-@pytest.mark.parametrize("hvec", [[1.0, 0.0, 0.0], [0.7, -0.2, 0.1, 2.5], [0.5 + 1.0j, -0.3j, 0.0],
-                                  [1.0 - 0.5j, 2.0]])
+@pytest.mark.parametrize("hvec", [[1.0, 0.0, 0.0], [0.7, -0.2, 0.1, 2.5], [0.5, -1.0, 0.0, 2.0],
+                                  [-0.3, 2.0]])
 def test_observable_q_equals_per_loop_product_bit_for_bit(hvec):
     rng = np.random.default_rng(len(hvec))
-    n, table = 29, {}
-    for spec in _random_spectra(rng, n, 300):
-        want = oracles.observable_q_per_loop(spec, hvec, n)
-        for got in (lp.observable_q(spec, hvec, n, table), lp.observable_q(spec, hvec, n)):
-            assert type(got) is type(want)
-            assert (got.real, got.imag) == (want.real, want.imag)
-            assert [math.copysign(1.0, x) for x in (got.real, got.imag)] == [
-                math.copysign(1.0, x) for x in (want.real, want.imag)]
+    n = 29
+    samples, stats = lp.mcmc_run(n, 1, 3.0, 1.0, float(len(hvec)), 6000, rng,
+                                 burn_in=1200, factor=lambda m: pd.q_eval(hvec, m / n))
+    assert len(set(samples)) > 100
+    for s, got in zip(samples, stats.observable_trace, strict=True):
+        want = oracles.observable_q_per_loop(s, hvec, n)
+        assert type(got) is type(want) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_mcmc_rejects_small_theta():
     rng = np.random.default_rng(0)
     for theta in (0.5, math.nan, math.inf):  # nan ran as theta = 1 before
         with pytest.raises(ValueError):
-            lp.mcmc_run(3, 1, 1.0, 1.0, theta, 100, rng)
+            lp.mcmc_run(3, 1, 1.0, 1.0, theta, 100, rng, 20, _one)
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 0.0])
 def test_mcmc_rejects_bad_beta(beta):
     with pytest.raises(ValueError, match="beta must be finite and positive"):
-        lp.mcmc_run(3, 1, beta, 1.0, 2.0, 100, np.random.default_rng(0))
+        lp.mcmc_run(3, 1, beta, 1.0, 2.0, 100, np.random.default_rng(0), 20, _one)
 
 
 def test_mcmc_rejects_bad_burn_in_and_thin():
     rng = np.random.default_rng(0)
     for kwargs in ({"thin": 0}, {"thin": -1}, {"burn_in": 100}, {"burn_in": 150}, {"burn_in": -1}):
         with pytest.raises(ValueError):
-            lp.mcmc_run(3, 1, 1.0, 1.0, 2.0, 100, rng, **kwargs)
+            lp.mcmc_run(3, 1, 1.0, 1.0, 2.0, 100, rng, **{"burn_in": 20, "factor": _one, **kwargs})
 
 
 def test_mcmc_rejects_too_few_sites_and_bad_u():
     rng = np.random.default_rng(0)
     for n in (0, 1):
         with pytest.raises(ValueError, match="need n >= 2 sites"):
-            lp.mcmc_run(n, 1, 1.0, 1.0, 2.0, 100, rng)
+            lp.mcmc_run(n, 1, 1.0, 1.0, 2.0, 100, rng, 20, _one)
     for u in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
-            lp.mcmc_run(3, 1, 1.0, u, 2.0, 100, rng)
+            lp.mcmc_run(3, 1, 1.0, u, 2.0, 100, rng, 20, _one)
 
 
-def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin=1, observable=None):
+def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in, factor, thin=1):
     """The chain by full retrace: every proposal re-traces the whole configuration.
 
     Same proposals, random source (lp._uniforms, lp._permutation) and
     acceptance rule as mcmc_run; a rejected deletion leaves the proposed link
-    last in the list.  Returns the samples and the stats.
+    last in the list.  Every kept sample's observable is the product of its
+    factors multiplied out afresh.  Returns the samples and the stats.
     """
-    if burn_in is None:
-        burn_in = n_sweeps // 5
     lo, hi = oracles.empty_configuration(n, two_s, beta, u).interval
     span = hi - lo
     edges = oracles.pseudo_edges(n, two_s)
@@ -291,8 +295,7 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             samples.append(cur)
             stats.links_trace.append(len(flat))
-            if observable is not None:
-                stats.observable_trace.append(float(observable(cur)))
+            stats.observable_trace.append(float(math.prod(map(factor, cur.lengths), start=factor(0))))
     return samples, stats
 
 
@@ -319,12 +322,11 @@ def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in=None, thin
 def test_mcmc_matches_full_retrace_chain(n, two_s, u, theta, kwargs):
     # the incremental loop bookkeeping must reproduce the retraced chain exactly
     beta, sweeps = 3.0, 3001
-    observable = lambda s: lp.observable_cosh(s, 1.5, n, two_s)
+    kwargs = {"burn_in": sweeps // 5, "factor": _cosh_factor(1.5, n, two_s), **kwargs}
     for seed in (3, 4):
-        got, stats = lp.mcmc_run(n, two_s, beta, u, theta, sweeps, np.random.default_rng(seed),
-                                 observable=observable, **kwargs)
+        got, stats = lp.mcmc_run(n, two_s, beta, u, theta, sweeps, np.random.default_rng(seed), **kwargs)
         want, want_stats = _reference_chain(n, two_s, beta, u, theta, sweeps, np.random.default_rng(seed),
-                                            observable=observable, **kwargs)
+                                            **kwargs)
         assert got == want
         assert stats == want_stats
         assert stats.accepted_inserts > 0 and stats.accepted_deletes > 0
@@ -346,7 +348,7 @@ def test_mcmc_loop_records_match_a_fresh_walk(n, two_s, u, theta, monkeypatch):
     monkeypatch.setattr(lp, "_Event", Event)
     for seed in (5, 6):
         events.clear()
-        _, stats = lp.mcmc_run(n, two_s, 3.0, u, theta, 4000, np.random.default_rng(seed))
+        _, stats = lp.mcmc_run(n, two_s, 3.0, u, theta, 4000, np.random.default_rng(seed), 4000 // 5, _one)
         # bottom sentinels and the ends of links still in place
         live = [x for x in events if x.time == -math.inf or
                 (x.time < math.inf and x.partner is not None and x.partner.partner is x)]
@@ -436,7 +438,7 @@ def test_sigma_moves_sample_ewens_cycles(two_s, theta):
     # 2S = 3, theta = 2, far below the 25,000-sweep batches of the SE
     n = 3
     samples, stats = lp.mcmc_run(n, two_s, 1e-12, 1.0, theta, 1_000_000,
-                                 np.random.default_rng(80 + 10 * two_s + int(theta)))
+                                 np.random.default_rng(80 + 10 * two_s + int(theta)), 1_000_000 // 5, _one)
     assert stats.accepted_inserts == 0 and stats.accepted_perm_moves > 0
     mean, se = lp.batch_means_se([s.n_loops_total for s in samples])
     target = n * sum(theta / (theta + i) for i in range(two_s))
@@ -463,28 +465,30 @@ def test_mcmc_draws_from_generator_in_blocks():
     # a scalar draw per proposal would make ~sweeps calls; blocks make a few
     sweeps = 20_000
     rng = _CountingGenerator(np.random.default_rng(9))
-    _, stats = lp.mcmc_run(6, 2, 2.0, 0.5, 2.0, sweeps, rng)
+    _, stats = lp.mcmc_run(6, 2, 2.0, 0.5, 2.0, sweeps, rng, sweeps // 5, _one)
     assert stats.accepted_perm_moves > 0 and stats.accepted_deletes > 0
     # at most 5 uniforms a proposal: move type, edge, time, kind, Metropolis test
     assert 1 <= rng.calls <= 5 * sweeps // lp._BLOCK + 1
 
 
 def test_mcmc_observable_once_per_distinct_spectrum():
-    # each distinct retained spectrum is observed exactly once, equal
-    # retained spectra are one object, and every sample carries its value
+    # factor is called once for the unit and once per loop length kept in the
+    # run, equal retained spectra are one object, and every sample carries
+    # the product of its factors
+    n, h = 8, 1.3
+    cosh = _cosh_factor(h, n, 1)
     for thin in (1, 3):
-        seen = []
-        observable = lambda s: seen.append(s) or float(len(seen))
-        samples, stats = lp.mcmc_run(8, 1, 2.0, 1.0, 2.0, 2000, np.random.default_rng(8),
-                                     thin=thin, observable=observable)
+        calls = []
+        factor = lambda m: calls.append(m) or cosh(m)
+        samples, stats = lp.mcmc_run(n, 1, 2.0, 1.0, 2.0, 2000, np.random.default_rng(8),
+                                     burn_in=2000 // 5, factor=factor, thin=thin)
         distinct = set(samples)
-        assert len(seen) == len(set(seen)) == len(distinct) < len(samples)
-        assert set(seen) == distinct
-        assert len({id(s) for s in samples}) == len(distinct)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {0}.union(*(s.lengths for s in distinct))
+        assert len({id(s) for s in samples}) == len(distinct) < len(samples)
         # the chain leaves a spectrum and comes back to it
         assert sum(a != b for a, b in zip(samples, samples[1:])) > 10 * len(distinct)
-        value = {id(s): k + 1.0 for k, s in enumerate(seen)}
-        assert stats.observable_trace == [value[id(s)] for s in samples]
+        assert stats.observable_trace == [oracles.observable_cosh_per_loop(s, h, n, 1) for s in samples]
 
 
 def test_mcmc_poisson_equilibrium():
@@ -492,7 +496,7 @@ def test_mcmc_poisson_equilibrium():
     rng = np.random.default_rng(13)
     n, beta = 3, 2.0
     lam = 3 * beta / n
-    _, stats = lp.mcmc_run(n, 1, beta, 1.0, 1.0, 60_000, rng)
+    _, stats = lp.mcmc_run(n, 1, beta, 1.0, 1.0, 60_000, rng, 60_000 // 5, _one)
     mean, se = lp.batch_means_se(stats.links_trace)
     assert abs(mean - lam) < 3 * se
     assert stats.accepted_inserts <= stats.proposed_inserts
@@ -510,7 +514,7 @@ def test_mcmc_toy_chain_matches_exact_stationarity():
     pi /= theta**2 * math.cosh(lam) + theta * math.sinh(lam)
     pi = np.append(pi, 1.0 - pi.sum())  # k >= 4
     rng = np.random.default_rng(41)
-    _, stats = lp.mcmc_run(2, 1, beta, 1.0, theta, 1_000_000, rng, burn_in=10_000)
+    _, stats = lp.mcmc_run(2, 1, beta, 1.0, theta, 1_000_000, rng, 10_000, _one)
     ks = np.minimum(stats.links_trace, 4)
     emp = np.bincount(ks, minlength=5) / len(ks)
     assert 0.5 * np.abs(emp - pi).sum() < 1e-3
@@ -521,8 +525,7 @@ def test_mcmc_cross_engine_heisenberg_small():
     n, beta, h = 4, 2.0, 1.0
     exact = sp.heisenberg_expectation_exact(n, 1, beta, 1.0, h)
     _, stats = lp.mcmc_run(
-        n, 1, beta, 1.0, 2.0, 120_000, rng,
-        observable=lambda s: lp.observable_cosh(s, h / 2, n, 1),
+        n, 1, beta, 1.0, 2.0, 120_000, rng, 120_000 // 5, _cosh_factor(h / 2, n, 1),
     )
     mean, se = lp.batch_means_se(stats.observable_trace)
     assert abs(mean - exact) < 3 * se
@@ -542,7 +545,7 @@ def test_pd_comparison_disordered_phase():
     # far below beta_c: no macroscopic loops, observables near 1, z* = 0
     rng = np.random.default_rng(17)
     n = 12
-    samples, _ = lp.mcmc_run(n, 1, 0.4, 1.0, 2.0, 15_000, rng)
+    samples, _ = lp.mcmc_run(n, 1, 0.4, 1.0, 2.0, 15_000, rng, 15_000 // 5, _one)
     report = oracles.pd_comparison(samples, n, 1, 1.0, 2.0, 0.0, [0.25, 0.5], rng)
     assert report.skipped_macroscopic
     assert report.ks_statistic is None
@@ -554,7 +557,7 @@ def test_pd_comparison_disordered_phase():
 
 def test_pd_comparison_report_structure():
     rng = np.random.default_rng(19)
-    samples, _ = lp.mcmc_run(6, 1, 3.0, 1.0, 2.0, 20_000, rng)
+    samples, _ = lp.mcmc_run(6, 1, 3.0, 1.0, 2.0, 20_000, rng, 20_000 // 5, _one)
     report = oracles.pd_comparison(samples, 6, 1, 1.0, 2.0, 0.8, [1.0], rng, n_reference=2000)
     assert not report.skipped_macroscopic
     assert report.ks_statistic is not None and 0.0 <= report.ks_statistic <= 1.0
@@ -598,11 +601,11 @@ def test_pd_comparison_ordered_phase_matches_limits():
     z = asy.m_star(3.0, 1).location / 0.5
     n = 128
     rng = np.random.default_rng(57)
-    samples, _ = lp.mcmc_run(n, 1, 3.0, 1.0, 2.0, 60_000, rng, thin=5)
+    samples, _ = lp.mcmc_run(n, 1, 3.0, 1.0, 2.0, 60_000, rng, 60_000 // 5, _one, thin=5)
     report = oracles.pd_comparison(samples, n, 1, 1.0, 2.0, z, [2.0], rng, n_reference=4000)
     assert report.rows[0]["abs_gap"] < 0.05
     rng2 = np.random.default_rng(59)
-    samples2, _ = lp.mcmc_run(n, 1, 3.0, 0.5, 2.0, 60_000, rng2, thin=5)
+    samples2, _ = lp.mcmc_run(n, 1, 3.0, 0.5, 2.0, 60_000, rng2, 60_000 // 5, _one, thin=5)
     report2 = oracles.pd_comparison(samples2, n, 1, 0.5, 1.0, z, [2.0], rng2, n_reference=4000)
     assert report2.rows[0]["abs_gap"] < 0.05
 
@@ -619,6 +622,6 @@ def test_sigma_noop_moves_skip_the_walk(monkeypatch, two_s):
         return rewire(tops, bottoms, site, sigma)
 
     monkeypatch.setattr(lp, "_rewire", spy)
-    _, stats = lp.mcmc_run(6, two_s, 2.0, 0.5, 2.0, 5000, np.random.default_rng(1))
+    _, stats = lp.mcmc_run(6, two_s, 2.0, 0.5, 2.0, 5000, np.random.default_rng(1), 5000 // 5, _one)
     assert stats.proposed_perm_moves > 100 and calls
     assert not any(calls)
