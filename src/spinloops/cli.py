@@ -59,6 +59,16 @@ def _float_repr(x) -> str:
     return repr(float(x))
 
 
+def _model_option(args, name: str, models: tuple[str, ...], default, fixed=None):
+    """--name (default if not given) where args.model reads it; `fixed` for other models, which refuse it."""
+    value = getattr(args, name)
+    if args.model in models:
+        return default if value is None else value
+    if value is not None:
+        raise UsageError(f"--{name} applies to the {' and '.join(models)} model{'s' * (len(models) > 1)} only")
+    return fixed
+
+
 def _heisenberg_limit(beta: float, h: float, delta: float, two_s: int) -> float:
     m = asymptotics.m_star(beta, two_s).location
     return pd.sinhc(h * m) if delta == 1.0 else float(np.i0(h * m))
@@ -67,32 +77,28 @@ def _heisenberg_limit(beta: float, h: float, delta: float, two_s: int) -> float:
 def cmd_exact(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    if args.delta is not None and args.model != "xy":
-        raise UsageError("--delta applies to the xy model only")
+    delta = _model_option(args, "delta", ("xy",), 0.0, fixed=1.0)  # heisenberg fixes Delta = 1
+    two_s = _model_option(args, "spin", ("heisenberg", "xy"), 1)
+    theta = _model_option(args, "theta", ("interchange",), 3)
     if not all(map(math.isfinite, args.h)):
         raise ValueError("--h must be finite")
     if args.model in ("heisenberg", "xy"):
         if len(args.h) != 1:
             raise UsageError("heisenberg/xy take a scalar --h")
         h = args.h[0]
-        if args.model == "heisenberg":
-            delta = 1.0
-        else:
-            delta = 0.0 if args.delta is None else args.delta
-            if not -1.0 <= delta < 1.0:
-                raise UsageError("the xy model needs --delta in [-1, 1)")
-        exact = spectra.heisenberg_expectation_exact(args.n, args.spin, args.beta, delta, h)
-        limit = _heisenberg_limit(args.beta, h, delta, args.spin)
+        if args.model == "xy" and not -1.0 <= delta < 1.0:
+            raise UsageError("the xy model needs --delta in [-1, 1)")
+        exact = spectra.heisenberg_expectation_exact(args.n, two_s, args.beta, delta, h)
+        limit = _heisenberg_limit(args.beta, h, delta, two_s)
     else:
-        hvec = args.h
-        if args.theta < 2:
+        if theta < 2:
             raise UsageError("interchange needs --theta >= 2")
-        if len(hvec) != args.theta:
-            raise UsageError(f"interchange needs {args.theta} comma-separated fields")
-        exact = symfunc.interchange_expectation_exact(args.n, args.theta, args.beta, hvec)
-        z = asymptotics.interchange_maximizer(args.beta, args.theta).z_star
+        if len(args.h) != theta:
+            raise UsageError(f"interchange needs {theta} comma-separated fields")
+        exact = symfunc.interchange_expectation_exact(args.n, theta, args.beta, args.h)
+        z = asymptotics.interchange_maximizer(args.beta, theta).z_star
         # R(h; x*) at the two-level maximiser x* = (z + y, y, .., y), y = (1 - z)/theta
-        limit = math.exp((1.0 - z) * sum(hvec) / args.theta) * pd.pd_q_expectation_exact(args.theta, hvec, z)
+        limit = math.exp((1.0 - z) * sum(args.h) / theta) * pd.pd_q_expectation_exact(theta, args.h, z)
     rows = [{"n": args.n, "exact": exact, "limit": limit, "gap": abs(exact - limit)}]
     if args.format == "json":
         payload = {"command": "exact", "model": args.model, "beta": args.beta, "rows": rows}
@@ -120,8 +126,9 @@ def _csv_rows(runs, total_length: int):
 def cmd_simulate(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    if args.u is not None and args.model != "xy":
-        raise UsageError("--u applies to the xy model only")
+    u = _model_option(args, "u", ("xy",), 0.5, fixed=1.0)  # the other models have only crosses
+    two_s = _model_option(args, "spin", ("heisenberg", "xy"), 1, fixed=1)
+    theta = _model_option(args, "theta", ("interchange",), 3, fixed=2.0)
     if args.sweeps < 1:
         raise UsageError("--sweeps must be >= 1")
     if args.chains < 1:
@@ -134,23 +141,16 @@ def cmd_simulate(args) -> int:
     if args.sweeps - burn_in <= args.thin:  # one kept sample; the standard error needs two
         raise UsageError("--sweeps, --burn-in and --thin must keep at least 2 samples a chain")
     if args.model == "interchange":
-        two_s, theta, u, hvec = 1, args.theta, 1.0, args.h
         if theta < 1:
             raise UsageError("--theta must be >= 1")
-        if len(hvec) != theta:
+        if len(args.h) != theta:
             raise UsageError(f"interchange needs {theta} fields")
-        factor = lambda m: pd.q_eval(hvec, m / args.n)
+        factor = lambda m: pd.q_eval(args.h, m / args.n)
     else:
         if len(args.h) != 1:
             raise UsageError("heisenberg/xy take a scalar --h")
-        two_s = args.spin
-        theta = 2.0
-        if args.model == "heisenberg":
-            u = 1.0
-        else:
-            u = 0.5 if args.u is None else args.u
-            if not 0.0 <= u < 1.0:
-                raise UsageError("the xy model needs --u in [0, 1)")
+        if args.model == "xy" and not 0.0 <= u < 1.0:
+            raise UsageError("the xy model needs --u in [0, 1)")
         hs = float(args.h[0]) * two_s / 2  # the field h S; a loop of length l weighs cosh(h S l / 2Sn)
         factor = lambda m: math.cosh(hs * m / (two_s * args.n))
     if not all(map(math.isfinite, args.h)):
@@ -218,8 +218,9 @@ def cmd_exponents(args) -> int:
     bc = asymptotics.beta_critical(args.spin)
     which = args.which
     rows = []
-    # ascending grids: fit_exponent sums in the order given, and this order keeps the printed digits
-    deltas = [10.0**-k for k in range(4, 0, -1)]  # 1e-4 .. 1e-1
+    # ascending grids: fit_exponent sums in the order given, and this order keeps the printed digits;
+    # 5e-5 .. 5e-2 beta_c keeps the fit in the critical window at every S (1e-4 .. 1e-1 at S = 1/2)
+    deltas = [0.5 * bc * 10.0**-k for k in range(4, 0, -1)]
     if which in ("magnetization", "all"):
         pts = [(d, asymptotics.m_star(bc + d, args.spin).location) for d in deltas]
         fit = asymptotics.fit_exponent(pts)
@@ -260,17 +261,18 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_maximize(args) -> int:
+    two_s = _model_option(args, "spin", ("heisenberg", "interchange"), 1)
     if args.model == "heisenberg":
-        print(f"# beta_c = {_float_repr(asymptotics.beta_critical(args.spin))}")
+        print(f"# beta_c = {_float_repr(asymptotics.beta_critical(two_s))}")
         print("beta,m_star,value,second_derivative")
         for b in args.beta_grid:
-            r = asymptotics.m_star(b, args.spin)
+            r = asymptotics.m_star(b, two_s)
             print(
                 f"{_float_repr(b)},{_float_repr(r.location)},{_float_repr(r.value)},"
                 f"{_float_repr(r.second_derivative)}"
             )
     elif args.model == "interchange":
-        theta = args.spin + 1  # args.spin is 2S; theta = 2S + 1
+        theta = two_s + 1
         print(f"# beta_c = {_float_repr(asymptotics.interchange_beta_critical(theta))}")
         print("beta,x1_star,z_star,value")
         for b in args.beta_grid:
@@ -357,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="finite-n exact value vs limit value")
     p.add_argument("--model", choices=("heisenberg", "xy", "interchange"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spin", type=parse_spin, default="1/2")
-    p.add_argument("--theta", type=int, default=3)
+    p.add_argument("--spin", type=parse_spin, default=None, help="heisenberg/xy only (default 1/2)")
+    p.add_argument("--theta", type=int, default=None, help="interchange only (default 3)")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--delta", type=float, default=None, help="xy only (default 0)")
     p.add_argument("--h", type=parse_h_list, required=True)
@@ -368,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="loop soup MCMC; CSV spectra + JSON metadata")
     p.add_argument("--model", choices=("heisenberg", "xy", "interchange"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spin", type=parse_spin, default="1/2")
-    p.add_argument("--theta", type=int, default=3)
+    p.add_argument("--spin", type=parse_spin, default=None, help="heisenberg/xy only (default 1/2)")
+    p.add_argument("--theta", type=int, default=None, help="interchange only (default 3)")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--u", type=float, default=None, help="xy only (default 0.5)")
     p.add_argument("--h", type=parse_h_list, default="1")
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize", help="free-energy maximiser tables over a beta grid")
     p.add_argument("--model", choices=("heisenberg", "interchange", "classical"), required=True)
-    p.add_argument("--spin", type=parse_spin, default="1/2")
+    p.add_argument("--spin", type=parse_spin, default=None, help="heisenberg/interchange only (default 1/2)")
     p.add_argument("--beta-grid", type=_parse_grid, required=True, dest="beta_grid")
     p.set_defaults(func=cmd_maximize)
 

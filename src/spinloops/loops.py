@@ -61,6 +61,7 @@ table that computes each loop length's factor once.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -357,7 +358,7 @@ def mcmc_run(
     n_loops = n_threads
     spectrum = None  # the current spectrum once built, until the loops change
     interned: dict[LoopSpectrum, tuple[LoopSpectrum, float]] = {}  # spectrum -> (kept object, value)
-    table = {}  # loop length -> factor, filled as lengths are first kept
+    table = functools.cache(factor)  # loop length -> factor, each computed once
     perm_prob = 0.1 if two_s > 1 else 0.0
     insert_below = perm_prob + 0.5 * (1.0 - perm_prob)
     stats = McmcStats()
@@ -447,11 +448,7 @@ def mcmc_run(
                 spectrum = tuple.__new__(LoopSpectrum, (tuple(reversed(lengths)), n_loops))
                 seen = interned.get(spectrum)
                 if seen is None:
-                    try:
-                        value = float(math.prod(map(table.__getitem__, spectrum.lengths), start=table[0]))
-                    except KeyError:
-                        table.update((m, factor(m)) for m in (0, *spectrum.lengths) if m not in table)
-                        value = float(math.prod(map(table.__getitem__, spectrum.lengths), start=table[0]))
+                    value = float(math.prod(map(table, spectrum.lengths), start=table(0)))
                     interned[spectrum] = spectrum, value
                 else:
                     spectrum, value = seen

@@ -193,9 +193,9 @@ def pd_q_expectation_mc(
     """Monte Carlo mean and standard error of prod_i q_h(z* X_i) under PD(theta).
 
     The product runs over stick columns in real arithmetic for real fields
-    and in complex arithmetic otherwise, and each column touches only the
-    rows still breaking (a dead row's factor is exactly 1); the theta terms
-    of a factor are added in order.  For complex fields the mean is
+    and in complex arithmetic otherwise, and each column multiplies every
+    row (a finished row's zero stick gives a factor of exactly 1); the theta
+    terms of a factor are added in order.  For complex fields the mean is
     complex and the standard error is that of the complex mean,
     sqrt((var Re + var Im) / n).  Only integer theta >= 2 is admitted;
     the closed form this is checked against is specific to integer theta
@@ -212,12 +212,11 @@ def pd_q_expectation_mc(
         return kind(1.0), 0.0
     vals = np.ones(n_samples, dtype=kind)
     for col in stick_breaking_columns(theta, n_samples, rng):
-        live = np.flatnonzero(col)
-        zx = z_star * col[live]
+        zx = z_star * col
         terms = np.exp(zx * hv[0])
         for h in hv[1:]:
             terms += np.exp(zx * h)
-        vals[live] *= terms / theta
+        vals *= terms / theta
     mean = vals.mean()
     se = float(np.sqrt(vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / math.sqrt(n_samples))
     return kind(mean), se

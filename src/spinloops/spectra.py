@@ -80,18 +80,15 @@ def _half_row(n: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_degeneracies(n: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(two_j values, log d_J) for all sectors with d_J > 0.
+    """(two_j values, log d_J) for every sector 2J = n two_s mod 2, .., n two_s.
 
     With c_k = L_{J,n} at the mirrored index k = S n - J, d_J = c_k - c_{k-1},
-    so log d_J = log c_k + log(1 - c_{k-1}/c_k) from _half_row.
+    so log d_J = log c_k + log(1 - c_{k-1}/c_k) from _half_row; it is -inf
+    where d_J = 0, which happens only at n = 1, 2S >= 2.
     """
     width = n * two_s
-    two_js = np.arange(width % 2, width + 1, 2)
-    ks = (width - two_js) // 2
     log_c, log_frac = _half_row(n, two_s)
-    logd = log_c[ks] + log_frac[ks]
-    keep = logd > -math.inf
-    return two_js[keep], logd[keep]
+    return np.arange(width % 2, width + 1, 2), (log_c + log_frac)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +104,12 @@ _ACCEPT = 2.0**-52
 _SEED_TERMS = 200
 
 
-def _sector_window(log_w, log_z, two_js, idx, mass, a):
+def _sector_window(log_w, log_z, two_js, mass, a):
     """((j_lo, j_hi, i_hi), bound): the cells of the Delta < 1 sum worth stepping.
 
-    log_w and log_z are the log weights of the sectors idx (2J = two_js), without
+    log_w and log_z are the log weights of every sector (2J = two_js), without
     and with their M-sums of e^{-gamma M^2}, both less max(log_z); mass[i] is
-    that M-sum's term at 2|M| = b_i.  Since |<J M|e^{t Sigma1}|J M>| <= e^{aJ},
+    that M-sum's term at 2|M| = two_js[i].  Since |<J M|e^{t Sigma1}|J M>| <= e^{aJ},
     a = |Re t|, a sector outside [j_lo, j_hi] drops at most e^{log_z + aJ}, and
     one inside at most e^{log_w + aJ} sum_{i > i_hi} mass_i.  The sectors kept
     run from the first to the last whose own bound reaches _TARGET / (sector
@@ -121,12 +118,12 @@ def _sector_window(log_w, log_z, two_js, idx, mass, a):
     """
     log_b = log_z + a * 0.5 * two_js
     kept = np.flatnonzero(log_b >= math.log(_TARGET / len(log_b)))
-    lo, hi = kept[0], kept[-1] + 1
+    lo, hi = int(kept[0]), int(kept[-1]) + 1
     reach = np.exp(log_w[lo:hi] + a * 0.5 * two_js[lo:hi]).sum()
     beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # sum_{i' > i} mass_i'
     i_hi = int(np.argmax(reach * beyond <= _TARGET))
     bound = np.exp(log_b[:lo]).sum() + np.exp(log_b[hi:]).sum() + reach * beyond[i_hi]
-    return (int(idx[lo]), int(idx[hi - 1]), min(i_hi, int(idx[hi - 1]))), bound
+    return (lo, hi - 1, min(i_hi, hi - 1)), bound
 
 
 def _log_cosh_half(t):
@@ -299,23 +296,21 @@ def heisenberg_expectation_exact(
         else:
             width = n * two_s
             gamma, t = (1.0 - delta) * beta / n, h / n
-            b = np.arange(width % 2, width + 1, 2, dtype=float)
-            mass = np.where(b > 0, 2.0, 1.0) * np.exp(-0.25 * gamma * b * b)  # M = +-b/2
-            idx = (two_js - width % 2) // 2
-            sector_s = np.cumsum(mass)[idx]
+            mass = np.where(two_js > 0, 2.0, 1.0) * np.exp(-0.25 * gamma * two_js * two_js)  # 2|M| = two_js
+            sector_s = np.cumsum(mass)
             log_z = log_w + np.log(sector_s)
             log_w, log_z = log_w - log_z.max(), log_z - log_z.max()
             weights = np.exp(log_z)  # numerator and denominator share its rounding
 
             def kept_sum(window):
-                inside = (idx >= window[0]) & (idx <= window[1])
-                sums = _anisotropic_sector_sums(width, gamma, t, window)[idx[inside] - window[0]]
-                return np.dot(weights[inside], sums / sector_s[inside])
+                cells = slice(window[0], window[1] + 1)  # sector j is column j
+                sums = _anisotropic_sector_sums(width, gamma, t, window)
+                return np.dot(weights[cells], sums / sector_s[cells])
 
-            window, bound = _sector_window(log_w, log_z, two_js, idx, mass, abs(np.real(t)))
+            window, bound = _sector_window(log_w, log_z, two_js, mass, abs(np.real(t)))
             numer = kept_sum(window)
             if bound > _ACCEPT * abs(numer):
-                numer = kept_sum((0, len(b) - 1, len(b) - 1))
+                numer = kept_sum((0, len(two_js) - 1, len(two_js) - 1))
             value = numer / weights.sum()
     if not np.isfinite(value):
         raise ArithmeticError("non-finite Gibbs sum; parameters out of range")

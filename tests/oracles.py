@@ -134,10 +134,10 @@ def exact_half_row(n: int, two_s: int) -> list[int]:
 
 
 def exact_log_degeneracies(n: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(two_j values, log d_J) for all sectors with d_J > 0, from exact_half_row.
+    """(two_j values, log d_J) for every sector, from exact_half_row.
 
-    A drop-in for spectra._log_degeneracies: d_J = c_k - c_{k-1} at
-    k = S n - J in exact integers, each log taken once.
+    A drop-in for spectra._log_degeneracies, with its layout: d_J = c_k - c_{k-1}
+    at k = S n - J in exact integers, each log taken once, and -inf where d_J = 0.
     """
     width = n * two_s
     c = exact_half_row(n, two_s)
@@ -145,9 +145,8 @@ def exact_log_degeneracies(n: int, two_s: int) -> tuple[np.ndarray, np.ndarray]:
     for two_j in range(width % 2, width + 1, 2):
         k = (width - two_j) // 2
         d = c[k] - (c[k - 1] if k else 0)
-        if d > 0:
-            two_js.append(two_j)
-            logd.append(math.log(d))
+        two_js.append(two_j)
+        logd.append(math.log(d) if d else -math.inf)
     return np.array(two_js), np.array(logd)
 
 

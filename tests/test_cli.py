@@ -152,6 +152,23 @@ def test_xy_defaults_are_delta_0_and_u_one_half(tmp_path, capsys, command, spin)
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "argv, explicit",
+    [
+        (["exact", "--model", "heisenberg", "--n", "8", "--beta", "2", "--h", "1"], ["--spin", "1/2"]),
+        (["exact", "--model", "interchange", "--n", "8", "--beta", "2", "--h", "1,0,0"], ["--theta", "3"]),
+        (["maximize", "--model", "interchange", "--beta-grid", "2:3:1"], ["--spin", "1/2"]),
+    ],
+)
+def test_spin_and_theta_default_where_the_model_reads_them(capsys, argv, explicit):
+    # --spin and --theta default to nothing; the models that read them fill in 1/2 and 3
+    outputs = []
+    for extra in ([], explicit):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
 
 
@@ -202,6 +219,17 @@ _SIM = ["simulate", "--n", "3", "--beta", "1", "--sweeps", "200", "--seed", "1"]
          "--delta applies to the xy model only"),
         (["exact", "--model", "interchange", "--n", "8", "--theta", "3", "--beta", "1", "--h", "1,0,0",
           "--delta", "0"], "--delta applies to the xy model only"),
+        (["exact", "--model", "heisenberg", "--n", "10", "--beta", "2", "--h", "1", "--theta", "7"],
+         "--theta applies to the interchange model only"),
+        (["exact", "--model", "xy", "--n", "10", "--beta", "2", "--h", "1", "--theta", "3"],
+         "--theta applies to the interchange model only"),
+        (["exact", "--model", "interchange", "--n", "8", "--spin", "3/2", "--beta", "1", "--h", "1,0,0"],
+         "--spin applies to the heisenberg and xy models only"),
+        (_SIM + ["--model", "interchange", "--spin", "3/2", "--h", "1,0,0"],
+         "--spin applies to the heisenberg and xy models only"),
+        (_SIM + ["--model", "heisenberg", "--theta", "3"], "--theta applies to the interchange model only"),
+        (["maximize", "--model", "classical", "--spin", "5/2", "--beta-grid", "1:2:1"],
+         "--spin applies to the heisenberg and interchange models only"),
     ],
 )
 def test_usage_error_messages(tmp_path, capsys, argv, message):
@@ -408,6 +436,15 @@ def test_exponents_table(capsys):
     assert abs(fits["susceptibility"] + 1.0) < 0.05
     assert abs(fits["critical-isotherm"] - 1 / 3) < 0.05
     assert abs(fits["transverse"] + 2 / 3) < 0.07
+
+
+@pytest.mark.parametrize("spin", ["3/2", "5/2", "10"])
+def test_exponents_magnetization_fit_stays_in_the_critical_window(capsys, spin):
+    # the distances to beta_c = 3 / (2S(S+1)) scale with it; at 1e-4 .. 1e-1 for
+    # every S the fit read 0.4757, 0.4527 and 0.3152, now 0.4946, 0.4948 and 0.4949
+    assert main(["exponents", "--spin", spin, "--which", "magnetization"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == "magnetization" and abs(float(row[2]) - 0.5) < 0.01
 
 
 def test_critical_isotherm_solves_each_field_once(capsys, monkeypatch):

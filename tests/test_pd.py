@@ -442,7 +442,7 @@ def test_pd_q_expectation_mc_complex_fields():
 
 
 def test_pd_q_expectation_mc_matches_outer_kernel():
-    # live rows and theta vector exps against the (samples, theta) matrix
+    # column-wise theta vector exps against the (samples, theta) matrix
     # kernel: bit for bit where numpy sums a matrix row in order (real fields,
     # and complex ones up to theta = 3); from 4 complex entries on it adds
     # them pairwise, which moves only the last bits
