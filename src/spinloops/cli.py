@@ -230,7 +230,11 @@ def cmd_exponents(args) -> int:
         fit = asymptotics.fit_exponent(pts)
         rows.append(("susceptibility", -1.0, fit))
     if which in ("critical-isotherm", "transverse", "all"):
-        hs = [10.0**-k for k in range(6, 2, -1)]  # 1e-6 .. 1e-3
+        # fields 1e-6 .. 1e-3 at S = 1/2, scaled by (theta^2 + 1) / theta^3, theta = 2S + 1: the
+        # isotherm h = 2 beta_c c_3 x^3 (c_3 the x^3 coefficient of eta') holds while theta x << 1
+        theta = args.spin + 1
+        field = 8.0 * (theta * theta + 1) / (5.0 * theta**3)
+        hs = [field * 10.0**-k for k in range(6, 2, -1)]
         mags = [(h, asymptotics.magnetization(bc, h, args.spin)) for h in hs]
     if which in ("critical-isotherm", "all"):
         fit = asymptotics.fit_exponent(mags)

@@ -13,9 +13,11 @@ direction across the edge, a bar reverses it) and the wrap pairs thread
 tops to sigma-shifted thread bottoms.  Loops are the cycles of segments
 under this pairing; the length of a loop is the number of marked time-0
 points it visits (the wrap line for spin 1/2, the mid-interval level
-otherwise), so lengths always sum to 2S n.  Loops of length zero exist and
-are counted in the loop total but not stored.  The tests check the chain
-against tests/oracles.py, which traces free configurations by this pairing.
+otherwise), so lengths always sum to 2S n; a segment holds its thread's
+time-0 point when its lower end lies below time 0 and its upper end does
+not.  Loops of length zero exist and are counted in the loop total but not
+stored.  The tests check the chain against tests/oracles.py, which traces
+free configurations by this pairing.
 
 Model.  Links join threads of different sites only, so for theta = 2 the
 chain samples the pairwise Hamiltonian -(2/n) sum_{i<j} (S_i1 S_j1 + S_i2 S_j2
@@ -113,15 +115,15 @@ class _Event:
     up) between a bottom and a top sentinel; a link end points to its
     partner on the other thread.  The wrap is stored as a cross: the top
     sentinel of thread (i, a) partners the bottom sentinel of (i, sigma_i(a)).
-    A segment is named by the event at its lower end, and `marked` is 1 when
-    that segment holds its thread's time-0 point (just below time 0); `loop`
-    and `sense` are its loop's record and sense (see the module docstring).
+    A segment is named by the event at its lower end; it holds its thread's
+    time-0 point exactly when x.time < 0.0 <= x.up.time.  `loop` and `sense`
+    are its loop's record and sense (see the module docstring).
     """
 
-    __slots__ = ("time", "kind", "marked", "partner", "up", "down", "loop", "sense")
+    __slots__ = ("time", "kind", "partner", "up", "down", "loop", "sense")
 
-    def __init__(self, time: float, kind: int, marked: int = 0):
-        self.time, self.kind, self.marked = time, kind, marked
+    def __init__(self, time: float, kind: int):
+        self.time, self.kind = time, kind
 
 
 class _Loop:
@@ -139,22 +141,6 @@ def _below(bottom: _Event, t: float) -> _Event | None:
     while x.up.time < t:
         x = x.up
     return None if x.up.time == t else x
-
-
-def _attach(e: _Event, a: _Event) -> None:
-    """Link e in just above a, taking over a's mark if e lies below time 0."""
-    b = a.up
-    e.down, e.up, a.up, b.down = a, b, e, e
-    e.marked = 0
-    if a.marked and e.time < 0.0:
-        a.marked, e.marked = 0, 1
-
-
-def _detach(e: _Event) -> None:
-    a, b = e.down, e.up
-    a.up, b.down = b, a
-    if e.marked:
-        a.marked = 1
 
 
 def _wire(tops: list, bottoms: list, site: int, sigma: tuple) -> None:
@@ -235,7 +221,7 @@ def _resolve(x: _Event, y: _Event, r: _Event, split: bool, gone: int, lengths: l
     new, marks = _Loop(0, len(arc) - gone), 0
     for z in arc:
         z.loop = new
-        marks += z.marked
+        marks += z.time < 0.0 <= z.up.time
     new.marks = marks
     _regroup(lengths, (loop.marks,), (loop.marks - new.marks, new.marks))
     loop.marks -= new.marks
@@ -287,7 +273,7 @@ def _rewire(tops: list, bottoms: list, site: int, sigma: tuple) -> tuple[set, li
             x, up = s, True
             while True:
                 x.loop, x.sense = loop, up
-                loop.marks += x.marked
+                loop.marks += x.time < 0.0 <= x.up.time
                 loop.segs += 1
                 f = x.up.partner if up else x.partner
                 up = up != f.kind
@@ -346,7 +332,7 @@ def mcmc_run(
     lam = n_edges * span
     perms = [tuple(range(two_s))] * n
     n_threads = n * two_s
-    bottoms = [_Event(-math.inf, CROSS, 1) for _ in range(n_threads)]
+    bottoms = [_Event(-math.inf, CROSS) for _ in range(n_threads)]
     tops = [_Event(math.inf, CROSS) for _ in range(n_threads)]
     for bottom, top in zip(bottoms, tops):
         # the empty configuration: every thread closes on itself through one marked point
@@ -405,8 +391,8 @@ def mcmc_run(
                     loop = a.loop if one else _merge(a, b, not split, lengths)
                     x, y = _Event(t, kind), _Event(t, kind)
                     x.partner, y.partner = y, x
-                    _attach(x, a)
-                    _attach(y, b)
+                    x.down, x.up, a.up.down, a.up = a, a.up, x, x
+                    y.down, y.up, b.up.down, b.up = b, b.up, y, y
                     x.loop, x.sense, y.loop, y.sense = loop, a.sense, loop, b.sense
                     loop.segs += 2
                     if one:
@@ -434,8 +420,8 @@ def mcmc_run(
                     if one:  # x's arc holds a when the removal splits the loop; each arc holds x or y
                         _resolve(x, y, b if d_loops else a, d_loops, 1, lengths)
                     loop.segs -= 2
-                    _detach(x)
-                    _detach(y)
+                    a.up, x.up.down = x.up, a
+                    b.up, y.up.down = y.up, b
                     x.partner = None  # no cycle left: both ends are freed without the cyclic collector
                     if d_loops:
                         n_loops += d_loops

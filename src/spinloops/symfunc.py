@@ -102,7 +102,9 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
     l_i = lambda_i + theta - i, log w_lam = sum_{i<j} log(l_i - l_j) -
     sum_i log l_i! + (beta/n)(content - binom(n, 2)) (log n! cancels) and
     s_lam(1,...,1) = prod_{i<j} (l_i - l_j)/(j - i).  Shapes grow like
-    n^(theta-1): theta = 3 runs to n ~ 10^4, theta = 4 to n ~ 500.  Raises
+    n^(theta-1): theta = 3 runs to n ~ 10^4, theta = 4 to n ~ 500.  Fields
+    with max|h_i| < 2^-54 give exactly 1: each q_h is an average of e^{h_i t}
+    and the l_i sum to n, so the value lies within e^{max|h_i|} - 1 of 1.  Raises
     ArithmeticError where the sum is not finite (Schur values overflow once
     max|h| nears 700).
     """
@@ -115,6 +117,8 @@ def interchange_expectation_exact(n: int, theta: int, beta: float, hvec) -> comp
     kind, hv = _pd._fields(hvec)
     if len(hv) != theta:
         raise ValueError(f"hvec must have length theta = {theta}")
+    if np.abs(hv).max() < 2.0**-54:
+        return kind(1.0)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + theta)])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         schur = _schur_exp(hv / n, n + theta - 1)

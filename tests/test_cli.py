@@ -447,6 +447,16 @@ def test_exponents_magnetization_fit_stays_in_the_critical_window(capsys, spin):
     assert row[0] == "magnetization" and abs(float(row[2]) - 0.5) < 0.01
 
 
+@pytest.mark.parametrize("spin", ["3/2", "5/2", "10", "50"])
+def test_exponents_field_fits_stay_in_the_critical_window(capsys, spin):
+    # the fields scale with (theta^2 + 1) / theta^3, theta = 2S + 1, so each fit
+    # stays where the cubic law holds (theta x << 1)
+    for which, target in (("critical-isotherm", 1 / 3), ("transverse", -2 / 3)):
+        assert main(["exponents", "--spin", spin, "--which", which]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == which and abs(float(row[2]) - target) < 1e-3
+
+
 def test_critical_isotherm_solves_each_field_once(capsys, monkeypatch):
     calls = []
     solve = asymptotics.magnetization

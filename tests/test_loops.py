@@ -366,7 +366,8 @@ def test_mcmc_loop_records_match_a_fresh_walk(n, two_s, u, theta, monkeypatch):
             seen.update(x for x, _ in walk)
             loop = start.loop
             assert loop not in records and all(x.loop is loop for x, _ in walk)
-            assert (loop.marks, loop.segs) == (sum(x.marked for x, _ in walk), len(walk))
+            marks = sum(x.time < 0.0 <= x.up.time for x, _ in walk)
+            assert (loop.marks, loop.segs) == (marks, len(walk))
             assert len({x.sense == up for x, up in walk}) == 1
             records.add(loop)
         assert seen == set(live)
@@ -378,15 +379,15 @@ def _event_lists(config):
     Every loop through a wrap segment carries a record; the others, which
     no sigma move touches, are left unlabelled.
     """
-    bottoms = [lp._Event(-math.inf, lp.CROSS, 1) for _ in range(config.n_threads)]
+    bottoms = [lp._Event(-math.inf, lp.CROSS) for _ in range(config.n_threads)]
     tops = [lp._Event(math.inf, lp.CROSS) for _ in range(config.n_threads)]
     for bottom, top in zip(bottoms, tops):
         bottom.up, top.down = top, bottom
     for v, w, t, kind in config.links:
         x, y = lp._Event(t, kind), lp._Event(t, kind)
         x.partner, y.partner = y, x
-        lp._attach(x, lp._below(bottoms[v], t))
-        lp._attach(y, lp._below(bottoms[w], t))
+        for e, a in ((x, lp._below(bottoms[v], t)), (y, lp._below(bottoms[w], t))):
+            e.down, e.up, a.up.down, a.up = a, a.up, e, e
     for site, sigma in enumerate(config.site_perms):
         lp._wire(tops, bottoms, site, sigma)
     for top in tops:

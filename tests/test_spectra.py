@@ -153,6 +153,19 @@ def test_h_zero_is_one():
     assert oracles.dense_gibbs_oracle(3, 1, 2.0, 0.5, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+@pytest.mark.parametrize("delta", [1.0, 0.0])
+def test_vanishing_field_is_exactly_one(two_s, delta):
+    # |value - 1| <= cosh(|h| S) - 1 < 2^-55 once |h| 2S < 2^-26, so the value
+    # rounds to 1, which the sector sums alone miss by up to 1.1e-15
+    edge = math.nextafter(2.0**-26 / two_s, 0.0)
+    assert edge * two_s < 2.0**-26
+    for h in (0.0, 1e-200, -1e-200, 1e-200j, edge, -edge, edge * 1j):
+        for n in (7, 64, 1000):
+            for beta in (0.5, 3.0):
+                assert sp.heisenberg_expectation_exact(n, two_s, beta, delta, h) == 1.0
+
+
 def test_dense_single_site_closed_form():
     # free spin 1/2: <e^{h S1}> = cosh(h/2)
     for h in (0.5, 1.0, 2.0):

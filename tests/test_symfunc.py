@@ -190,6 +190,17 @@ def test_interchange_unit_field():
     )
 
 
+@pytest.mark.parametrize("theta", [2, 3, 4])
+def test_interchange_vanishing_field_is_exactly_one(theta):
+    # |value - 1| <= e^{max|h_i|} - 1 rounds to 1 once max|h_i| < 2^-54, which the
+    # numerator and denominator, forming s_lambda(1) by two routes, alone miss
+    edge = math.nextafter(2.0**-54, 0.0)
+    for h in (0.0, 1e-200, -1e-200, 1e-200j, edge, -edge, edge * 1j):
+        for n in (5, 12, 30):
+            for beta in (0.5, 4.0):
+                assert sf.interchange_expectation_exact(n, theta, beta, [h] + [0.0] * (theta - 1)) == 1.0
+
+
 @pytest.mark.parametrize("hv", [[8000.0, 0.0, 0.0], [8000.0 + 1.0j, 0.0, 0.0]])
 def test_interchange_overflow_raises_arithmetic_error(hv):
     # e^{h/n} overflows, and the determinants of its Schur table are not finite;
