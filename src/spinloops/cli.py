@@ -317,8 +317,8 @@ def cmd_pd(args) -> int:
     if not all(map(math.isfinite, args.h)):
         raise ValueError("--h must be finite")
     rng = np.random.default_rng(args.seed)
-    # all cosh checks share one stick stream; one row per distinct field, zero's is ones (cosh 0 = 1)
-    fields = list(dict.fromkeys(h for h in args.h if h != 0.0))
+    # all cosh checks share one stick stream; one row per distinct field (a zero field's row is ones)
+    fields = list(dict.fromkeys(args.h))
     prods = np.ones((len(fields), args.samples))
     for col in pd.stick_breaking_columns(args.theta, args.samples, rng):
         prods *= np.cosh(np.multiply.outer(fields, col))
@@ -326,7 +326,7 @@ def cmd_pd(args) -> int:
     print("check,h_or_z,series_or_closed,mc_mean,mc_se,verdict")
     ok = True
     for h in args.h:
-        vals = rows[h] if h else np.ones(args.samples)
+        vals = rows[h]
         series = pd.pd_cosh_series(args.theta, h)
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--h", type=parse_h_list, default="1",
         help="comma-separated finite fields, one cosh check each, all reduced from one "
         "stick-breaking stream (so the rows are correlated; memory grows as distinct "
-        "non-zero fields x samples); with --z-star also the q-product fields, zero-padded to --theta "
+        "fields x samples); with --z-star also the q-product fields, zero-padded to --theta "
         "entries (more is a usage error)",
     )
     p.add_argument("--z-star", type=float, default=None, dest="z_star")

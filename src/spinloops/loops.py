@@ -15,9 +15,9 @@ under this pairing; the length of a loop is the number of marked time-0
 points it visits (the wrap line for spin 1/2, the mid-interval level
 otherwise), so lengths always sum to 2S n; a segment holds its thread's
 time-0 point when its lower end lies below time 0 and its upper end does
-not.  Loops of length zero exist and are counted in the loop total but not
-stored.  The tests check the chain against tests/oracles.py, which traces
-free configurations by this pairing.
+not.  Loops of length zero exist; they count in the loop total but are
+left out of a spectrum.  The tests check the chain against
+tests/oracles.py, which traces free configurations by this pairing.
 
 Model.  Links join threads of different sites only, so for theta = 2 the
 chain samples the pairwise Hamiltonian -(2/n) sum_{i<j} (S_i1 S_j1 + S_i2 S_j2
@@ -35,22 +35,22 @@ min(1, theta^{dL} Lambda/(k+1)); a deletion of a uniform link with
 min(1, theta^{dL} k/Lambda); a sigma_i resample with min(1, theta^{dL}).
 The kind proposal probabilities (u, 1-u) cancel against the marked Poisson
 intensities.  The chain keeps its loops incrementally (Beard & Wiese, PRL
-1996): threads hold time-ordered linked event lists, and every segment holds
-its loop's record (length, segment count) and a sense, whether the loop's
-canonical traversal crosses it going up.  A link birth or death reads dL off
-these in O(1): points on different loops merge (-1); on one loop, a cross
-between equal senses or a bar between opposite ones splits it (+1), else
-reroutes it (0); a link goes by a split when the senses just below and above
-one of its ends agree.  A rejected move walks nothing.  An accepted merge
-relabels the loop with fewer segments; a split or reroute walks the two arcs
-at the link in turn until one closes and relabels or reverses only that one
-(Even & Shiloach, J. ACM 1981).  A sigma_i resample reads the old loops off
-site i's 2S wrap segments and walks the new ones once.  Every draw comes from
-_uniforms(rng), which takes rng.random in blocks; an integer below m is
-int(u m), within m 2^-53 of uniform.  A drawn edge index e counts the
-C(n,2) (2S)^2 pseudo-edges in site-major order (site pairs i < j, then
-thread slots a, b) and is decoded from per-site offsets; the chain never
-lists the edges.
+1996): threads hold time-ordered linked event lists, every segment holds
+its loop's record (its length) and a sense, whether the loop's canonical
+traversal crosses it going up, and a sorted list holds every loop's length.
+A link birth or death reads dL off these in O(1): points on different loops
+merge (-1); on one loop, a cross between equal senses or a bar between
+opposite ones splits it (+1), else reroutes it (0); a link goes by a split
+when the senses just below and above one of its ends agree.  A rejected
+move walks nothing.  An accepted merge relabels the loop of smaller length;
+a split or reroute walks the two arcs at the link in turn until one closes
+and relabels or reverses only that one (Even & Shiloach, J. ACM 1981).  A
+sigma_i resample reads the old loops off site i's 2S wrap segments and
+walks the new ones once.  Every draw comes from _uniforms(rng), which takes
+rng.random in blocks; an integer below m is int(u m), within m 2^-53 of
+uniform.  A drawn edge index e counts the C(n,2) (2S)^2 pseudo-edges in
+site-major order (site pairs i < j, then thread slots a, b) and is decoded
+from per-site offsets; the chain never lists the edges.
 
 Samples.  Every loop observable is a product with one factor per loop
 (cosh(h l / 2Sn) for the spin models, q_h(l / n) for the interchange model),
@@ -127,12 +127,12 @@ class _Event:
 
 
 class _Loop:
-    """A loop's record: its length (marked segments) and its segment count."""
+    """A loop's record: its length, the number of its marked segments."""
 
-    __slots__ = ("marks", "segs")
+    __slots__ = ("marks",)
 
-    def __init__(self, marks: int, segs: int):
-        self.marks, self.segs = marks, segs
+    def __init__(self, marks: int):
+        self.marks = marks
 
 
 def _below(bottom: _Event, t: float) -> _Event | None:
@@ -176,12 +176,12 @@ def _race(s: _Event, s_up: bool, r: _Event, r_up: bool) -> list[_Event]:
 
 
 def _merge(s: _Event, r: _Event, flip: bool, lengths: list[int]) -> _Loop:
-    """Join the loops of s and r under one record; the caller adds the change in segments.
+    """Join the loops of s and r under one record.
 
-    The loop with fewer segments is walked (the steps of _race) and
+    The loop of smaller length is walked (the steps of _race) and
     relabelled, its senses reversed if flip.
     """
-    if s.loop.segs > r.loop.segs:
+    if s.loop.marks > r.loop.marks:
         s, r = r, s
     small, big = s.loop, r.loop
     x, up = s, True
@@ -196,19 +196,17 @@ def _merge(s: _Event, r: _Event, flip: bool, lengths: list[int]) -> _Loop:
             break
     _regroup(lengths, (small.marks, big.marks), (small.marks + big.marks,))
     big.marks += small.marks
-    big.segs += small.segs
     return big
 
 
-def _resolve(x: _Event, y: _Event, r: _Event, split: bool, gone: int, lengths: list[int]) -> None:
+def _resolve(x: _Event, y: _Event, r: _Event, split: bool, lengths: list[int]) -> None:
     """Relabel for a link x-y on one loop, just added or about to go.
 
     The loop's two arcs between the link's four segments, one leaving x
     upward and one leaving r (x.down or y.down) downward, are raced.  If the
     move splits the loop, each arc is a loop after it, senses as they are,
-    and the shorter gets a new record, less the `gone` segments the move
-    deletes.  Otherwise the link joins the arcs the other way round, and the
-    shorter is reversed.
+    and the shorter walk gets a new record holding its marks.  Otherwise the
+    link joins the arcs the other way round, and the shorter is reversed.
     """
     a, b, loop = x.down, y.down, r.loop
     a.loop = b.loop = x.loop = y.loop = None  # the stops
@@ -218,24 +216,20 @@ def _resolve(x: _Event, y: _Event, r: _Event, split: bool, gone: int, lengths: l
         for z in arc:
             z.sense = not z.sense
         return
-    new, marks = _Loop(0, len(arc) - gone), 0
+    new = _Loop(0)
     for z in arc:
         z.loop = new
-        marks += z.time < 0.0 <= z.up.time
-    new.marks = marks
+        new.marks += z.time < 0.0 <= z.up.time
     _regroup(lengths, (loop.marks,), (loop.marks - new.marks, new.marks))
     loop.marks -= new.marks
-    loop.segs -= new.segs
 
 
 def _regroup(lengths: list[int], old, new) -> None:
-    """Swap loops of lengths `old` for loops of lengths `new` in a sorted list."""
+    """Swap loops of lengths `old` for loops of lengths `new` in a sorted list, zeros included."""
     for x in old:
-        if x:
-            del lengths[bisect.bisect_left(lengths, x)]
+        del lengths[bisect.bisect_left(lengths, x)]
     for x in new:
-        if x:
-            bisect.insort(lengths, x)
+        bisect.insort(lengths, x)
 
 
 def _uniforms(rng: np.random.Generator):
@@ -268,13 +262,12 @@ def _rewire(tops: list, bottoms: list, site: int, sigma: tuple) -> tuple[set, li
     new = []
     for s in wraps:
         if s.loop in old:
-            loop = _Loop(0, 0)
+            loop = _Loop(0)
             new.append(loop)
             x, up = s, True
             while True:
                 x.loop, x.sense = loop, up
                 loop.marks += x.time < 0.0 <= x.up.time
-                loop.segs += 1
                 f = x.up.partner if up else x.partner
                 up = up != f.kind
                 x = f if up else f.down
@@ -336,12 +329,11 @@ def mcmc_run(
     tops = [_Event(math.inf, CROSS) for _ in range(n_threads)]
     for bottom, top in zip(bottoms, tops):
         # the empty configuration: every thread closes on itself through one marked point
-        bottom.up, top.down, bottom.loop, bottom.sense = top, bottom, _Loop(1, 1), True
+        bottom.up, top.down, bottom.loop, bottom.sense = top, bottom, _Loop(1), True
     for site in range(n):
         _wire(tops, bottoms, site, perms[site])
     flat: list[_Event] = []  # the lower-thread end of every link, for uniform deletion
-    lengths = [1] * n_threads  # ascending; rebuilt into `spectrum` on demand
-    n_loops = n_threads
+    lengths = [1] * n_threads  # every loop's length, ascending; rebuilt into `spectrum` on demand
     spectrum = None  # the current spectrum once built, until the loops change
     interned: dict[LoopSpectrum, tuple[LoopSpectrum, float]] = {}  # spectrum -> (kept object, value)
     table = functools.cache(factor)  # loop length -> factor, each computed once
@@ -350,7 +342,7 @@ def mcmc_run(
     stats = McmcStats()
     samples: list[LoopSpectrum] = []
     keep, keep_links, keep_value = samples.append, stats.links_trace.append, stats.observable_trace.append
-    log_theta = math.log(theta) if theta > 1.0 else 0.0
+    log_theta = math.log(theta)
     draw = _uniforms(rng).__next__
     exp, log, bisect_right = math.exp, math.log, bisect.bisect_right
     n_ins = n_del = n_perm = acc_ins = acc_del = acc_perm = 0
@@ -368,7 +360,6 @@ def mcmc_run(
                 log_ratio = (len(new) - len(old)) * log_theta
                 if log_ratio >= 0.0 or draw() < exp(log_ratio):
                     _regroup(lengths, [loop.marks for loop in old], [loop.marks for loop in new])
-                    n_loops += len(new) - len(old)
                     perms[site], spectrum = sigma, None
                     acc_perm += 1
                 else:
@@ -394,11 +385,9 @@ def mcmc_run(
                     x.down, x.up, a.up.down, a.up = a, a.up, x, x
                     y.down, y.up, b.up.down, b.up = b, b.up, y, y
                     x.loop, x.sense, y.loop, y.sense = loop, a.sense, loop, b.sense
-                    loop.segs += 2
                     if one:
-                        _resolve(x, y, a, d_loops, 0, lengths)
+                        _resolve(x, y, a, d_loops, lengths)
                     if d_loops:
-                        n_loops += d_loops
                         spectrum = None
                     flat.append(x)
                     acc_ins += 1
@@ -416,22 +405,22 @@ def mcmc_run(
                 d_loops = int(a.sense == x.sense) if one else -1
                 log_ratio = d_loops * log_theta + log(k / lam)
                 if log_ratio >= 0.0 or draw() < exp(log_ratio):
-                    loop = a.loop if one else _merge(a, x, a.sense != x.sense, lengths)
                     if one:  # x's arc holds a when the removal splits the loop; each arc holds x or y
-                        _resolve(x, y, b if d_loops else a, d_loops, 1, lengths)
-                    loop.segs -= 2
+                        _resolve(x, y, b if d_loops else a, d_loops, lengths)
+                    else:
+                        _merge(a, x, a.sense != x.sense, lengths)
                     a.up, x.up.down = x.up, a
                     b.up, y.up.down = y.up, b
                     x.partner = None  # no cycle left: both ends are freed without the cyclic collector
                     if d_loops:
-                        n_loops += d_loops
                         spectrum = None
                     flat.pop()
                     acc_del += 1
         if sweep == next_keep:
             next_keep += thin
             if spectrum is None:
-                spectrum = tuple.__new__(LoopSpectrum, (tuple(reversed(lengths)), n_loops))
+                kept = lengths[bisect_right(lengths, 0):]
+                spectrum = tuple.__new__(LoopSpectrum, (tuple(reversed(kept)), len(lengths)))
                 seen = interned.get(spectrum)
                 if seen is None:
                     value = float(math.prod(map(table, spectrum.lengths), start=table(0)))

@@ -193,7 +193,7 @@ def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float, windo
     n = 4 10^4.  D is carried as D / s, s = max(j_hi, 1), and the P update
     multiplies it by s/k + s/(k+b); since D_k <= k (P_k - P_{k-1}), D / s
     overflows no sooner than P.  One _jacobi_seed call sets every column at
-    sector j_lo - 1; where it fails, or j_lo <= 1, the sum steps from sector 0.
+    sector j_lo - 1, (1, 0) at j_lo <= 1; where it fails, the sum steps from 0.
     """
     j_lo, j_hi, i_hi = window
     w = width % 2
@@ -201,7 +201,7 @@ def _anisotropic_sector_sums(width: int, gamma: float, t: complex | float, windo
     b = w + 2.0 * cols
     coef = np.where(b > 0, 2.0, 1.0) * np.exp(b * (_log_cosh_half(t) - 0.25 * gamma * b))
     u = 2.0 * np.sinh(0.5 * t) ** 2
-    start, seed = j_lo, _jacobi_seed(np.maximum(j_lo - 1.0 - cols, 0.0), b, u) if j_lo > 1 else None
+    start, seed = j_lo, _jacobi_seed(np.maximum(j_lo - 1.0 - cols, 0.0), b, u)
     if seed is None:
         start, seed = 0, (np.ones_like(b * u), np.zeros_like(b * u))
     s = max(j_hi, 1)

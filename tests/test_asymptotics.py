@@ -210,6 +210,11 @@ def test_beta_critical():
     assert asy.beta_critical(ONE) == pytest.approx(0.75)
 
 
+def test_magnetization_rejects_a_negative_field():
+    with pytest.raises(ValueError, match="h >= 0"):
+        asy.magnetization(3.0, -0.1, HALF)
+
+
 def test_spin_and_theta_below_their_least_values_raise():
     # two_s = 2S >= 1 on the spin side, theta = 2S + 1 >= 2 on the interchange side
     for call in (
@@ -460,6 +465,13 @@ def test_interchange_maximizer_uniform_below_critical():
     assert r.z_star == 0.0
     r2 = asy.interchange_maximizer(bc + 0.2, 3)
     assert r2.z_star > 0.0
+
+
+def test_interchange_maximizer_where_x2_underflows():
+    # beta = 1000: x2* = e^-u/q is below the least double, so x1* = z* = 1, phi = 0 and
+    # the curvature, which holds -1/((theta - 1) x2*), is -inf
+    r = asy.interchange_maximizer(1000.0, 3)
+    assert (r.location, r.z_star, r.value, r.second_derivative) == (1.0, 1.0, 0.0, -math.inf)
 
 
 def test_interchange_family_beats_simplex_grid():

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -412,6 +413,22 @@ def test_simulate_records_the_burn_in_it_applied(tmp_path, capsys):
         assert json.loads((tmp_path / "run_meta.json").read_text())["burn_in"] == want
 
 
+def test_simulate_short_run_reports_the_iid_se(tmp_path, capsys):
+    # 40 sweeps keep 32 samples after the default burn-in of 8, fewer than two per
+    # batch-means batch, so the se is the iid one, std / sqrt(32)
+    out = tmp_path / "short"
+    assert main(["simulate", "--model", "heisenberg", "--n", "10", "--beta", "2", "--sweeps", "40",
+                 "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    values = [float(row.split(",")[3]) for row in (out / "run_spectra.csv").read_text().splitlines()[1:]]
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert len(values) == 32
+    se = statistics.stdev(values) / math.sqrt(32)
+    assert 0.0 < se < math.inf
+    assert meta["pooled_se"] == pytest.approx(se, rel=1e-12)
+    assert meta["per_chain"][0]["se"] == meta["pooled_se"]
+
+
 def test_simulate_summary_matches_exact(tmp_path, capsys):
     from spinloops import symfunc as sf
 
@@ -532,6 +549,20 @@ def test_numeric_failure_exit_code(capsys):
                "--beta", "-1.0", "--h", "1"])
     assert rc == 3
     capsys.readouterr()
+
+
+def test_broken_stdout_pipe_exit_code(capsys, monkeypatch):
+    # a reader that closed the pipe (`spinloops ... | head -0`) is an output failure
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["exact", "--model", "heisenberg", "--n", "8", "--beta", "2", "--h", "1"]) == 4
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unconverged_root_exit_code(capsys, monkeypatch):

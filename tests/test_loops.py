@@ -229,6 +229,13 @@ def test_mcmc_rejects_too_few_sites_and_bad_u():
             lp.mcmc_run(3, 1, 1.0, u, 2.0, 100, rng, 20, _one)
 
 
+def test_mcmc_rejects_no_sweeps():
+    rng = np.random.default_rng(0)
+    for n_sweeps in (0, -1):
+        with pytest.raises(ValueError, match="n_sweeps must be positive"):
+            lp.mcmc_run(3, 1, 1.0, 1.0, 2.0, n_sweeps, rng, 0, _one)
+
+
 def _reference_chain(n, two_s, beta, u, theta, n_sweeps, rng, burn_in, factor, thin=1):
     """The chain by full retrace: every proposal re-traces the whole configuration.
 
@@ -367,7 +374,7 @@ def test_mcmc_loop_records_match_a_fresh_walk(n, two_s, u, theta, monkeypatch):
             loop = start.loop
             assert loop not in records and all(x.loop is loop for x, _ in walk)
             marks = sum(x.time < 0.0 <= x.up.time for x, _ in walk)
-            assert (loop.marks, loop.segs) == (marks, len(walk))
+            assert loop.marks == marks
             assert len({x.sense == up for x, up in walk}) == 1
             records.add(loop)
         assert seen == set(live)
@@ -415,7 +422,6 @@ def test_wrap_loops_match_retrace(two_s):
                     assert set(new) == back_old
                     out, into = [x.marks for x in old], [x.marks for x in new]
                     assert sorted(out) == sorted(x.marks for x in back)
-                    assert sum(x.segs for x in old) == sum(x.segs for x in new)
                     config.site_perms[site] = sigma
                     after = oracles.trace_loops(config)
                     config.site_perms[site] = sigma_old
@@ -540,6 +546,15 @@ def test_batch_means_se():
     assert se == pytest.approx(x.std(ddof=1) / 80, rel=0.5)
     with pytest.raises(ValueError):
         lp.batch_means_se([])
+
+
+def test_batch_means_se_of_a_short_series_is_the_iid_se():
+    # below 2 * 32 values there are no batches: the iid SE std / sqrt(n), and inf on one value
+    mean, se = lp.batch_means_se([1.0, 2.0, 4.0, 3.0])
+    assert mean == 2.5
+    assert se == pytest.approx(np.std([1.0, 2.0, 4.0, 3.0], ddof=1) / 2.0, rel=1e-15)
+    assert se == pytest.approx(0.6455, abs=1e-4)
+    assert lp.batch_means_se([5.0]) == (5.0, math.inf)
 
 
 def test_pd_comparison_disordered_phase():

@@ -421,6 +421,18 @@ def test_pd_q_expectation_mc():
         pd.pd_q_expectation_mc(1, [1.0], 0.5, 10, rng)
 
 
+def test_pd_q_expectation_rejects_bad_fields_and_z_star():
+    rng = np.random.default_rng(0)
+    for hv in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="hvec must have length theta"):
+            pd.pd_q_expectation_exact(3, hv, 0.5)
+        with pytest.raises(ValueError, match="hvec must have length theta"):
+            pd.pd_q_expectation_mc(3, hv, 0.5, 10, rng)
+    for z_star in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"z_star must lie in \[0, 1\]"):
+            pd.pd_q_expectation_mc(3, [1.0, 0.0, 0.0], z_star, 10, rng)
+
+
 def test_pd_q_expectation_mc_pd1_projector():
     # E_PD(theta)[prod q_h(X_i)] = R(h; 1, 0, ..., 0) (z* = 1 endpoint)
     rng = np.random.default_rng(4)

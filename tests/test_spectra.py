@@ -273,6 +273,29 @@ def test_convergence_past_beta_c_to_n_10000(delta, beta):
         assert 1.8 <= a / b <= 2.2, gaps
 
 
+
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("beta", [2.5, 3.0, 5.0])
+def test_heisenberg_gap_matches_closed_form_constant(beta, h, two_s):
+    # n gap -> C (oracles.heisenberg_gap_constant), so r(n) = n (n gap - C), gap =
+    # exact - limit signed, tends to the next coefficient c2 with differences
+    # falling 4x per quadrupling of n: the measured ratio is 0.236-0.251 wherever the
+    # differences pass 1e-6.  c2 grows with h^2 (r = 3.61 at beta = 5, h = 3,
+    # 2S = 3), so |r| <= 0.05 is checked at beta = 3, h = 1 only, where r reads
+    # -0.0133, +0.0046 and +0.0146 at 2S = 1, 2, 3; there it pins the value at
+    # n = 16000 to 2e-10.  C off by 1e-7 fails the ratio.
+    c = oracles.heisenberg_gap_constant(beta, h, two_s)
+    limit = float(np.real(sinhc(h * m_star(beta, two_s).location)))
+    r = [
+        n * (n * (sp.heisenberg_expectation_exact(n, two_s, beta, 1.0, h) - limit) - c)
+        for n in (1000, 4000, 16_000)
+    ]
+    assert abs(r[2] - r[1]) <= 0.35 * abs(r[1] - r[0]) + 1e-6, r
+    if (beta, h) == (3.0, 1.0):
+        assert max(map(abs, r)) <= 0.05, r
+
+
 def test_xy_convergence_past_beta_c_to_n_10e6():
     # Delta = 0, beta = 3 = 1.5 beta_c, S = 1/2: the windowed sector sum takes about
     # 0.3 s at n = 10^6.  The gap ratios measure 2 - 1.1e-7, 2 - 5e-8 and 2 - 2.5e-8,
@@ -413,6 +436,15 @@ def test_falk_bruch_regression_fixture():
 def test_falk_bruch_rejects_zero_field():
     with pytest.raises(ValueError):
         oracles.falk_bruch_check(3, 1, 1.0, 0.0, 0.0)
+
+
+def test_exact_rejects_bad_size_and_delta():
+    for n, two_s in ((0, 1), (4, 0)):
+        with pytest.raises(ValueError, match="need n >= 1 and two_s >= 1"):
+            sp.heisenberg_expectation_exact(n, two_s, 1.0, 1.0, 1.0)
+    for delta in (-1.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"delta must lie in \[-1, 1\]"):
+            sp.heisenberg_expectation_exact(4, 1, 1.0, delta, 1.0)
 
 
 def test_dense_cap():

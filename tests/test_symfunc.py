@@ -209,6 +209,20 @@ def test_interchange_overflow_raises_arithmetic_error(hv):
         sf.interchange_expectation_exact(10, 3, 3.0, hv)
 
 
+@pytest.mark.parametrize(
+    "n,theta,hv,message",
+    [
+        (0, 3, [1.0, 0.0, 0.0], "n must be >= 1"),
+        (4, 0, [], "theta must be >= 1"),
+        (4, 3, [1.0, 0.0], "hvec must have length theta = 3"),
+        (4, 2, [1.0, 0.0, 0.0], "hvec must have length theta = 2"),
+    ],
+)
+def test_interchange_rejects_bad_arguments(n, theta, hv, message):
+    with pytest.raises(ValueError, match=message):
+        sf.interchange_expectation_exact(n, theta, 1.0, hv)
+
+
 def test_interchange_free_limit():
     # beta -> 0: all cycles are fixed points, so the value is q_h(1/n)^n
     n = 6
